@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gateway/ -run '^FuzzRingChurn$$' -fuzz '^FuzzRingChurn$$' -fuzztime 10s
 	$(GO) test ./internal/policy/ -run '^FuzzFRDAccess$$' -fuzz '^FuzzFRDAccess$$' -fuzztime 10s
 	$(GO) test ./internal/policy/ -run '^FuzzMSAAccess$$' -fuzz '^FuzzMSAAccess$$' -fuzztime 10s
+	$(GO) test ./internal/cpu/ -run '^FuzzReplayMatchesReference$$' -fuzz '^FuzzReplayMatchesReference$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/ledger/ -run '^FuzzCanonicalize$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 10s
 	$(GO) test ./internal/ledger/ -run '^FuzzRecordScan$$' -fuzz '^FuzzRecordScan$$' -fuzztime 10s
 	$(GO) test ./internal/ledger/ -run '^FuzzProofVerify$$' -fuzz '^FuzzProofVerify$$' -fuzztime 10s

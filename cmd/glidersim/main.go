@@ -239,23 +239,28 @@ type polStats struct {
 }
 
 // comparePolicies replays the same trace under each policy concurrently and
-// prints a side-by-side table. Each job builds its own hierarchy and DRAM
-// model, so the numbers match len(pols) separate single-policy invocations.
+// prints a side-by-side table. The trace goes through L1/L2 once; each job
+// replays that capture on its own LLC and DRAM model, so the numbers match
+// len(pols) separate single-policy invocations.
 // Observability covers the runner (per-policy job latency); per-hierarchy
 // metrics stay off because concurrent policies would collide on shared
 // metric names.
 func comparePolicies(tr *trace.Trace, pols []string, cores int, timing bool, warmup, workers int, reg *obs.Registry, sink obs.Sink) error {
+	c, err := cpu.NewCapture(context.Background(), tr, cores)
+	if err != nil {
+		return err
+	}
 	jobs := make([]simrunner.Job[polStats], len(pols))
 	for i, pol := range pols {
 		jobs[i] = simrunner.Job[polStats]{
 			Key: simrunner.Key("glidersim", tr.Name, pol),
 			Run: func(ctx context.Context) (polStats, error) {
-				h, err := cpu.BuildHierarchy(cores, pol)
+				llc, err := cpu.BuildLLC(cores, pol)
 				if err != nil {
 					return polStats{}, err
 				}
 				if !timing {
-					res, err := cpu.RunFunctional(ctx, tr, h, warmup, false)
+					res, err := c.RunFunctional(ctx, llc, warmup, false)
 					if err != nil {
 						return polStats{}, fmt.Errorf("%s: %w", pol, err)
 					}
@@ -265,7 +270,7 @@ func comparePolicies(tr *trace.Trace, pols []string, cores int, timing bool, war
 				if cores > 1 {
 					dcfg = dram.QuadCoreConfig()
 				}
-				res, err := cpu.Run(ctx, tr, h, dram.New(dcfg), cpu.DefaultCoreConfig(), warmup)
+				res, err := c.Run(ctx, llc, dram.New(dcfg), cpu.DefaultCoreConfig(), warmup)
 				if err != nil {
 					return polStats{}, fmt.Errorf("%s: %w", pol, err)
 				}

@@ -168,9 +168,11 @@ func (h *Hierarchy) writebackToL2(core int, l Line) {
 }
 
 func (h *Hierarchy) writebackToLLC(l Line) {
-	// Writebacks that miss the LLC allocate (write-allocate) but do not
-	// generate further recursive traffic beyond a DRAM write, which the
-	// timing model accounts for separately via LLC stats.
+	// Writebacks that miss the LLC allocate (write-allocate). The result is
+	// dropped: if the fill displaces a dirty LLC line, that line's DRAM
+	// write is never modelled. Only a demand access's dirty LLC victim
+	// reaches the timing model (HierarchyResult.DRAMWriteback); see
+	// DESIGN.md §5.
 	h.llc.Access(l.PC, l.Tag, l.Core, trace.Writeback)
 }
 

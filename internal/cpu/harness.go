@@ -38,13 +38,9 @@ type ObsOptions struct {
 // Glider), their predictor telemetry. With a zero ObsOptions the hierarchy
 // is indistinguishable from an uninstrumented one.
 func BuildHierarchyObs(cores int, policyName string, oo ObsOptions) (*cache.Hierarchy, error) {
-	llcCfg := cache.LLCConfig
-	if cores > 1 {
-		llcCfg = cache.SharedLLCConfig4
-	}
-	p, ok := policy.New(policyName, llcCfg.Sets, llcCfg.Ways)
-	if !ok {
-		return nil, fmt.Errorf("cpu: unknown policy %q", policyName)
+	llcCfg, p, err := llcPolicy(cores, policyName)
+	if err != nil {
+		return nil, err
 	}
 	if a, ok := p.(obs.Attacher); ok && (oo.Registry != nil || oo.Sink != nil) {
 		a.AttachObs(oo.Registry, oo.Sink)
@@ -63,6 +59,59 @@ func BuildHierarchyObs(cores int, policyName string, oo ObsOptions) (*cache.Hier
 	return h, nil
 }
 
+// BuildLLC builds the LLC alone, exactly as BuildHierarchy would: the
+// single-core 2 MB configuration, or the shared 8 MB one for cores > 1,
+// running the named policy. A Capture replays on it.
+func BuildLLC(cores int, policyName string) (*cache.Cache, error) {
+	cfg, p, err := llcPolicy(cores, policyName)
+	if err != nil {
+		return nil, err
+	}
+	return cache.New(cfg, p)
+}
+
+// llcPolicy returns the LLC geometry for cores and the named policy sized
+// for it.
+func llcPolicy(cores int, policyName string) (cache.Config, cache.Policy, error) {
+	llcCfg := cache.LLCConfig
+	if cores > 1 {
+		llcCfg = cache.SharedLLCConfig4
+	}
+	p, ok := policy.New(policyName, llcCfg.Sets, llcCfg.Ways)
+	if !ok {
+		return cache.Config{}, nil, fmt.Errorf("cpu: unknown policy %q", policyName)
+	}
+	return llcCfg, p, nil
+}
+
+// captureID names, in a trace's store entry, its capture through the
+// private L1/L2 of a cores-core hierarchy.
+type captureID struct{ cores int }
+
+// SharedCapture returns the capture of the stored trace for (spec, n, seed)
+// through a cores-core hierarchy's L1/L2. The capture is built lazily, once,
+// the first time any caller asks, and kept in the trace's entry of
+// workload.DefaultStore: it counts toward the store's bound and is dropped
+// with the trace. A build cancelled through ctx is not kept.
+func SharedCapture(ctx context.Context, spec workload.Spec, n int, seed int64, cores int) (*Capture, error) {
+	return storeCapture(ctx, workload.DefaultStore, spec, n, seed, cores)
+}
+
+// storeCapture is SharedCapture on an explicit store.
+func storeCapture(ctx context.Context, store *workload.Store, spec workload.Spec, n int, seed int64, cores int) (*Capture, error) {
+	_, v, err := store.Derive(ctx, spec, n, seed, captureID{cores}, func(ctx context.Context, t *trace.Trace) (workload.Derived, error) {
+		c, err := NewCapture(ctx, t, cores)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Capture), nil
+}
+
 // FlushHierarchyObs emits end-of-run telemetry for policies that buffer it
 // (e.g. Glider's ISVM weight snapshot). Call once after the run completes.
 func FlushHierarchyObs(h *cache.Hierarchy) {
@@ -73,32 +122,39 @@ func FlushHierarchyObs(h *cache.Hierarchy) {
 
 // SingleCore runs one benchmark with one policy and full timing, warming up
 // on the first fifth of the trace (mirroring the paper's 200M-of-1B warmup).
+// It replays the trace's shared capture (SharedCapture) on a fresh LLC, so
+// the L1/L2 filter runs once per trace however many policies a sweep runs.
 // Cancelling ctx aborts the simulation promptly (see Run).
 func SingleCore(ctx context.Context, spec workload.Spec, policyName string, accesses int, seed int64) (Result, error) {
-	t, err := workload.SharedE(spec, accesses, seed)
+	return replayShared(ctx, spec, 1, policyName, accesses, seed, dram.SingleCoreConfig())
+}
+
+// replayShared replays the shared capture of (spec, accesses, seed) on a
+// fresh cores-core LLC and DRAM model with full timing.
+func replayShared(ctx context.Context, spec workload.Spec, cores int, policyName string, accesses int, seed int64, dcfg dram.Config) (Result, error) {
+	c, err := SharedCapture(ctx, spec, accesses, seed, cores)
 	if err != nil {
 		return Result{}, err
 	}
-	h, err := BuildHierarchy(1, policyName)
+	llc, err := BuildLLC(cores, policyName)
 	if err != nil {
 		return Result{}, err
 	}
-	d := dram.New(dram.SingleCoreConfig())
-	return Run(ctx, t, h, d, DefaultCoreConfig(), accesses/5)
+	return c.Run(ctx, llc, dram.New(dcfg), DefaultCoreConfig(), accesses/5)
 }
 
 // SingleCoreMissRate runs one benchmark functionally and returns the LLC
 // miss rate (Figure 11's underlying metric).
 func SingleCoreMissRate(ctx context.Context, spec workload.Spec, policyName string, accesses int, seed int64) (float64, error) {
-	t, err := workload.SharedE(spec, accesses, seed)
+	c, err := SharedCapture(ctx, spec, accesses, seed, 1)
 	if err != nil {
 		return 0, err
 	}
-	h, err := BuildHierarchy(1, policyName)
+	llc, err := BuildLLC(1, policyName)
 	if err != nil {
 		return 0, err
 	}
-	res, err := RunFunctional(ctx, t, h, accesses/5, false)
+	res, err := c.RunFunctional(ctx, llc, accesses/5, false)
 	if err != nil {
 		return 0, err
 	}
@@ -128,18 +184,10 @@ func MultiCore(ctx context.Context, mix workload.Mix, policyName string, accesse
 
 // SoloOnShared runs one benchmark alone on the multi-core configuration
 // (shared LLC geometry and 12.8 GB/s DRAM): the IPCsingle baseline of §5.1,
-// which is defined as "executing in isolation on the same cache".
+// which is defined as "executing in isolation on the same cache". Like
+// SingleCore it replays the trace's shared capture.
 func SoloOnShared(ctx context.Context, spec workload.Spec, cores int, policyName string, accesses int, seed int64) (Result, error) {
-	t, err := workload.SharedE(spec, accesses, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	h, err := BuildHierarchy(cores, policyName)
-	if err != nil {
-		return Result{}, err
-	}
-	d := dram.New(dram.QuadCoreConfig())
-	return Run(ctx, t, h, d, DefaultCoreConfig(), accesses/5)
+	return replayShared(ctx, spec, cores, policyName, accesses, seed, dram.QuadCoreConfig())
 }
 
 // WeightedSpeedup computes the §5.1 weighted-IPC metric for a mix under one

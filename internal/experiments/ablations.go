@@ -45,16 +45,11 @@ func RunAblationOptgenVsBelady(cfg Config) (Ablation, error) {
 	if err != nil {
 		return Ablation{}, err
 	}
-	t := workload.Shared(spec, cfg.Accesses, cfg.Seed)
-	h, err := cpu.BuildHierarchy(1, "lru")
+	c, err := cpu.SharedCapture(context.Background(), spec, cfg.Accesses, cfg.Seed, 1)
 	if err != nil {
 		return Ablation{}, err
 	}
-	res, err := cpu.RunFunctional(context.Background(), t, h, 0, true)
-	if err != nil {
-		return Ablation{}, err
-	}
-	stream := res.LLCStream
+	stream := c.LLCStream()
 	labels := opt.LabelTrace(stream, cache.LLCConfig.Sets, cache.LLCConfig.Ways)
 
 	out := Ablation{Title: "OPTgen window factor vs exact Belady agreement"}
@@ -121,14 +116,16 @@ func RunAblationOrderedVsUnordered(cfg Config) (Ablation, error) {
 
 // gliderMissRate runs one benchmark under a custom Glider configuration.
 func gliderMissRate(spec workload.Spec, cfg Config, gcfg gl.Config) (float64, error) {
-	t := workload.Shared(spec, cfg.Accesses, cfg.Seed)
-	llc := cache.LLCConfig
-	p := policy.NewGliderWithConfig(llc.Sets, llc.Ways, gcfg)
-	h, err := cache.NewHierarchy(1, llc, p, nil)
+	c, err := cpu.SharedCapture(context.Background(), spec, cfg.Accesses, cfg.Seed, 1)
 	if err != nil {
 		return 0, err
 	}
-	res, err := cpu.RunFunctional(context.Background(), t, h, cfg.Accesses/5, false)
+	llcCfg := cache.LLCConfig
+	llc, err := cache.New(llcCfg, policy.NewGliderWithConfig(llcCfg.Sets, llcCfg.Ways, gcfg))
+	if err != nil {
+		return 0, err
+	}
+	res, err := c.RunFunctional(context.Background(), llc, cfg.Accesses/5, false)
 	if err != nil {
 		return 0, err
 	}

@@ -122,19 +122,19 @@ func RunPredictCell(ctx context.Context, workloadName, policyName string, access
 	if err != nil {
 		return PredictResult{}, err
 	}
-	h, err := cpu.BuildHierarchy(1, policyName)
+	llc, err := cpu.BuildLLC(1, policyName)
 	if err != nil {
 		return PredictResult{}, err
 	}
-	pred, ok := h.LLC().Policy().(cpu.FriendlyPredictor)
+	pred, ok := llc.Policy().(cpu.FriendlyPredictor)
 	if !ok {
 		return PredictResult{}, fmt.Errorf("experiments: policy %q does not expose a friendly/averse predictor", policyName)
 	}
-	t, err := workload.SharedE(spec, accesses, seed)
+	c, err := cpu.SharedCapture(ctx, spec, accesses, seed, 1)
 	if err != nil {
 		return PredictResult{}, err
 	}
-	res, err := cpu.RunFunctional(ctx, t, h, accesses/5, true)
+	res, err := c.RunFunctional(ctx, llc, accesses/5, true)
 	if err != nil {
 		return PredictResult{}, err
 	}
@@ -172,12 +172,12 @@ func RunPredictCell(ctx context.Context, workloadName, policyName string, access
 			Friendly: pred.PredictFriendly(pc, 0),
 		})
 	}
-	if g, ok := h.LLC().Policy().(*policy.Glider); ok && isvmRows > 0 {
+	if g, ok := llc.Policy().(*policy.Glider); ok && isvmRows > 0 {
 		for _, row := range g.Predictor().TopRows(isvmRows) {
 			out.ISVMRows = append(out.ISVMRows, ISVMRow(row))
 		}
 	}
-	if mi, ok := h.LLC().Policy().(policy.ModelIntrospector); ok && isvmRows > 0 {
+	if mi, ok := llc.Policy().(policy.ModelIntrospector); ok && isvmRows > 0 {
 		out.ModelRows = mi.TopModelRows(isvmRows)
 	}
 	record(LedgerKindPredict, out)

@@ -504,12 +504,15 @@ type Fig10 struct {
 // onlineAccuracy runs a benchmark with the policy and compares the
 // policy-exposed predictions against exact MIN labels of the LLC stream.
 func onlineAccuracy(ctx context.Context, spec workload.Spec, policyName string, accesses int, seed int64) (float64, error) {
-	t := workload.Shared(spec, accesses, seed)
-	h, err := cpu.BuildHierarchy(1, policyName)
+	c, err := cpu.SharedCapture(ctx, spec, accesses, seed, 1)
 	if err != nil {
 		return 0, err
 	}
-	res, err := cpu.RunFunctional(ctx, t, h, accesses/5, true)
+	llc, err := cpu.BuildLLC(1, policyName)
+	if err != nil {
+		return 0, err
+	}
+	res, err := c.RunFunctional(ctx, llc, accesses/5, true)
 	if err != nil {
 		return 0, err
 	}

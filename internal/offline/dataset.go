@@ -8,9 +8,11 @@
 package offline
 
 import (
+	"context"
 	"fmt"
 
 	"glider/internal/cache"
+	"glider/internal/cpu"
 	"glider/internal/opt"
 	"glider/internal/trace"
 	"glider/internal/workload"
@@ -67,28 +69,38 @@ const splitFraction = 0.75
 // is negligible there; at simulation scale it is not.
 const tailDropFraction = 0.2
 
-// BuildDataset generates the benchmark trace, filters it through LRU L1/L2
-// caches to obtain the LLC access stream, and labels that stream with exact
-// Belady MIN decisions for the Table 1 LLC geometry.
+// BuildDataset takes the benchmark trace from the shared store, takes the
+// LLC access stream from the trace's shared L1/L2 capture (cpu.SharedCapture,
+// the same one every simulation of the trace replays), and labels that
+// stream with exact Belady MIN decisions for the Table 1 LLC geometry.
 func BuildDataset(spec workload.Spec, accesses int, seed int64) (*Dataset, error) {
-	t := workload.Shared(spec, accesses, seed)
-	return BuildDatasetFromTrace(t)
-}
-
-// BuildDatasetFromTrace labels an existing trace (see BuildDataset).
-func BuildDatasetFromTrace(t *trace.Trace) (*Dataset, error) {
-	llcStream, err := filterToLLC(t)
+	c, err := cpu.SharedCapture(context.Background(), spec, accesses, seed, 1)
 	if err != nil {
 		return nil, err
 	}
+	return labelLLCStream(c.Trace().Name, c.LLCStream())
+}
+
+// BuildDatasetFromTrace labels an existing trace (see BuildDataset),
+// capturing it through fresh L1/L2 caches.
+func BuildDatasetFromTrace(t *trace.Trace) (*Dataset, error) {
+	c, err := cpu.NewCapture(context.Background(), t, 1)
+	if err != nil {
+		return nil, err
+	}
+	return labelLLCStream(t.Name, c.LLCStream())
+}
+
+// labelLLCStream labels the LLC demand stream of the trace called name.
+func labelLLCStream(name string, llcStream *trace.Trace) (*Dataset, error) {
 	if llcStream.Len() == 0 {
-		return nil, fmt.Errorf("offline: trace %q produced no LLC accesses", t.Name)
+		return nil, fmt.Errorf("offline: trace %q produced no LLC accesses", name)
 	}
 	labels := opt.LabelTrace(llcStream, cache.LLCConfig.Sets, cache.LLCConfig.Ways)
 	usable := int(float64(llcStream.Len()) * (1 - tailDropFraction))
 	llcStream = llcStream.Slice(0, usable)
 
-	d := &Dataset{Name: t.Name}
+	d := &Dataset{Name: name}
 	index := make(map[uint64]int)
 	for i, a := range llcStream.Accesses {
 		tok, ok := index[a.PC]
@@ -104,47 +116,6 @@ func BuildDatasetFromTrace(t *trace.Trace) (*Dataset, error) {
 	}
 	d.TrainEnd = int(float64(d.Len()) * splitFraction)
 	return d, nil
-}
-
-// filterToLLC runs the trace through LRU L1 and L2 caches and returns the
-// stream of demand accesses that missed both, i.e. reached the LLC.
-//
-// This reproduces cache.Hierarchy exactly but without simulating the LLC:
-// whether a demand access reaches the LLC depends only on L1/L2 state, and
-// nothing in the hierarchy flows back up from the LLC (no inclusion or
-// back-invalidation; writebacks travel strictly downward), so the LLC
-// simulation — half the filtering cost — can be dropped without changing a
-// single emitted access. TestFilterToLLCEquivalence pins this against the
-// full hierarchy for every registered workload.
-func filterToLLC(t *trace.Trace) (*trace.Trace, error) {
-	l1, err := cache.NewUpperLRU(cache.L1DConfig)
-	if err != nil {
-		return nil, err
-	}
-	l2, err := cache.NewUpperLRU(cache.L2Config)
-	if err != nil {
-		return nil, err
-	}
-	out := trace.New(t.Name+".llc", 0)
-	for _, a := range t.Accesses {
-		a.Core = 0
-		block := a.Block()
-		// Mirror cache.Hierarchy.Access order: L1 demand, then the dirty L1
-		// victim's L2 writeback, then (on an L1 miss) the L2 demand access.
-		// L2 evictions would go to the LLC and are discarded here.
-		r1 := l1.Access(a.PC, block, 0, a.Kind)
-		if r1.WritebackNeeded {
-			l2.Access(r1.EvictedLine.PC, r1.EvictedLine.Tag, r1.EvictedLine.Core, trace.Writeback)
-		}
-		if r1.Hit {
-			continue
-		}
-		if r2 := l2.Access(a.PC, block, 0, a.Kind); r2.Hit {
-			continue
-		}
-		out.Append(a)
-	}
-	return out, nil
 }
 
 // Sequence is one 2N-length slice for sequence labeling: the first

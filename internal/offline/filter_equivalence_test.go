@@ -1,10 +1,12 @@
 package offline
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"glider/internal/cache"
+	"glider/internal/cpu"
 	"glider/internal/policy"
 	"glider/internal/trace"
 	"glider/internal/workload"
@@ -12,7 +14,8 @@ import (
 
 // referenceFilterToLLC is the pre-optimization filter: a full three-level
 // hierarchy (generic LRU upper levels plus an LRU LLC) whose LLCAccessed
-// flag selects the stream. filterToLLC drops the LLC simulation entirely —
+// flag selects the stream. Datasets take their stream from the L1/L2
+// capture instead (cpu.Capture.LLCStream), which never simulates the LLC —
 // valid because nothing flows from the LLC back into L1/L2 — and this test
 // pins the two streams against each other for every registered workload.
 func referenceFilterToLLC(t *testing.T, tr *trace.Trace) *trace.Trace {
@@ -40,11 +43,11 @@ func TestFilterToLLCEquivalence(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			tr := spec.Generate(accesses, 42)
-			got, err := filterToLLC(tr)
+			c, err := cpu.NewCapture(context.Background(), tr, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceFilterToLLC(t, tr)
+			got, want := c.LLCStream(), referenceFilterToLLC(t, tr)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("LLC-filtered stream diverged: fast %d vs ref %d accesses", got.Len(), want.Len())
 			}

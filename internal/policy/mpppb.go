@@ -18,41 +18,38 @@ import (
 
 const mpppbFeatures = 8
 
+// mpppbFeatureSet holds MPPPB's per-feature table indices for one access.
+type mpppbFeatureSet [mpppbFeatures]uint16
+
 // MPPPB is the multiperspective perceptron policy.
 type MPPPB struct {
 	ways  int
 	state rrpvState
 	core  perceptronCore
 	hist  [8][4]uint64 // ordered PC history per core
-	feat  [][][]uint16
-	reuse [][]bool
+	// lines is one flat per-cache slab, indexed set*ways+way.
+	lines []percLine[mpppbFeatureSet]
 	fills uint64
 }
 
 // NewMPPPB builds the policy.
 func NewMPPPB(sets, ways int) *MPPPB {
-	p := &MPPPB{
+	return &MPPPB{
 		ways:  ways,
 		state: newRRPVState(sets, ways),
 		core:  newPerceptronCore(mpppbFeatures),
+		lines: make([]percLine[mpppbFeatureSet], sets*ways),
 	}
-	p.feat = make([][][]uint16, sets)
-	p.reuse = make([][]bool, sets)
-	for s := 0; s < sets; s++ {
-		p.feat[s] = make([][]uint16, ways)
-		p.reuse[s] = make([]bool, ways)
-	}
-	return p
 }
 
 // Name implements cache.Policy.
 func (p *MPPPB) Name() string { return "mpppb" }
 
 // features computes the multiperspective feature vector.
-func (p *MPPPB) features(pc, block uint64, core uint8) []uint16 {
+func (p *MPPPB) features(pc, block uint64, core uint8) mpppbFeatureSet {
 	h := &p.hist[core%8]
 	page := block >> 6
-	return []uint16{
+	return mpppbFeatureSet{
 		uint16(hashPC(pc, percTableSize)),             // PC
 		uint16(hashPC(pc>>2, percTableSize)),          // PC shifted
 		uint16(hashPC(h[0]*3, percTableSize)),         // last PC
@@ -79,8 +76,8 @@ const (
 // Victim implements cache.Policy.
 func (p *MPPPB) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
 	w := p.state.victim(set)
-	if lines[w].Valid && !p.reuse[set][w] && p.feat[set][w] != nil {
-		p.core.train(p.feat[set][w], true, p.core.sum(p.feat[set][w]))
+	if l := &p.lines[set*p.ways+w]; lines[w].Valid && !l.reused && l.filled {
+		p.core.train(l.feat[:], true, p.core.sum(l.feat[:]))
 	}
 	return w
 }
@@ -97,15 +94,16 @@ func (p *MPPPB) Update(set, way int, pc, block uint64, core uint8, hit bool, kin
 		p.observe(pc, core)
 		return
 	}
+	l := &p.lines[set*p.ways+way]
 	if hit {
-		if !p.reuse[set][way] && p.feat[set][way] != nil {
-			p.core.train(p.feat[set][way], false, p.core.sum(p.feat[set][way]))
+		if !l.reused && l.filled {
+			p.core.train(l.feat[:], false, p.core.sum(l.feat[:]))
 		}
-		p.reuse[set][way] = true
+		l.reused = true
 		// Promotion is also prediction-driven in MPPPB: confident-dead
 		// lines are not promoted all the way.
 		f := p.features(pc, block, core)
-		if p.core.sum(f) > mpppbTauHigh {
+		if p.core.sum(f[:]) > mpppbTauHigh {
 			p.state.rrpv[set][way] = maxRRPV - 1
 		} else {
 			p.state.rrpv[set][way] = 0
@@ -115,10 +113,8 @@ func (p *MPPPB) Update(set, way int, pc, block uint64, core uint8, hit bool, kin
 	}
 	// Fill with three-level placement.
 	p.fills++
-	f := p.features(pc, block, core)
-	sum := p.core.sum(f)
-	p.feat[set][way] = f
-	p.reuse[set][way] = false
+	*l = percLine[mpppbFeatureSet]{feat: p.features(pc, block, core), filled: true}
+	sum := p.core.sum(l.feat[:])
 	switch {
 	case sum > mpppbTauHigh:
 		p.state.rrpv[set][way] = maxRRPV

@@ -25,7 +25,7 @@ const (
 	percTauBypass = 10 // predict dead when sum exceeds this
 )
 
-// featureSet computes the per-feature table indices for one access.
+// percFeatures holds Perceptron's per-feature table indices for one access.
 type percFeatures [4]uint16
 
 // perceptronCore holds the weight tables shared by Perceptron and MPPPB.
@@ -80,6 +80,16 @@ func abs(x int) int {
 	return x
 }
 
+// percLine is one line's training state in the perceptron policies: the
+// feature indices its last demand fill computed, whether a demand fill has
+// stored any, and whether the line has been reused since. A writeback fill
+// leaves all three as the previous occupant left them.
+type percLine[F any] struct {
+	feat   F
+	filled bool
+	reused bool
+}
+
 // Perceptron is the online perceptron reuse predictor policy.
 type Perceptron struct {
 	ways  int
@@ -87,25 +97,18 @@ type Perceptron struct {
 	core  perceptronCore
 	// Ordered PC history per core.
 	hist [8][3]uint64
-	// Per-line stored feature indices and reuse bit for training.
-	feat   [][][]uint16
-	reused [][]bool
+	// lines is one flat per-cache slab, indexed set*ways+way.
+	lines []percLine[percFeatures]
 }
 
 // NewPerceptron builds the policy.
 func NewPerceptron(sets, ways int) *Perceptron {
-	p := &Perceptron{
+	return &Perceptron{
 		ways:  ways,
 		state: newRRPVState(sets, ways),
 		core:  newPerceptronCore(4),
+		lines: make([]percLine[percFeatures], sets*ways),
 	}
-	p.feat = make([][][]uint16, sets)
-	p.reused = make([][]bool, sets)
-	for s := 0; s < sets; s++ {
-		p.feat[s] = make([][]uint16, ways)
-		p.reused[s] = make([]bool, ways)
-	}
-	return p
 }
 
 // Name implements cache.Policy.
@@ -113,9 +116,9 @@ func (p *Perceptron) Name() string { return "perceptron" }
 
 // features builds the ordered-history feature vector: each history position
 // is a separate feature, so ordering is baked into the representation.
-func (p *Perceptron) features(pc uint64, core uint8) []uint16 {
+func (p *Perceptron) features(pc uint64, core uint8) percFeatures {
 	h := &p.hist[core%8]
-	return []uint16{
+	return percFeatures{
 		uint16(hashPC(pc, percTableSize)),
 		uint16(hashPC(h[0]*3, percTableSize)),
 		uint16(hashPC(h[1]*5, percTableSize)),
@@ -132,8 +135,8 @@ func (p *Perceptron) observe(pc uint64, core uint8) {
 // training.
 func (p *Perceptron) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
 	w := p.state.victim(set)
-	if lines[w].Valid && !p.reused[set][w] && p.feat[set][w] != nil {
-		p.core.train(p.feat[set][w], true, p.core.sum(p.feat[set][w]))
+	if l := &p.lines[set*p.ways+w]; lines[w].Valid && !l.reused && l.filled {
+		p.core.train(l.feat[:], true, p.core.sum(l.feat[:]))
 	}
 	return w
 }
@@ -150,20 +153,19 @@ func (p *Perceptron) Update(set, way int, pc, block uint64, core uint8, hit bool
 		p.observe(pc, core)
 		return
 	}
+	l := &p.lines[set*p.ways+way]
 	if hit {
-		if !p.reused[set][way] && p.feat[set][way] != nil {
-			p.core.train(p.feat[set][way], false, p.core.sum(p.feat[set][way]))
+		if !l.reused && l.filled {
+			p.core.train(l.feat[:], false, p.core.sum(l.feat[:]))
 		}
-		p.reused[set][way] = true
+		l.reused = true
 		p.state.rrpv[set][way] = 0
 		p.observe(pc, core)
 		return
 	}
 	// Fill.
-	f := p.features(pc, core)
-	sum := p.core.sum(f)
-	p.feat[set][way] = f
-	p.reused[set][way] = false
+	*l = percLine[percFeatures]{feat: p.features(pc, core), filled: true}
+	sum := p.core.sum(l.feat[:])
 	if sum > percTauBypass {
 		p.state.rrpv[set][way] = maxRRPV
 	} else if sum > 0 {

@@ -8,7 +8,8 @@
 //     values closed over at job construction) and shares only immutable
 //     state with its siblings. Every simulation entry point in this
 //     repository (cpu.SingleCore, offline.BuildDataset, …) constructs its
-//     own hierarchy, DRAM model, and rand.Rand, so this holds by design.
+//     own LLC or hierarchy, DRAM model, and rand.Rand, and shares only
+//     immutable traces and L1/L2 captures, so this holds by design.
 //  2. Seeds are positional, not temporal: SeedFor derives a job's seed from
 //     a stable hash of its key, never from scheduling order or wall-clock
 //     time, so a job's result does not depend on when or where it ran.

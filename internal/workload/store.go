@@ -10,10 +10,14 @@ package workload
 // *trace.Trace per (spec, n, seed) key. The store de-duplicates generation
 // with a singleflight: the first Get for a key generates while later ones
 // block on the same entry, guaranteeing exactly one generation per key even
-// under a concurrent worker pool.
+// under a concurrent worker pool. An entry can also keep values derived from
+// its trace (Derive), such as the cpu package's L1/L2 capture, under the
+// same singleflight, byte bound and lifetime.
 
 import (
 	"container/list"
+	stdcontext "context" // the package declares a pattern named context
+	"errors"
 	"fmt"
 	"sync"
 
@@ -46,7 +50,8 @@ type StoreStats struct {
 // storeEntry is one cached trace. ready is closed when tr (or err) is
 // populated; Gets that find an in-flight entry block on it, and the close
 // gives them a happens-before edge on the generation's writes, so the shared
-// trace is race-free without further locking.
+// trace is race-free without further locking. bytes counts the trace and
+// every cached derived value; derived is guarded by the store's mutex.
 type storeEntry struct {
 	ready   chan struct{}
 	tr      *trace.Trace
@@ -54,6 +59,22 @@ type storeEntry struct {
 	bytes   int64
 	lruElem *list.Element
 	evicted bool
+	derived map[any]*derivedFlight
+}
+
+// Derived is a value computed from a stored trace and kept in the trace's
+// entry (see Store.Derive). Bytes is its resident size, which counts toward
+// the store's bound.
+type Derived interface {
+	Bytes() int64
+}
+
+// derivedFlight is one derived value, built once. ready is closed when val
+// (or err) is set, with the same happens-before role as storeEntry.ready.
+type derivedFlight struct {
+	ready chan struct{}
+	val   Derived
+	err   error
 }
 
 // Store is a content-addressed cache of generated traces. The zero value is
@@ -67,11 +88,11 @@ type Store struct {
 	stats    StoreStats
 }
 
-// NewStore returns an empty store. maxBytes bounds the resident trace bytes
-// (approximate, counting accesses only); 0 means unbounded. When the bound
-// is exceeded, least-recently-used entries are dropped — a dropped trace is
-// still valid for holders of the pointer (traces are immutable), the store
-// just regenerates on the next Get.
+// NewStore returns an empty store. maxBytes bounds the resident bytes
+// (approximate, counting accesses and derived values); 0 means unbounded.
+// When the bound is exceeded, least-recently-used entries are dropped — a
+// dropped trace is still valid for holders of the pointer (traces are
+// immutable), the store just regenerates on the next Get.
 func NewStore(maxBytes int64) *Store {
 	return &Store{
 		entries:  make(map[StoreKey]*storeEntry),
@@ -97,6 +118,16 @@ func (s *Store) Get(spec Spec, n int, seed int64) *trace.Trace {
 // GetE for the key retries the source (every concurrent waiter on the failed
 // flight receives the same error).
 func (s *Store) GetE(spec Spec, n int, seed int64) (*trace.Trace, error) {
+	e, err := s.entry(spec, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	return e.tr, nil
+}
+
+// entry returns the ready entry for (spec, n, seed), generating its trace
+// under the singleflight described at GetE.
+func (s *Store) entry(spec Spec, n int, seed int64) (*storeEntry, error) {
 	key := StoreKey{Name: spec.Name, N: n, Seed: seed}
 
 	s.mu.Lock()
@@ -107,7 +138,10 @@ func (s *Store) GetE(spec Spec, n int, seed int64) (*trace.Trace, error) {
 		}
 		s.mu.Unlock()
 		<-e.ready
-		return e.tr, e.err
+		if e.err != nil {
+			return nil, e.err
+		}
+		return e, nil
 	}
 	e := &storeEntry{ready: make(chan struct{})}
 	s.entries[key] = e
@@ -126,17 +160,92 @@ func (s *Store) GetE(spec Spec, n int, seed int64) (*trace.Trace, error) {
 		return nil, err
 	}
 	e.tr = tr
-	e.bytes = int64(tr.Len()) * accessBytes
 	// The entry may have been evicted while generating (Release, or LRU
 	// pressure from other keys); if so its bytes were never accounted and
 	// must not be added now.
-	if !e.evicted {
-		s.bytes += e.bytes
-		s.evictOverLocked(key)
-	}
+	s.addBytesLocked(key, e, int64(tr.Len())*accessBytes)
 	s.mu.Unlock()
 	close(e.ready)
-	return tr, nil
+	return e, nil
+}
+
+// addBytesLocked accounts n more resident bytes to e and evicts down to the
+// bound, unless e was evicted meanwhile. Requires s.mu held.
+func (s *Store) addBytesLocked(key StoreKey, e *storeEntry, n int64) {
+	if e.evicted {
+		return
+	}
+	e.bytes += n
+	s.bytes += n
+	s.evictOverLocked(key)
+}
+
+// Derive returns the trace for (spec, n, seed) and the value build derives
+// from it under id, an arbitrary comparable key naming the derivation. The
+// value is built at most once per (trace, id) while the trace stays
+// resident: concurrent callers share one build, singleflight-style, and
+// every later caller gets the same value. It lives in the trace's entry,
+// counts toward the store's bound, and is dropped with the trace.
+//
+// A failed build is never cached. When the build fails because its caller's
+// ctx ended, waiters whose own ctx is still live retry the build instead of
+// inheriting that error; any other build error reaches every waiter on the
+// failed flight, as a failed generation does in GetE. A waiter whose ctx
+// ends while it waits returns that ctx's error.
+func (s *Store) Derive(ctx stdcontext.Context, spec Spec, n int, seed int64, id any, build func(stdcontext.Context, *trace.Trace) (Derived, error)) (*trace.Trace, Derived, error) {
+	e, err := s.entry(spec, n, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	key := StoreKey{Name: spec.Name, N: n, Seed: seed}
+	for {
+		s.mu.Lock()
+		f, ok := e.derived[id]
+		if !ok {
+			f = &derivedFlight{ready: make(chan struct{})}
+			if e.derived == nil {
+				e.derived = make(map[any]*derivedFlight)
+			}
+			e.derived[id] = f
+			s.mu.Unlock()
+
+			v, err := build(ctx, e.tr)
+			var size int64
+			if err == nil {
+				size = v.Bytes()
+			}
+
+			s.mu.Lock()
+			if err != nil {
+				f.err = err
+				delete(e.derived, id)
+			} else {
+				f.val = v
+				s.addBytesLocked(key, e, size)
+			}
+			s.mu.Unlock()
+			close(f.ready)
+			if err != nil {
+				return nil, nil, err
+			}
+			return e.tr, v, nil
+		}
+		s.mu.Unlock()
+
+		select {
+		case <-f.ready:
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+		switch {
+		case f.err == nil:
+			return e.tr, f.val, nil
+		case !errors.Is(f.err, stdcontext.Canceled) && !errors.Is(f.err, stdcontext.DeadlineExceeded):
+			return nil, nil, f.err
+		case ctx.Err() != nil:
+			return nil, nil, ctx.Err()
+		}
+	}
 }
 
 // evictOverLocked drops least-recently-used entries until the store is back
@@ -212,7 +321,8 @@ func (s *Store) Stats() StoreStats {
 	return s.stats
 }
 
-// Bytes returns the approximate resident size of cached traces.
+// Bytes returns the approximate resident size of cached traces and their
+// derived values.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

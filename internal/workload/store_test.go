@@ -1,9 +1,14 @@
 package workload
 
 import (
+	stdcontext "context"
+	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+
+	"glider/internal/trace"
 )
 
 // TestStoreDeterminism: a stored trace is the same pointer on repeated Gets
@@ -173,4 +178,141 @@ func TestSharedMatchesGenerate(t *testing.T) {
 	if Shared(spec, 3000, 11) != got {
 		t.Fatal("Shared did not cache")
 	}
+}
+
+// sized is a derived value of a fixed size.
+type sized int64
+
+func (s sized) Bytes() int64 { return int64(s) }
+
+// TestStoreDerive: a derived value is built once per (trace, id), counted in
+// the store's bytes, and dropped with its trace.
+func TestStoreDerive(t *testing.T) {
+	t.Parallel()
+	spec, err := Lookup("omnetpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(0)
+	builds := 0
+	build := func(_ stdcontext.Context, tr *trace.Trace) (Derived, error) {
+		builds++
+		return sized(tr.Len()), nil
+	}
+	ctx := stdcontext.Background()
+	tr, v, err := s.Derive(ctx, spec, 1000, 0, "a", build)
+	if err != nil || v != sized(1000) || tr != s.Get(spec, 1000, 0) {
+		t.Fatalf("Derive = %v, %v; want the stored trace and its value", v, err)
+	}
+	if _, v2, _ := s.Derive(ctx, spec, 1000, 0, "a", build); v2 != v || builds != 1 {
+		t.Fatalf("second Derive rebuilt (builds = %d)", builds)
+	}
+	if _, _, err := s.Derive(ctx, spec, 1000, 0, "b", build); err != nil || builds != 2 {
+		t.Fatalf("a second id must build its own value (builds = %d, err = %v)", builds, err)
+	}
+	if got, want := s.Bytes(), int64(1000*accessBytes+2*1000); got != want {
+		t.Fatalf("bytes = %d, want %d (trace plus both values)", got, want)
+	}
+	s.Release(spec, 1000, 0)
+	if s.Bytes() != 0 {
+		t.Fatalf("bytes = %d after Release, want 0", s.Bytes())
+	}
+	if s.Derive(ctx, spec, 1000, 0, "a", build); builds != 3 {
+		t.Fatal("derived value outlived its trace")
+	}
+}
+
+// TestStoreDeriveBound: derived bytes count toward the bound and can evict
+// other traces, never the one they belong to.
+func TestStoreDeriveBound(t *testing.T) {
+	t.Parallel()
+	spec, err := Lookup("omnetpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(2*1000*accessBytes + 500)
+	s.Get(spec, 1000, 0)
+	s.Get(spec, 1000, 1)
+	half := func(stdcontext.Context, *trace.Trace) (Derived, error) { return sized(1000), nil }
+	if _, _, err := s.Derive(stdcontext.Background(), spec, 1000, 1, "x", half); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1: the derived value must push the older trace out", st.Evictions)
+	}
+	if got, want := s.Bytes(), int64(1000*accessBytes+1000); got != want {
+		t.Fatalf("bytes = %d, want %d", got, want)
+	}
+}
+
+// TestStoreDeriveErrors: a failed build is not cached; waiters on it get its
+// error unless it was its caller's cancellation, which they retry past.
+func TestStoreDeriveErrors(t *testing.T) {
+	t.Parallel()
+	spec, err := Lookup("omnetpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(0)
+	ctx := stdcontext.Background()
+	boom := errors.New("boom")
+	if _, _, err := s.Derive(ctx, spec, 1000, 0, "x", func(stdcontext.Context, *trace.Trace) (Derived, error) { return nil, boom }); err != boom {
+		t.Fatalf("err = %v, want the build's error", err)
+	}
+	if s.Bytes() != 1000*accessBytes {
+		t.Fatalf("bytes = %d: a failed build was accounted", s.Bytes())
+	}
+
+	// A waiter queued behind a build whose caller is cancelled builds the
+	// value itself.
+	started, release := make(chan struct{}), make(chan struct{})
+	cctx, cancel := stdcontext.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := s.Derive(cctx, spec, 1000, 0, "y", func(ctx stdcontext.Context, _ *trace.Trace) (Derived, error) {
+			close(started)
+			<-release
+			return nil, ctx.Err()
+		})
+		done <- err
+	}()
+	<-started
+	waiter := make(chan Derived, 1)
+	go func() {
+		_, v, err := s.Derive(ctx, spec, 1000, 0, "y", func(stdcontext.Context, *trace.Trace) (Derived, error) { return sized(7), nil })
+		if err != nil {
+			t.Error(err)
+		}
+		waiter <- v
+	}()
+	cancel()
+	close(release)
+	if err := <-done; !errors.Is(err, stdcontext.Canceled) {
+		t.Fatalf("cancelled build: err = %v", err)
+	}
+	if v := <-waiter; v != sized(7) {
+		t.Fatalf("waiter got %v, want its own build", v)
+	}
+
+	// A waiter whose own ctx ends while it waits gives up with that error.
+	block := make(chan struct{})
+	go s.Derive(ctx, spec, 1000, 0, "z", func(stdcontext.Context, *trace.Trace) (Derived, error) {
+		<-block
+		return sized(1), nil
+	})
+	for {
+		s.mu.Lock()
+		_, inFlight := s.entries[StoreKey{spec.Name, 1000, 0}].derived["z"]
+		s.mu.Unlock()
+		if inFlight {
+			break
+		}
+		runtime.Gosched()
+	}
+	dead, stop := stdcontext.WithCancel(ctx)
+	stop()
+	if _, _, err := s.Derive(dead, spec, 1000, 0, "z", nil); !errors.Is(err, stdcontext.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v", err)
+	}
+	close(block)
 }
