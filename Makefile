@@ -24,12 +24,13 @@ race:
 bench: bench-sim
 	$(GO) test -run XXX -bench . -benchmem ./internal/ml/ ./internal/offline/ | $(GO) run ./cmd/benchjson -o BENCH_train.json
 
-# bench-sim runs the simulator-side benchmarks (full sweeps plus the
-# hierarchy/trace-generation microbenchmarks) and records BENCH_sim.json —
-# the evidence file for hot-path optimization claims.
+# bench-sim runs the simulator-side benchmarks (full sweeps, the
+# hierarchy/trace-generation microbenchmarks, and every policy alone on a
+# captured LLC stream) and records BENCH_sim.json — the evidence file for
+# hot-path optimization claims.
 bench-sim:
 	$(GO) test -run XXX -bench 'BenchmarkRunTable2Parallel|BenchmarkFig11Sweep|BenchmarkSweepPruned|BenchmarkSweepExhaustive|BenchmarkHierarchyAccess|BenchmarkTraceGenerate' -benchmem -timeout 60m . > /tmp/bench_sim_root.txt
-	$(GO) test -run XXX -bench 'BenchmarkFRDAccess|BenchmarkMSAAccess|BenchmarkHawkeyeAccess|BenchmarkGliderAccess' -benchmem ./internal/policy/ > /tmp/bench_sim_policy.txt
+	$(GO) test -run XXX -bench 'BenchmarkFRDAccess|BenchmarkMSAAccess|BenchmarkHawkeyeAccess|BenchmarkGliderAccess|BenchmarkLLCPolicy' -benchmem ./internal/policy/ > /tmp/bench_sim_policy.txt
 	cat /tmp/bench_sim_root.txt /tmp/bench_sim_policy.txt | $(GO) run ./cmd/benchjson -o BENCH_sim.json
 
 # bench-smoke compiles and runs every benchmark exactly once — a fast CI
@@ -64,6 +65,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gateway/ -run '^FuzzRingChurn$$' -fuzz '^FuzzRingChurn$$' -fuzztime 10s
 	$(GO) test ./internal/policy/ -run '^FuzzFRDAccess$$' -fuzz '^FuzzFRDAccess$$' -fuzztime 10s
 	$(GO) test ./internal/policy/ -run '^FuzzMSAAccess$$' -fuzz '^FuzzMSAAccess$$' -fuzztime 10s
+	$(GO) test ./internal/opt/ -run '^FuzzTableMatchesMap$$' -fuzz '^FuzzTableMatchesMap$$' -fuzztime 10s
 	$(GO) test ./internal/cpu/ -run '^FuzzReplayMatchesReference$$' -fuzz '^FuzzReplayMatchesReference$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/ledger/ -run '^FuzzCanonicalize$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 10s
 	$(GO) test ./internal/ledger/ -run '^FuzzRecordScan$$' -fuzz '^FuzzRecordScan$$' -fuzztime 10s

@@ -165,6 +165,7 @@ type Predictor struct {
 	cfg     Config
 	weights []int8 // TableSize × WeightsPerISVM
 	pchr    []*PCHR
+	idx     []int // Train's weight indices, reused across calls
 
 	// Adaptive training-threshold state (O-GEHL-style hill climbing over
 	// the fixed threshold set; see DESIGN.md).
@@ -306,6 +307,7 @@ func NewPredictor(cfg Config) *Predictor {
 		cfg:     cfg,
 		weights: make([]int8, cfg.TableSize*cfg.WeightsPerISVM),
 		pchr:    newPCHRs(cfg.Cores, cfg.HistoryLen),
+		idx:     make([]int, 0, cfg.HistoryLen),
 	}
 	// Start at the second-lowest threshold: θ = 0 trains only on errors,
 	// which is too sparse until the adaptation has evidence to move.
@@ -357,6 +359,12 @@ func (p *Predictor) History(core int) []uint64 {
 	return p.pchr[core%len(p.pchr)].Snapshot()
 }
 
+// HistoryView returns core's PCHR contents, most recent last, without
+// copying them. The slice is read-only and valid until the next Observe.
+func (p *Predictor) HistoryView(core int) []uint64 {
+	return p.pchr[core%len(p.pchr)].pcs
+}
+
 // Sum computes the ISVM output for (pc, history): the sum of the weights
 // selected by each history element in pc's ISVM.
 func (p *Predictor) Sum(pc uint64, history []uint64) int {
@@ -396,12 +404,13 @@ func (p *Predictor) Train(pc uint64, history []uint64, shouldCache bool) {
 	p.samples++
 	base := p.tableIndex(pc) * p.cfg.WeightsPerISVM
 	sum := 0
-	idx := make([]int, 0, len(history))
+	idx := p.idx[:0]
 	for _, h := range history {
 		i := base + p.weightIndex(h)
 		idx = append(idx, i)
 		sum += int(p.weights[i])
 	}
+	p.idx = idx
 	y := 1
 	if !shouldCache {
 		y = -1

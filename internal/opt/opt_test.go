@@ -235,8 +235,8 @@ func TestOPTgenMapBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		g.Access(uint64(i))
 	}
-	if len(g.last) > 4*8+8 {
-		t.Fatalf("last map grew unbounded: %d entries", len(g.last))
+	if g.last.Len() > 4*8+8 {
+		t.Fatalf("last table grew unbounded: %d entries", g.last.Len())
 	}
 }
 

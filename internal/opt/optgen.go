@@ -17,8 +17,8 @@ type OPTgen struct {
 	ways      int
 	window    int
 	occupancy []uint8
-	clock     uint64 // absolute per-set access count
-	last      map[uint64]uint64
+	clock     uint64          // absolute per-set access count
+	last      Table[struct{}] // block → time of its last access
 
 	// Observability (nil when disabled; see AttachObs).
 	obsVerdicts *obs.Vec
@@ -55,15 +55,30 @@ const DefaultWindowFactor = 8
 // associativity and history window (in set accesses). A window of 0 selects
 // the Hawkeye default of 8× associativity.
 func NewOPTgen(ways, window int) *OPTgen {
+	return &NewOPTgens(1, ways, window)[0]
+}
+
+// NewOPTgens creates n OPTgen instances, one per sampled set, as NewOPTgen
+// would. Their occupancy vectors and block tables are carved from shared
+// slabs, so a cache's worth of instances costs a handful of allocations.
+func NewOPTgens(n, ways, window int) []OPTgen {
 	if window <= 0 {
 		window = DefaultWindowFactor * ways
 	}
-	return &OPTgen{
-		ways:      ways,
-		window:    window,
-		occupancy: make([]uint8, window),
-		last:      make(map[uint64]uint64, window),
+	occupancy := make([]uint8, n*window)
+	// Room for half a window of distinct blocks per set; sets that hold
+	// more (up to the garbage collector's 4× window) grow on their own.
+	last := NewTables[struct{}](n, window/2)
+	gens := make([]OPTgen, n)
+	for i := range gens {
+		gens[i] = OPTgen{
+			ways:      ways,
+			window:    window,
+			occupancy: occupancy[i*window : (i+1)*window : (i+1)*window],
+			last:      last[i],
+		}
 	}
+	return gens
 }
 
 // Verdict is OPTgen's decision for one access.
@@ -107,7 +122,7 @@ func (v Verdict) String() string {
 func (g *OPTgen) Access(block uint64) Verdict {
 	t2 := g.clock
 	verdict := VerdictCold
-	if t1, ok := g.last[block]; ok {
+	if t1, _, ok := g.last.Touch(block, t2); ok {
 		if t2-t1 >= uint64(g.window) {
 			verdict = VerdictExpired
 		} else {
@@ -134,15 +149,11 @@ func (g *OPTgen) Access(block uint64) Verdict {
 		g.obsOcc.Observe(g.utilization())
 	}
 	g.occupancy[t2%uint64(g.window)] = 0
-	g.last[block] = t2
 	g.clock++
-	// Garbage-collect stale entries occasionally so the map stays bounded.
-	if len(g.last) > 4*g.window && g.clock%uint64(g.window) == 0 {
-		for b, t := range g.last {
-			if t2-t >= uint64(g.window) {
-				delete(g.last, b)
-			}
-		}
+	// Garbage-collect entries at least a window old occasionally so the
+	// table stays bounded.
+	if g.last.Len() > 4*g.window && g.clock%uint64(g.window) == 0 {
+		g.last.Prune(t2, uint64(g.window)-1)
 	}
 	return verdict
 }

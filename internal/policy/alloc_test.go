@@ -12,13 +12,8 @@ import (
 
 // openAllocExceptions are the registered policies that still allocate on
 // the LLC event path, with where. Each is an open item; a policy leaves this
-// list when it allocates nothing, warm-up included.
-var openAllocExceptions = map[string]string{
-	"frd":     "per-access prediction and training buffers",
-	"glider":  "about two allocations per event in the ISVM predictor path",
-	"hawkeye": "per-set OPTgen samplers created lazily while warming up",
-	"msa":     "per-access reuse-schedule buffers",
-}
+// list when it allocates nothing, warm-up included. None is open.
+var openAllocExceptions = map[string]string{}
 
 // TestPoliciesZeroAllocsPerLLCEvent is the allocation gate: once warmed up,
 // every registered policy outside openAllocExceptions must handle LLC events

@@ -59,16 +59,19 @@ func TestGliderAverseHitDemotes(t *testing.T) {
 }
 
 func TestHawkeyeDetrainToggle(t *testing.T) {
-	// Deliberately not parallel: this test flips the package-level detrain
-	// toggle, which would race with any concurrently running Hawkeye test.
-	SetHawkeyeDetrain(false)
-	defer SetHawkeyeDetrain(true)
+	t.Parallel()
 	p := NewHawkeye(1, 2)
+	p.state.rrpv[0][0], p.state.rrpv[0][1] = 3, 5 // both friendly: a forced eviction
 	lines := []cache.Line{{Valid: true, Tag: 1, PC: 5}, {Valid: true, Tag: 2, PC: 5}}
-	before := p.Debug().TrainNeg
+	p.detrainOnEvict = false
 	p.Victim(0, 9, 3, 0, lines)
-	if p.Debug().TrainNeg != before {
+	if p.Debug().TrainNeg != 0 {
 		t.Fatal("detraining fired while disabled")
+	}
+	p.detrainOnEvict = true
+	p.Victim(0, 9, 3, 0, lines)
+	if p.Debug().TrainNeg != 1 {
+		t.Fatal("a forced friendly eviction did not detrain")
 	}
 }
 

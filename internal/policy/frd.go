@@ -19,8 +19,8 @@ package policy
 // elapsed distance trains the snapshot that predicted it; records that fall
 // out of the window un-reused train toward "beyond window".
 //
-// All state is integer, all iteration over maps happens in sorted order, and
-// the trainer runs identically for any worker count, so FRD joins the
+// All state is integer, the trainer's sweeps run in sorted order, and the
+// trainer runs identically for any worker count, so FRD joins the
 // byte-identity differential suites unchanged.
 //
 // The model is a seam: NewFRDWithPredictor injects any ReusePredictor, and
@@ -28,11 +28,13 @@ package policy
 // machinery reproduces Belady MIN access-for-access.
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"glider/internal/cache"
 	"glider/internal/obs"
+	"glider/internal/opt"
 	"glider/internal/trace"
 )
 
@@ -229,19 +231,14 @@ func (r *frdRegressor) PredictReuse(pc, block uint64, dst []uint64) {
 // --- FRD policy -------------------------------------------------------------
 
 // frdSample is one sampler record: which PC touched a block in a sampled
-// set, when, and what the model predicted at that moment. Training recomputes
-// features at observation time — stepping weights against a stale snapshot
-// overcorrects badly when many same-context samples resolve back-to-back —
-// but the snapshot prediction is kept to score the quality metrics against
-// what the eviction logic actually used.
+// set and what the model predicted at that moment (the table keeps when).
+// Training recomputes features at observation time — stepping weights
+// against a stale snapshot overcorrects badly when many same-context samples
+// resolve back-to-back — but the snapshot prediction is kept to score the
+// quality metrics against what the eviction logic actually used.
 type frdSample struct {
 	pred int16
 	pc   uint64
-	time uint64
-}
-
-type frdSampler struct {
-	last map[uint64]frdSample
 }
 
 // pcErrStat aggregates one PC's prediction errors (in buckets).
@@ -249,6 +246,53 @@ type pcErrStat struct {
 	n      uint64
 	sumAbs uint64
 	hist   [9]uint64 // err clamped to [-4, +4]
+}
+
+// pcErrors is the per-PC training-error table FRD and MSA keep for
+// introspection. It tracks the first frdMaxTrackedPCs PCs it sees.
+type pcErrors struct {
+	t opt.Table[pcErrStat]
+}
+
+// record adds one training error for pc.
+func (e *pcErrors) record(pc uint64, err int) {
+	s, ok := e.t.Get(pc)
+	if !ok {
+		if e.t.Len() >= frdMaxTrackedPCs {
+			return
+		}
+		_, s, _ = e.t.Touch(pc, 0)
+	}
+	s.n++
+	s.sumAbs += uint64(max(err, -err))
+	s.hist[clampInt(err, -4, 4)+4]++
+}
+
+// rows returns the n most-trained PCs' rows (every PC when n < 0), ordered
+// by sample count descending and PC ascending on ties, without the
+// Predicted column.
+func (e *pcErrors) rows(n int) []ModelRow {
+	stats := e.t.Entries(nil)
+	slices.SortFunc(stats, func(a, b opt.Entry[pcErrStat]) int {
+		if a.Val.n != b.Val.n {
+			return cmp.Compare(b.Val.n, a.Val.n)
+		}
+		return cmp.Compare(a.Key, b.Key)
+	})
+	if n >= 0 && len(stats) > n {
+		stats = stats[:n]
+	}
+	rows := make([]ModelRow, 0, len(stats))
+	for _, e := range stats {
+		s := e.Val
+		rows = append(rows, ModelRow{
+			PC:         e.Key,
+			Samples:    s.n,
+			MeanAbsErr: float64(s.sumAbs) / float64(s.n),
+			ErrHist:    append([]uint64(nil), s.hist[:]...),
+		})
+	}
+	return rows
 }
 
 // FRDDebug exposes training and decision counters for tests and reports.
@@ -280,9 +324,11 @@ type FRD struct {
 	window     uint64
 	next       []uint64 // predicted absolute next-use time per line
 	model      ReusePredictor
-	learn      *frdRegressor // nil when an external model is injected
-	samplers   map[int]*frdSampler
-	pcErr      map[uint64]*pcErrStat
+	reuse      [1]uint64              // PredictReuse output; a local would escape via the interface
+	learn      *frdRegressor          // nil when an external model is injected
+	last       []opt.Table[frdSample] // per set: block → last touch (learned only)
+	expired    []opt.Entry[frdSample]
+	pcErr      pcErrors
 	debug      FRDDebug
 
 	// Observability (nil when disabled; see AttachObs).
@@ -299,6 +345,9 @@ func NewFRD(sets, ways int) *FRD {
 	p := newFRDShell(sets, ways)
 	p.learn = newFRDRegressor()
 	p.model = p.learn
+	// A set's share of the window is frdWindowFactor × ways blocks; start
+	// at half that and let busier sets grow.
+	p.last = opt.NewTables[frdSample](sets, frdWindowFactor*ways/2)
 	return p
 }
 
@@ -318,8 +367,6 @@ func newFRDShell(sets, ways int) *FRD {
 		capacity: uint64(sets * ways),
 		window:   uint64(frdWindowFactor * sets * ways),
 		next:     make([]uint64, sets*ways),
-		samplers: make(map[int]*frdSampler),
-		pcErr:    make(map[uint64]*pcErrStat),
 	}
 }
 
@@ -363,59 +410,23 @@ func (p *FRD) FlushObs() {
 
 // recordErr accumulates one training error globally and per PC.
 func (p *FRD) recordErr(pc uint64, err int) {
-	abs := err
-	if abs < 0 {
-		abs = -abs
-	}
 	p.debug.TrainEvents++
-	p.debug.SumAbsErr += uint64(abs)
+	p.debug.SumAbsErr += uint64(max(err, -err))
 	p.debug.SumErr += int64(err)
 	p.obsTrain.Inc()
 	p.obsErr.Observe(float64(err))
-	s, ok := p.pcErr[pc]
-	if !ok {
-		if len(p.pcErr) >= frdMaxTrackedPCs {
-			return
-		}
-		s = &pcErrStat{}
-		p.pcErr[pc] = s
-	}
-	s.n++
-	s.sumAbs += uint64(abs)
-	s.hist[clampInt(err, -4, 4)+4]++
+	p.pcErr.record(pc, err)
 }
 
 // TopModelRows implements ModelIntrospector: the n most-trained PCs'
 // error histograms and current predictions, ordered by sample count
 // descending (PC ascending on ties).
 func (p *FRD) TopModelRows(n int) []ModelRow {
-	pcs := make([]uint64, 0, len(p.pcErr))
-	for pc := range p.pcErr {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool {
-		si, sj := p.pcErr[pcs[i]], p.pcErr[pcs[j]]
-		if si.n != sj.n {
-			return si.n > sj.n
+	rows := p.pcErr.rows(n)
+	if p.learn != nil {
+		for i := range rows {
+			rows[i].Predicted = []int{int(p.learn.features(rows[i].PC).pred)}
 		}
-		return pcs[i] < pcs[j]
-	})
-	if n >= 0 && len(pcs) > n {
-		pcs = pcs[:n]
-	}
-	rows := make([]ModelRow, 0, len(pcs))
-	for _, pc := range pcs {
-		s := p.pcErr[pc]
-		row := ModelRow{
-			PC:         pc,
-			Samples:    s.n,
-			MeanAbsErr: float64(s.sumAbs) / float64(s.n),
-			ErrHist:    append([]uint64(nil), s.hist[:]...),
-		}
-		if p.learn != nil {
-			row.Predicted = []int{int(p.learn.features(pc).pred)}
-		}
-		rows = append(rows, row)
 	}
 	return rows
 }
@@ -424,9 +435,8 @@ func (p *FRD) TopModelRows(n int) []ModelRow {
 // access is friendly when its predicted forward reuse distance fits inside
 // the cache capacity.
 func (p *FRD) PredictFriendly(pc uint64, core uint8) bool {
-	var d [1]uint64
-	p.model.PredictReuse(pc, 0, d[:])
-	return d[0] < p.capacity
+	p.model.PredictReuse(pc, 0, p.reuse[:])
+	return p.reuse[0] < p.capacity
 }
 
 // Victim implements cache.Policy with the MIN decision rule over predicted
@@ -435,9 +445,8 @@ func (p *FRD) PredictFriendly(pc uint64, core uint8) bool {
 // wrong and the line is presumed dead); bypass the incoming line when no
 // resident is predicted strictly further than it.
 func (p *FRD) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	var d [1]uint64
-	p.model.PredictReuse(pc, block, d[:])
-	furthest := satAdd(p.clock, d[0])
+	p.model.PredictReuse(pc, block, p.reuse[:])
+	furthest := satAdd(p.clock, p.reuse[0])
 	victim := cache.Bypass
 	base := set * p.ways
 	for w := range lines {
@@ -471,14 +480,12 @@ func (p *FRD) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 	}
 	var dist uint64
 	if p.learn != nil {
-		p.trainSampled(set, pc, block)
-		f := p.learn.features(pc)
-		p.obsPred.Observe(float64(f.pred))
-		dist = bucketDist(int(f.pred))
+		pred := p.trainSampled(set, pc, block)
+		p.obsPred.Observe(float64(pred))
+		dist = bucketDist(int(pred))
 	} else {
-		var d [1]uint64
-		p.model.PredictReuse(pc, block, d[:])
-		dist = d[0]
+		p.model.PredictReuse(pc, block, p.reuse[:])
+		dist = p.reuse[0]
 	}
 	if way >= 0 {
 		p.next[set*p.ways+way] = satAdd(p.clock, dist)
@@ -490,54 +497,37 @@ func (p *FRD) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 }
 
 // trainSampled records this access in the set's sampler and, when the block
-// was seen before, trains the regressor on the observed reuse distance.
-func (p *FRD) trainSampled(set int, pc, block uint64) {
-	s, ok := p.samplers[set]
-	if !ok {
-		s = &frdSampler{last: make(map[uint64]frdSample, frdWindowFactor*p.ways)}
-		p.samplers[set] = s
-	}
-	if prev, ok := s.last[block]; ok {
-		target := reuseBucket(p.clock - prev.time)
+// was seen before, trains the regressor on the observed reuse distance. It
+// returns the regressor's prediction for this access, made after training.
+func (p *FRD) trainSampled(set int, pc, block uint64) int16 {
+	prevTime, prev, found := p.last[set].Touch(block, p.clock)
+	if found {
+		target := reuseBucket(p.clock - prevTime)
 		p.recordErr(prev.pc, target-int(prev.pred))
 		p.learn.train(p.learn.features(prev.pc), target)
 		p.learn.observe(prev.pc, uint8(target))
 	}
-	s.last[block] = frdSample{pred: p.learn.features(pc).pred, pc: pc, time: p.clock}
+	*prev = frdSample{pred: p.learn.features(pc).pred, pc: pc}
+	return prev.pred
 }
 
 // sweep detrains sampler records whose blocks were never re-accessed within
 // the window: their true reuse distance is "beyond window", so they train
-// toward one bucket past it. Like Glider's detrain sweep, iteration is
-// sorted — regression updates are order-sensitive, and map-range order here
-// would make whole simulations nondeterministic.
+// toward one bucket past it. Regression updates are order-sensitive, so
+// records train in ascending set, then block order, never in table order.
 func (p *FRD) sweep() {
 	beyond := reuseBucket(p.window) + 1
 	if beyond > reuseMaxBucket {
 		beyond = reuseMaxBucket
 	}
-	sets := make([]int, 0, len(p.samplers))
-	for set := range p.samplers {
-		sets = append(sets, set)
+	p.expired = p.expired[:0]
+	for set := range p.last {
+		p.expired = p.last[set].Expire(p.clock, p.window, p.expired)
 	}
-	sort.Ints(sets)
-	var expired []uint64
-	for _, set := range sets {
-		s := p.samplers[set]
-		expired = expired[:0]
-		for b, e := range s.last {
-			if p.clock-e.time > p.window {
-				expired = append(expired, b)
-			}
-		}
-		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-		for _, b := range expired {
-			e := s.last[b]
-			p.learn.train(p.learn.features(e.pc), beyond)
-			p.learn.observe(e.pc, uint8(beyond))
-			p.debug.Expiries++
-			p.obsExpire.Inc()
-			delete(s.last, b)
-		}
+	for _, e := range p.expired {
+		p.learn.train(p.learn.features(e.Val.pc), beyond)
+		p.learn.observe(e.Val.pc, uint8(beyond))
+		p.debug.Expiries++
+		p.obsExpire.Inc()
 	}
 }

@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"sort"
-
 	"glider/internal/cache"
 	gl "glider/internal/glider"
 	"glider/internal/obs"
@@ -16,33 +14,68 @@ import (
 // History Register (see the glider package).
 
 // gliderSample remembers what the predictor saw when a block was last
-// touched, so OPTgen's later verdict can train the right feature vector.
+// touched, so OPTgen's later verdict can train the right feature vector:
+// the PC and the core's PCHR contents before that access, kept as record
+// ref of the history arena.
 type gliderSample struct {
-	pc      uint64
-	history []uint64
-	time    uint64
+	pc  uint64
+	ref int32
+	n   int32 // PCs in the snapshot: fewer than k while the PCHR fills
 }
 
-// gliderSampler is the per-sampled-set training state.
-type gliderSampler struct {
-	optgen *opt.OPTgen
-	last   map[uint64]gliderSample
+// histArena holds the PCHR snapshots of Glider's sampler entries, k PCs per
+// record, so the sampler's tables stay pointer-free and taking a snapshot
+// allocates nothing once the arena has grown to the live entry count.
+// Records live in fixed-size chunks, so growing never copies.
+type histArena struct {
+	k      int
+	chunks [][]uint64
+	n      int32 // records handed out so far
+	free   []int32
 }
 
-func newGliderSampler(ways int) *gliderSampler {
-	return &gliderSampler{
-		optgen: opt.NewOPTgen(ways, optgenWindowFactor*ways),
-		last:   make(map[uint64]gliderSample, optgenWindowFactor*ways),
+// histChunk is the number of records per arena chunk.
+const histChunk = 1024
+
+// alloc returns an unused record.
+func (a *histArena) alloc() int32 {
+	if n := len(a.free); n > 0 {
+		ref := a.free[n-1]
+		a.free = a.free[:n-1]
+		return ref
 	}
+	if int(a.n) == len(a.chunks)*histChunk {
+		a.chunks = append(a.chunks, make([]uint64, histChunk*a.k))
+	}
+	a.n++
+	return a.n - 1
+}
+
+// release returns a record to the free list.
+func (a *histArena) release(ref int32) { a.free = append(a.free, ref) }
+
+// record returns ref's k words.
+func (a *histArena) record(ref int32) []uint64 {
+	off := int(ref%histChunk) * a.k
+	return a.chunks[ref/histChunk][off : off+a.k]
+}
+
+// store copies history into s's record.
+func (a *histArena) store(s *gliderSample, history []uint64) {
+	s.n = int32(copy(a.record(s.ref), history))
+}
+
+// history returns s's snapshot, valid until its record is stored again.
+func (a *histArena) history(s gliderSample) []uint64 {
+	return a.record(s.ref)[:s.n]
 }
 
 // Glider is the Glider replacement policy.
 type Glider struct {
-	ways      int
 	state     rrpvState
 	predictor *gl.Predictor
-	samplers  map[int]*gliderSampler
-	accesses  uint64
+	sampler   optSampler[gliderSample]
+	hist      histArena
 
 	// Observability (nil when disabled; see AttachObs).
 	obsSum         *obs.Histogram
@@ -64,10 +97,10 @@ func NewGlider(sets, ways int) *Glider {
 // configuration (used by the ablation benchmarks).
 func NewGliderWithConfig(sets, ways int, cfg gl.Config) *Glider {
 	return &Glider{
-		ways:      ways,
 		state:     newRRPVState(sets, ways),
 		predictor: gl.NewPredictor(cfg),
-		samplers:  make(map[int]*gliderSampler),
+		sampler:   newOPTSampler[gliderSample](sets, ways),
+		hist:      histArena{k: cfg.HistoryLen},
 	}
 }
 
@@ -93,9 +126,7 @@ func (p *Glider) AttachObs(reg *obs.Registry, sink obs.Sink) {
 	p.obsOptVerdicts = reg.Vec("glider.optgen.verdict", len(opt.VerdictLabels), opt.VerdictLabels...)
 	p.obsOptOcc = reg.Histogram("glider.optgen.utilization", obs.LinearBuckets(0.1, 0.1, 10))
 	p.sink = sink
-	for _, s := range p.samplers {
-		s.optgen.AttachObs(p.obsOptVerdicts, p.obsOptOcc)
-	}
+	p.sampler.attachObs(p.obsOptVerdicts, p.obsOptOcc)
 }
 
 // FlushObs implements obs.Flusher: emits the ISVM weight distribution and
@@ -120,35 +151,10 @@ func (p *Glider) FlushObs() {
 	}
 }
 
-func (p *Glider) sampled(set int) *gliderSampler {
-	if set%samplerStride != 0 {
-		return nil
-	}
-	s, ok := p.samplers[set]
-	if !ok {
-		s = newGliderSampler(p.ways)
-		s.optgen.AttachObs(p.obsOptVerdicts, p.obsOptOcc)
-		p.samplers[set] = s
-	}
-	return s
-}
-
 // Victim implements cache.Policy: averse lines (RRPV 7) first; otherwise
-// the oldest friendly line, detraining the features that inserted it.
+// the oldest friendly line.
 func (p *Glider) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	for w := range lines {
-		if p.state.rrpv[set][w] >= maxRRPV {
-			return w
-		}
-	}
-	victim, oldest := 0, uint8(0)
-	for w := range lines {
-		if p.state.rrpv[set][w] >= oldest {
-			oldest = p.state.rrpv[set][w]
-			victim = w
-		}
-	}
-	return victim
+	return p.state.oldest(set)
 }
 
 // Update implements cache.Policy.
@@ -161,57 +167,31 @@ func (p *Glider) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 	}
 
 	// Feature for this access: the PCHR contents *before* observing pc.
-	history := p.predictor.History(int(core))
+	history := p.predictor.HistoryView(int(core))
 
-	// Train on sampled sets from OPTgen's reconstruction of MIN.
-	if s := p.sampled(set); s != nil {
-		switch s.optgen.Access(block) {
+	// Train from OPTgen's reconstruction of MIN.
+	v, prev, found := p.sampler.access(set, block)
+	if found {
+		switch v {
 		case opt.VerdictHit:
-			if prev, ok := s.last[block]; ok {
-				p.predictor.Train(prev.pc, prev.history, true)
-				p.obsTrainPos.Inc()
-			}
+			p.predictor.Train(prev.pc, p.hist.history(*prev), true)
+			p.obsTrainPos.Inc()
 		case opt.VerdictMiss, opt.VerdictExpired:
-			if prev, ok := s.last[block]; ok {
-				p.predictor.Train(prev.pc, prev.history, false)
-				p.obsTrainNeg.Inc()
-			}
+			p.predictor.Train(prev.pc, p.hist.history(*prev), false)
+			p.obsTrainNeg.Inc()
 		}
-		s.last[block] = gliderSample{pc: pc, history: history, time: s.optgen.Clock()}
+	} else {
+		prev.ref = p.hist.alloc()
 	}
-	p.accesses++
-	if p.accesses%sweepPeriod == 0 {
-		// Detrain entries whose blocks were never re-accessed within the
-		// window (never-reused lines are cache-averse). Swept on a global
-		// cadence; see sweepPeriod. ISVM training is order-sensitive (the
-		// adaptive threshold and sum-dependent skips make Train calls
-		// non-commutative), so the sweep iterates samplers and expired
-		// blocks in sorted order — map-range order here would make whole
-		// simulations nondeterministic.
-		window := uint64(optgenWindowFactor * p.ways)
-		sets := make([]int, 0, len(p.samplers))
-		for set := range p.samplers {
-			sets = append(sets, set)
-		}
-		sort.Ints(sets)
-		var expired []uint64
-		for _, set := range sets {
-			s := p.samplers[set]
-			now := s.optgen.Clock()
-			expired = expired[:0]
-			for b, e := range s.last {
-				if now-e.time > window {
-					expired = append(expired, b)
-				}
-			}
-			sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-			for _, b := range expired {
-				e := s.last[b]
-				p.predictor.Train(e.pc, e.history, false)
-				p.obsTrainNeg.Inc()
-				delete(s.last, b)
-			}
-		}
+	prev.pc = pc
+	p.hist.store(prev, history)
+	// Detrain entries whose blocks were never re-accessed within the
+	// window (never-reused lines are cache-averse), in the sampler's
+	// deterministic order.
+	for _, e := range p.sampler.tick() {
+		p.predictor.Train(e.Val.pc, p.hist.history(e.Val), false)
+		p.obsTrainNeg.Inc()
+		p.hist.release(e.Val.ref)
 	}
 
 	sum, class := p.predictor.Predict(pc, history)
@@ -254,6 +234,6 @@ func (p *Glider) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 // touching any state — the binary classification Figure 10's accuracy
 // comparison is defined over.
 func (p *Glider) PredictFriendly(pc uint64, core uint8) bool {
-	sum := p.predictor.Sum(pc, p.predictor.History(int(core)))
+	sum := p.predictor.Sum(pc, p.predictor.HistoryView(int(core)))
 	return sum >= p.predictor.Config().AverseThreshold
 }

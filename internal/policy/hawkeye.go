@@ -14,27 +14,6 @@ import (
 // RRPV 0, averse lines at RRPV 7; on eviction of a friendly line its
 // inserting PC is detrained.
 
-// samplerStride selects every Nth set for OPTgen sampling and
-// optgenWindowFactor sizes each sampler's history window (in set accesses,
-// × associativity). The CRC2 Hawkeye samples 64 of 2048 sets with an
-// 8×-associativity window, but its traces are ~150× longer than this
-// simulator's synthetic ones: at that density a sampled set here would see
-// barely one window's worth of accesses in an entire run and the predictor
-// would never observe expiry (negative) signal. Sampling every set with a
-// 4× window gives each predictor a comparable number of training events per
-// simulated access — a simulation-scale adaptation documented in DESIGN.md.
-const samplerStride = 1
-
-// optgenWindowFactor is the per-set OPTgen history window in units of
-// associativity (see samplerStride).
-const optgenWindowFactor = 4
-
-// sweepPeriod is the global access cadence (in LLC accesses) at which all
-// samplers detrain entries that fell out of their windows un-reused. Per-set
-// cadences would fire only a couple of times per run at simulation scale,
-// delaying all negative training to the end of the trace.
-const sweepPeriod = 4096
-
 // hawkeyeTableSize is the number of per-PC counters.
 const hawkeyeTableSize = 2048
 
@@ -42,49 +21,16 @@ const hawkeyeTableSize = 2048
 const hawkeyeCounterMax = 15
 const hawkeyeCounterMin = -16
 
-// hawkeyeDetrainOnEvict toggles detraining on forced friendly evictions.
-var hawkeyeDetrainOnEvict = true
-
-// hawkeyeSample records who last touched a block in a sampled set.
-type hawkeyeSample struct {
-	pc   uint64
-	time uint64
-}
-
-// hawkeyeSampler is the per-sampled-set training state.
-type hawkeyeSampler struct {
-	optgen *opt.OPTgen
-	last   map[uint64]hawkeyeSample // block → previous toucher
-}
-
-func newHawkeyeSampler(ways int) *hawkeyeSampler {
-	return &hawkeyeSampler{
-		optgen: opt.NewOPTgen(ways, optgenWindowFactor*ways),
-		last:   make(map[uint64]hawkeyeSample, optgenWindowFactor*ways),
-	}
-}
-
-// sweep detrains and discards sampler entries whose blocks were never
-// re-accessed within the OPTgen window — the analog of Hawkeye detraining
-// lines evicted un-reused from its sampler.
-func (s *hawkeyeSampler) sweep(window uint64, train func(pc uint64)) {
-	now := s.optgen.Clock()
-	for b, e := range s.last {
-		if now-e.time > window {
-			train(e.pc)
-			delete(s.last, b)
-		}
-	}
-}
-
 // Hawkeye is the Hawkeye replacement policy.
 type Hawkeye struct {
-	ways     int
 	state    rrpvState
 	counters []int8
-	samplers map[int]*hawkeyeSampler
-	accesses uint64
+	sampler  optSampler[uint64] // payload: the previous toucher's PC
 	debug    TrainDebug
+
+	// detrainOnEvict detrains the PC of a friendly line forced out by a
+	// miss (on by default; the ablation turns it off).
+	detrainOnEvict bool
 
 	// Observability (nil when disabled; see AttachObs).
 	obsCounterHist *obs.Histogram
@@ -105,9 +51,7 @@ func (p *Hawkeye) AttachObs(reg *obs.Registry, sink obs.Sink) {
 	p.obsTrainNeg = reg.Counter("hawkeye.train.neg")
 	p.obsOptVerdicts = reg.Vec("hawkeye.optgen.verdict", len(opt.VerdictLabels), opt.VerdictLabels...)
 	p.obsOptOcc = reg.Histogram("hawkeye.optgen.utilization", obs.LinearBuckets(0.1, 0.1, 10))
-	for _, s := range p.samplers {
-		s.optgen.AttachObs(p.obsOptVerdicts, p.obsOptOcc)
-	}
+	p.sampler.attachObs(p.obsOptVerdicts, p.obsOptOcc)
 }
 
 // TrainDebug counts predictor training and prediction events, exposed for
@@ -123,10 +67,10 @@ func (p *Hawkeye) Debug() TrainDebug { return p.debug }
 // NewHawkeye builds a Hawkeye policy for the given geometry.
 func NewHawkeye(sets, ways int) *Hawkeye {
 	return &Hawkeye{
-		ways:     ways,
-		state:    newRRPVState(sets, ways),
-		counters: make([]int8, hawkeyeTableSize),
-		samplers: make(map[int]*hawkeyeSampler),
+		state:          newRRPVState(sets, ways),
+		counters:       make([]int8, hawkeyeTableSize),
+		sampler:        newOPTSampler[uint64](sets, ways),
+		detrainOnEvict: true,
 	}
 }
 
@@ -164,40 +108,15 @@ func (p *Hawkeye) train(pc uint64, core uint8, shouldCache bool) {
 	}
 }
 
-// sampled returns the training state for a sampled set, or nil.
-func (p *Hawkeye) sampled(set int) *hawkeyeSampler {
-	if set%samplerStride != 0 {
-		return nil
-	}
-	s, ok := p.samplers[set]
-	if !ok {
-		s = newHawkeyeSampler(p.ways)
-		s.optgen.AttachObs(p.obsOptVerdicts, p.obsOptOcc)
-		p.samplers[set] = s
-	}
-	return s
-}
-
 // Victim implements cache.Policy: prefer cache-averse lines (RRPV 7); when
 // none exists, evict the oldest friendly line and detrain its PC.
 func (p *Hawkeye) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	for w := range lines {
-		if p.state.rrpv[set][w] >= maxRRPV {
-			return w
-		}
-	}
-	victim, oldest := 0, uint8(0)
-	for w := range lines {
-		if p.state.rrpv[set][w] >= oldest {
-			oldest = p.state.rrpv[set][w]
-			victim = w
-		}
-	}
-	// A friendly line is being forced out: the predictor was wrong about
-	// it. Detrain, but only at the sampler's rate — detraining on every
-	// set would swamp the OPTgen-derived signal (the paper's hardware
-	// trains predictor state exclusively from sampled sets).
-	if hawkeyeDetrainOnEvict && lines[victim].Valid && set%samplerStride == 0 {
+	victim := p.state.oldest(set)
+	// A friendly line (RRPV below max) is being forced out: the predictor
+	// was wrong about it. Every set is sampled (see optSampler), so
+	// detraining here stays at the sampler's rate, as in the paper's
+	// hardware.
+	if p.state.rrpv[set][victim] < maxRRPV && p.detrainOnEvict && lines[victim].Valid {
 		p.train(lines[victim].PC, lines[victim].Core, false)
 	}
 	return victim
@@ -205,27 +124,22 @@ func (p *Hawkeye) Victim(set int, pc, block uint64, core uint8, lines []cache.Li
 
 // Update implements cache.Policy.
 func (p *Hawkeye) Update(set, way int, pc, block uint64, core uint8, hit bool, kind trace.Kind) {
-	// Train on sampled sets for demand accesses.
+	// Train from OPTgen for demand accesses.
 	if kind != trace.Writeback {
-		if s := p.sampled(set); s != nil {
-			switch s.optgen.Access(block) {
+		v, prevPC, found := p.sampler.access(set, block)
+		if found {
+			switch v {
 			case opt.VerdictHit:
-				if prev, ok := s.last[block]; ok {
-					p.train(prev.pc, core, true)
-				}
+				p.train(*prevPC, core, true)
 			case opt.VerdictMiss, opt.VerdictExpired:
-				if prev, ok := s.last[block]; ok {
-					p.train(prev.pc, core, false)
-				}
+				p.train(*prevPC, core, false)
 			}
-			s.last[block] = hawkeyeSample{pc: pc, time: s.optgen.Clock()}
 		}
-		p.accesses++
-		if p.accesses%sweepPeriod == 0 {
-			window := uint64(optgenWindowFactor * p.ways)
-			for _, s := range p.samplers {
-				s.sweep(window, func(stale uint64) { p.train(stale, core, false) })
-			}
+		*prevPC = pc
+		// Detrain the PCs of lines never re-accessed within the window
+		// (the sampler's analog of lines evicted un-reused).
+		for _, e := range p.sampler.tick() {
+			p.train(e.Val, core, false)
 		}
 	}
 	if way < 0 {
@@ -266,6 +180,3 @@ func (p *Hawkeye) Update(set, way int, pc, block uint64, core uint8, hit bool, k
 		p.state.rrpv[set][way] = maxRRPV
 	}
 }
-
-// SetHawkeyeDetrain toggles eviction detraining (ablation hook).
-func SetHawkeyeDetrain(v bool) { hawkeyeDetrainOnEvict = v }

@@ -19,15 +19,14 @@ package policy
 // The learned model is a per-PC slot holding an EMA of observed
 // reuse-distance buckets (step 1) and a ring of the most recent observed
 // buckets (steps 2..k), trained by the same sampled-set observed-reuse
-// pipeline as FRD. All state is integer and iteration is sorted, so MSA
+// pipeline as FRD. All state is integer and sweeps are sorted, so MSA
 // joins the byte-identity differential suites unchanged. NewMSAWithPredictor
 // injects any ReusePredictor (the oracle seam for the property tests).
 
 import (
-	"sort"
-
 	"glider/internal/cache"
 	"glider/internal/obs"
+	"glider/internal/opt"
 	"glider/internal/trace"
 )
 
@@ -97,18 +96,21 @@ func (m *msaModel) predictBuckets(pc uint64, dst []uint8) {
 // first, nondecreasing. Read-only.
 func (m *msaModel) PredictReuse(pc, block uint64, dst []uint64) {
 	var bk [msaMaxSteps]uint8
-	n := len(dst)
-	if n > msaMaxSteps {
-		n = msaMaxSteps
-	}
+	n := min(len(dst), msaMaxSteps)
 	m.predictBuckets(pc, bk[:n])
-	var acc uint64
-	for j := 0; j < n; j++ {
-		acc = satAdd(acc, bucketDist(int(bk[j])))
-		dst[j] = acc
-	}
+	schedule(bk[:n], dst)
 	for j := n; j < len(dst); j++ {
 		dst[j] = ReuseNever
+	}
+}
+
+// schedule turns predicted reuse-gap buckets into cumulative forward
+// distances, soonest first.
+func schedule(buckets []uint8, dst []uint64) {
+	var acc uint64
+	for j, b := range buckets {
+		acc = satAdd(acc, bucketDist(int(b)))
+		dst[j] = acc
 	}
 }
 
@@ -147,15 +149,10 @@ func (d MSADebug) TopKAccuracy() float64 {
 }
 
 // msaSample is one sampler record: the k buckets predicted for a block when
-// it was last touched in a sampled set.
+// it was last touched in a sampled set, and by which PC.
 type msaSample struct {
 	pred [msaMaxSteps]uint8
 	pc   uint64
-	time uint64
-}
-
-type msaSampler struct {
-	last map[uint64]msaSample
 }
 
 // MSA is the multi-step-ahead eviction policy.
@@ -167,9 +164,11 @@ type MSA struct {
 	window     uint64
 	rank       []uint64 // sets × ways × k predicted absolute reuse times
 	model      ReusePredictor
-	learn      *msaModel // nil when an external model is injected
-	samplers   map[int]*msaSampler
-	pcErr      map[uint64]*pcErrStat
+	inc, dist  [msaMaxSteps]uint64    // PredictReuse outputs; locals would escape via the interface
+	learn      *msaModel              // nil when an external model is injected
+	last       []opt.Table[msaSample] // per set: block → last touch (learned only)
+	expired    []opt.Entry[msaSample]
+	pcErr      pcErrors
 	debug      MSADebug
 
 	// Observability (nil when disabled; see AttachObs).
@@ -191,6 +190,7 @@ func NewMSAK(sets, ways, k int) *MSA {
 	p := newMSAShell(sets, ways, k)
 	p.learn = newMSAModel(p.k)
 	p.model = p.learn
+	p.last = opt.NewTables[msaSample](sets, frdWindowFactor*ways/2) // as NewFRD
 	return p
 }
 
@@ -212,8 +212,6 @@ func newMSAShell(sets, ways, k int) *MSA {
 		capacity: uint64(sets * ways),
 		window:   uint64(frdWindowFactor * sets * ways),
 		rank:     make([]uint64, sets*ways*k),
-		samplers: make(map[int]*msaSampler),
-		pcErr:    make(map[uint64]*pcErrStat),
 	}
 }
 
@@ -262,38 +260,16 @@ func (p *MSA) FlushObs() {
 // TopModelRows implements ModelIntrospector (see FRD.TopModelRows); the
 // Predicted column holds all k step buckets.
 func (p *MSA) TopModelRows(n int) []ModelRow {
-	pcs := make([]uint64, 0, len(p.pcErr))
-	for pc := range p.pcErr {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool {
-		si, sj := p.pcErr[pcs[i]], p.pcErr[pcs[j]]
-		if si.n != sj.n {
-			return si.n > sj.n
-		}
-		return pcs[i] < pcs[j]
-	})
-	if n >= 0 && len(pcs) > n {
-		pcs = pcs[:n]
-	}
-	rows := make([]ModelRow, 0, len(pcs))
-	for _, pc := range pcs {
-		s := p.pcErr[pc]
-		row := ModelRow{
-			PC:         pc,
-			Samples:    s.n,
-			MeanAbsErr: float64(s.sumAbs) / float64(s.n),
-			ErrHist:    append([]uint64(nil), s.hist[:]...),
-		}
-		if p.learn != nil {
+	rows := p.pcErr.rows(n)
+	if p.learn != nil {
+		for i := range rows {
 			var bk [msaMaxSteps]uint8
-			p.learn.predictBuckets(pc, bk[:p.k])
-			row.Predicted = make([]int, p.k)
+			p.learn.predictBuckets(rows[i].PC, bk[:p.k])
+			rows[i].Predicted = make([]int, p.k)
 			for j := 0; j < p.k; j++ {
-				row.Predicted[j] = int(bk[j])
+				rows[i].Predicted[j] = int(bk[j])
 			}
 		}
-		rows = append(rows, row)
 	}
 	return rows
 }
@@ -301,9 +277,8 @@ func (p *MSA) TopModelRows(n int) []ModelRow {
 // PredictFriendly reports whether pc's predicted first reuse fits inside
 // the cache capacity.
 func (p *MSA) PredictFriendly(pc uint64, core uint8) bool {
-	var d [1]uint64
-	p.model.PredictReuse(pc, 0, d[:1])
-	return d[0] < p.capacity
+	p.model.PredictReuse(pc, 0, p.dist[:1])
+	return p.dist[0] < p.capacity
 }
 
 // msaRankGreater reports whether schedule a should be evicted in preference
@@ -347,8 +322,7 @@ func msaRankGreater(a, b []uint64, clock uint64) bool {
 // incoming access's predicted schedule; evict the greatest, or bypass when
 // the incoming line itself ranks greatest.
 func (p *MSA) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	var incBuf [msaMaxSteps]uint64
-	inc := incBuf[:p.k]
+	inc := p.inc[:p.k]
 	p.model.PredictReuse(pc, block, inc)
 	for j := range inc {
 		inc[j] = satAdd(p.clock, inc[j])
@@ -384,17 +358,17 @@ func (p *MSA) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 		}
 		return
 	}
+	dist := p.dist[:p.k]
 	if p.learn != nil {
-		p.trainSampled(set, pc, block)
-	}
-	var dist [msaMaxSteps]uint64
-	p.model.PredictReuse(pc, block, dist[:p.k])
-	if p.learn != nil {
+		bk := p.trainSampled(set, pc, block)
+		schedule(bk[:p.k], dist)
 		p.obsPred.Observe(float64(reuseBucket(dist[0])))
+	} else {
+		p.model.PredictReuse(pc, block, dist)
 	}
 	if way >= 0 {
 		r := p.rank[(set*p.ways+way)*p.k : (set*p.ways+way+1)*p.k]
-		for j := 0; j < p.k; j++ {
+		for j := range r {
 			r[j] = satAdd(p.clock, dist[j])
 		}
 	}
@@ -406,12 +380,8 @@ func (p *MSA) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 
 // recordErr accumulates one step-1 training error and the top-k hit bit.
 func (p *MSA) recordErr(pc uint64, err int, topkHit bool) {
-	abs := err
-	if abs < 0 {
-		abs = -abs
-	}
 	p.debug.TrainEvents++
-	p.debug.SumAbsErr += uint64(abs)
+	p.debug.SumAbsErr += uint64(max(err, -err))
 	p.debug.SumErr += int64(err)
 	if topkHit {
 		p.debug.TopKHits++
@@ -419,30 +389,17 @@ func (p *MSA) recordErr(pc uint64, err int, topkHit bool) {
 	}
 	p.obsTrain.Inc()
 	p.obsErr.Observe(float64(err))
-	s, ok := p.pcErr[pc]
-	if !ok {
-		if len(p.pcErr) >= frdMaxTrackedPCs {
-			return
-		}
-		s = &pcErrStat{}
-		p.pcErr[pc] = s
-	}
-	s.n++
-	s.sumAbs += uint64(abs)
-	s.hist[clampInt(err, -4, 4)+4]++
+	p.pcErr.record(pc, err)
 }
 
 // trainSampled records this access in the set's sampler and, when the block
 // was seen before, scores the stored k-step snapshot against the observed
-// distance and feeds the observation to the model.
-func (p *MSA) trainSampled(set int, pc, block uint64) {
-	s, ok := p.samplers[set]
-	if !ok {
-		s = &msaSampler{last: make(map[uint64]msaSample, frdWindowFactor*p.ways)}
-		p.samplers[set] = s
-	}
-	if prev, ok := s.last[block]; ok {
-		target := reuseBucket(p.clock - prev.time)
+// distance and feeds the observation to the model. It returns the model's
+// k step buckets for this access, predicted after that observation.
+func (p *MSA) trainSampled(set int, pc, block uint64) [msaMaxSteps]uint8 {
+	prevTime, prev, found := p.last[set].Touch(block, p.clock)
+	if found {
+		target := reuseBucket(p.clock - prevTime)
 		hit := false
 		for j := 0; j < p.k; j++ {
 			d := target - int(prev.pred[j])
@@ -454,39 +411,26 @@ func (p *MSA) trainSampled(set int, pc, block uint64) {
 		p.recordErr(prev.pc, target-int(prev.pred[0]), hit)
 		p.learn.observe(prev.pc, uint8(target))
 	}
-	e := msaSample{pc: pc, time: p.clock}
-	p.learn.predictBuckets(pc, e.pred[:p.k])
-	s.last[block] = e
+	*prev = msaSample{pc: pc}
+	p.learn.predictBuckets(pc, prev.pred[:p.k])
+	return prev.pred
 }
 
 // sweep expires sampler records beyond the window, feeding a beyond-window
-// observation for each (sorted iteration; see FRD.sweep for why).
+// observation for each, in ascending set, then block order (see FRD.sweep
+// for why).
 func (p *MSA) sweep() {
 	beyond := reuseBucket(p.window) + 1
 	if beyond > reuseMaxBucket {
 		beyond = reuseMaxBucket
 	}
-	sets := make([]int, 0, len(p.samplers))
-	for set := range p.samplers {
-		sets = append(sets, set)
+	p.expired = p.expired[:0]
+	for set := range p.last {
+		p.expired = p.last[set].Expire(p.clock, p.window, p.expired)
 	}
-	sort.Ints(sets)
-	var expired []uint64
-	for _, set := range sets {
-		s := p.samplers[set]
-		expired = expired[:0]
-		for b, e := range s.last {
-			if p.clock-e.time > p.window {
-				expired = append(expired, b)
-			}
-		}
-		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-		for _, b := range expired {
-			e := s.last[b]
-			p.learn.observe(e.pc, uint8(beyond))
-			p.debug.Expiries++
-			p.obsExpire.Inc()
-			delete(s.last, b)
-		}
+	for _, e := range p.expired {
+		p.learn.observe(e.Val.pc, uint8(beyond))
+		p.debug.Expiries++
+		p.obsExpire.Inc()
 	}
 }

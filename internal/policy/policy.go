@@ -9,6 +9,7 @@ package policy
 
 import (
 	"sort"
+	"sync"
 
 	"glider/internal/cache"
 	"glider/internal/trace"
@@ -63,16 +64,20 @@ type friendlyPredictor interface {
 
 // PredictorCapable reports whether the named policy exposes per-PC
 // friendly/averse predictions (and hence supports gliderd's /v1/predict).
-// Probed structurally on a throwaway instance, so it cannot drift from the
+// Probed structurally on throwaway instances, so it cannot drift from the
 // implementations.
-func PredictorCapable(name string) bool {
-	p, ok := New(name, 16, 16)
-	if !ok {
-		return false
+func PredictorCapable(name string) bool { return predictorCapable()[name] }
+
+// predictorCapable probes every registered policy once: request validation
+// asks on every predict job, and building a learned policy allocates its
+// sampler slabs.
+var predictorCapable = sync.OnceValue(func() map[string]bool {
+	capable := make(map[string]bool, len(Registry))
+	for name, f := range Registry {
+		_, capable[name] = f(16, 16).(friendlyPredictor)
 	}
-	_, capable := p.(friendlyPredictor)
 	return capable
-}
+})
 
 // PredictorNames returns the sorted names of predictor-capable policies.
 func PredictorNames() []string {

@@ -46,6 +46,25 @@ func (s *rrpvState) victim(set int) int {
 	}
 }
 
+// oldest returns the first way at RRPV max or, when there is none, the last
+// way holding the set's highest RRPV. Unlike victim it does not age the set:
+// Hawkeye and Glider age on friendly fills instead.
+func (s *rrpvState) oldest(set int) int {
+	row := s.rrpv[set]
+	for w, r := range row {
+		if r >= maxRRPV {
+			return w
+		}
+	}
+	victim, oldest := 0, uint8(0)
+	for w, r := range row {
+		if r >= oldest {
+			oldest, victim = r, w
+		}
+	}
+	return victim
+}
+
 // --- SRRIP -----------------------------------------------------------------
 
 // SRRIP is Static RRIP: hits promote to RRPV 0, fills insert at RRPV max-1.
