@@ -46,10 +46,14 @@ cover:
 	$(GO) run ./cmd/covcheck -profile cover.out -floors coverage.txt
 
 # metrics-smoke proves the observability pipeline end to end: simulate with
-# -metrics, then aggregate the JSONL with obsreport.
+# -metrics, then aggregate the JSONL with obsreport. It covers glider and both
+# reuse-distance policies (frd, msa).
 metrics-smoke:
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
 	$(GO) run ./cmd/obsreport /tmp/glider-metrics.jsonl
+	$(GO) run ./cmd/glidersim -bench omnetpp -policy frd -accesses 100000 -metrics /tmp/frd-metrics.jsonl -metrics-summary
+	$(GO) run ./cmd/glidersim -bench omnetpp -policy msa -accesses 100000 -metrics /tmp/msa-metrics.jsonl -metrics-summary
+	$(GO) run ./cmd/obsreport /tmp/frd-metrics.jsonl /tmp/msa-metrics.jsonl
 
 # fuzz-smoke gives each fuzz target a short budget on top of the checked-in
 # seed corpus (which plain `go test` already replays).

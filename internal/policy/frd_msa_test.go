@@ -1,8 +1,9 @@
 package policy
 
 // Unit tests for the reuse-distance family's building blocks: bucket
-// arithmetic, the lexicographic MSA rank comparison, writeback handling,
-// predictor capability, obs wiring, and model introspection.
+// arithmetic, the lexicographic MSA rank comparison and the k = 1 victim
+// scan that stands in for it, writeback handling, predictor capability, obs
+// wiring, and model introspection.
 
 import (
 	"strings"
@@ -63,6 +64,104 @@ func TestMSARankGreater(t *testing.T) {
 	for _, c := range cases {
 		if got := msaRankGreater(c.a, c.b, clock); got != c.want {
 			t.Errorf("%s: msaRankGreater(%v, %v) = %v, want %v", c.name, c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// fixedReuse is a ReusePredictor answering one distance for every step.
+type fixedReuse struct{ d uint64 }
+
+func (f *fixedReuse) PredictReuse(pc, block uint64, dst []uint64) {
+	for j := range dst {
+		dst[j] = f.d
+	}
+}
+
+// TestLearnedPolicyReuseK1ScanMatchesRank checks Victim's one-compare scan
+// at k = 1 against the lexicographic rank it stands in for. With the clock
+// and the resident stamps set directly, Victim must pick the way a
+// first-wins msaRankGreater argmax over (incoming, residents) picks, and
+// bypass when the incoming schedule wins.
+func TestLearnedPolicyReuseK1ScanMatchesRank(t *testing.T) {
+	t.Parallel()
+	const ways = 4
+	model := &fixedReuse{}
+	p := NewReuseWithPredictor(1, ways, 1, model)
+	lines := make([]cache.Line, ways)
+	check := func(label string, clock, d uint64, stamps [ways]uint64) {
+		t.Helper()
+		p.clock, model.d = clock, d
+		copy(p.rank, stamps[:])
+		want := cache.Bypass
+		best := []uint64{satAdd(clock, d)}
+		for w := range stamps {
+			if msaRankGreater(stamps[w:w+1], best, clock) {
+				best, want = stamps[w:w+1], w
+			}
+		}
+		if got := p.Victim(0, 0xA, 0xB, 0, lines); got != want {
+			t.Fatalf("%s: clock %d, incoming distance %d, stamps %v: Victim %d, rank argmax %d", label, clock, d, stamps, got, want)
+		}
+	}
+	const clock = 1000
+	never := satAdd(clock, ReuseNever)
+	cases := []struct {
+		name   string
+		d      uint64
+		stamps [ways]uint64
+	}{
+		{"furthest live resident", 100, [ways]uint64{1100, 1500, 1200, 1050}},
+		{"incoming furthest bypasses", 900, [ways]uint64{1100, 1500, 1200, 1050}},
+		{"expired resident first", 100, [ways]uint64{1100, 999, 1500, 1000}},
+		{"all expired: first way", 100, [ways]uint64{5, 999, 1000, 0}},
+		{"tie with incoming bypasses", 200, [ways]uint64{1100, 1200, 1200, 1150}},
+		{"tie between residents keeps the first", 100, [ways]uint64{1150, 1300, 1300, 1200}},
+		{"never-reused incoming ties a never-reused resident", ReuseNever, [ways]uint64{1100, never, 1200, never}},
+		{"expired incoming beats live residents", 0, [ways]uint64{1100, 1200, 1300, 1400}},
+		{"expired incoming beats expired residents", 0, [ways]uint64{10, 1200, 20, 1400}},
+	}
+	for _, c := range cases {
+		check(c.name, clock, c.d, c.stamps)
+	}
+	// Random sets over a narrow band around the clock, so expiries and
+	// ties are common; a zero incoming distance is already expired.
+	rng := newXorshift(7)
+	for i := 0; i < 20_000; i++ {
+		clock := uint64(rng.intn(64))
+		var stamps [ways]uint64
+		for w := range stamps {
+			stamps[w] = uint64(rng.intn(int(clock) + 16))
+		}
+		check("random", clock, uint64(rng.intn(16)), stamps)
+	}
+}
+
+// TestLearnedPolicyColdPredictBucket: the predict.bucket histogram records
+// the bucket the model predicted, so one cold access records the init
+// bucket, not the bucket of that bucket's distance.
+func TestLearnedPolicyColdPredictBucket(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"frd", "msa"} {
+		reg := obs.NewRegistry()
+		p, _ := New(name, 16, 4)
+		p.(obs.Attacher).AttachObs(reg, nil)
+		c, err := cache.New(cache.Config{Name: "cold", Sets: 16, Ways: 4}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Access(0xA, 10, 0, trace.Load)
+		var found bool
+		for _, h := range reg.Snapshot().Hists {
+			if h.Name != name+".predict.bucket" {
+				continue
+			}
+			found = true
+			if h.Count != 1 || h.Sum != reuseInitBucket {
+				t.Errorf("%s: %d observations summing to %v, want one of bucket %d", name, h.Count, h.Sum, reuseInitBucket)
+			}
+		}
+		if !found {
+			t.Errorf("%s: no %s.predict.bucket histogram", name, name)
 		}
 	}
 }
@@ -186,8 +285,8 @@ func TestMSAStepsClamped(t *testing.T) {
 	if got := NewMSAK(4, 4, 0).Steps(); got != 1 {
 		t.Errorf("k=0 clamped to %d, want 1", got)
 	}
-	if got := NewMSAK(4, 4, 100).Steps(); got != msaMaxSteps {
-		t.Errorf("k=100 clamped to %d, want %d", got, msaMaxSteps)
+	if got := NewMSAK(4, 4, 100).Steps(); got != reuseMaxSteps {
+		t.Errorf("k=100 clamped to %d, want %d", got, reuseMaxSteps)
 	}
 	if got := NewMSA(4, 4).Steps(); got != msaDefaultSteps {
 		t.Errorf("default k = %d, want %d", got, msaDefaultSteps)

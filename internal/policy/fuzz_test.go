@@ -106,7 +106,7 @@ func FuzzMSAAccess(f *testing.F) {
 		const sets, ways = 16, 4
 		k := 1
 		if len(data) > 0 {
-			k = int(data[0]%msaMaxSteps) + 1
+			k = int(data[0]%reuseMaxSteps) + 1
 			data = data[1:]
 		}
 		accs := decodeFuzzStream(data)

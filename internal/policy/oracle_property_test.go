@@ -152,9 +152,10 @@ func runPolicyTrace(t *testing.T, p cache.Policy, tr *trace.Trace, sets, ways in
 }
 
 // TestPerfectPredictionMatchesBeladyMIN proves the eviction machinery of
-// both reuse-distance policies is exactly MIN's decision rule: with the
+// the reuse-distance policies is exactly MIN's decision rule: with the
 // oracle injected, every access hits if and only if it hits under
-// opt.SimulateMIN, across all crafted patterns and several geometries.
+// opt.SimulateMIN, across all crafted patterns and several geometries, at
+// k = 1 (FRD's one-compare scan) and k = 4 (MSA's lexicographic rank).
 func TestPerfectPredictionMatchesBeladyMIN(t *testing.T) {
 	t.Parallel()
 	geoms := []struct{ sets, ways int }{{4, 2}, {16, 4}, {32, 8}}
@@ -163,19 +164,10 @@ func TestPerfectPredictionMatchesBeladyMIN(t *testing.T) {
 			g := g
 			tr := tr
 			min := opt.SimulateMIN(tr, g.sets, g.ways)
-			builders := map[string]func(o *oracleReuse) cache.Policy{
-				"frd": func(o *oracleReuse) cache.Policy { return NewFRDWithPredictor(g.sets, g.ways, o) },
-				"msa-k1": func(o *oracleReuse) cache.Policy {
-					return NewMSAWithPredictor(g.sets, g.ways, 1, o)
-				},
-				"msa-k4": func(o *oracleReuse) cache.Policy {
-					return NewMSAWithPredictor(g.sets, g.ways, 4, o)
-				},
-			}
-			for pname, build := range builders {
+			for _, k := range []int{1, 4} {
 				o := newOracleReuse(tr)
-				hits, stats := runPolicyTrace(t, build(o), tr, g.sets, g.ways, o)
-				label := fmt.Sprintf("%s/%s/%dx%d", name, pname, g.sets, g.ways)
+				hits, stats := runPolicyTrace(t, NewReuseWithPredictor(g.sets, g.ways, k, o), tr, g.sets, g.ways, o)
+				label := fmt.Sprintf("%s/k%d/%dx%d", name, k, g.sets, g.ways)
 				for i := range hits {
 					if hits[i] != min.Hit[i] {
 						t.Fatalf("%s: access %d: policy hit=%v, MIN hit=%v", label, i, hits[i], min.Hit[i])

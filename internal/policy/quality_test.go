@@ -77,7 +77,7 @@ func TestFRDRegressorQuality(t *testing.T) {
 		scen := scen
 		t.Run(scen, func(t *testing.T) {
 			t.Parallel()
-			p := runQuality(t, func() cache.Policy { return NewFRD(qualitySets, qualityWays) }, scen).(*FRD)
+			p := runQuality(t, func() cache.Policy { return NewFRD(qualitySets, qualityWays) }, scen).(*Reuse)
 			d := p.Debug()
 			tol := tolerances[scen]
 			t.Logf("frd %s: trains=%d expiries=%d meanAbsErr=%.3f", scen, d.TrainEvents, d.Expiries, d.MeanAbsErr())
@@ -118,7 +118,7 @@ func TestMSAModelQuality(t *testing.T) {
 		scen := scen
 		t.Run(scen, func(t *testing.T) {
 			t.Parallel()
-			p := runQuality(t, func() cache.Policy { return NewMSA(qualitySets, qualityWays) }, scen).(*MSA)
+			p := runQuality(t, func() cache.Policy { return NewMSA(qualitySets, qualityWays) }, scen).(*Reuse)
 			d := p.Debug()
 			tol := tolerances[scen]
 			t.Logf("msa %s: trains=%d meanAbsErr=%.3f topK=%.3f", scen, d.TrainEvents, d.MeanAbsErr(), d.TopKAccuracy())
@@ -150,13 +150,13 @@ func TestMSAModelQuality(t *testing.T) {
 func TestLearnedPolicyDeterminism(t *testing.T) {
 	t.Parallel()
 	scen := qualityScenarios[1]
-	frdA := runQuality(t, func() cache.Policy { return NewFRD(qualitySets, qualityWays) }, scen).(*FRD)
-	frdB := runQuality(t, func() cache.Policy { return NewFRD(qualitySets, qualityWays) }, scen).(*FRD)
+	frdA := runQuality(t, func() cache.Policy { return NewFRD(qualitySets, qualityWays) }, scen).(*Reuse)
+	frdB := runQuality(t, func() cache.Policy { return NewFRD(qualitySets, qualityWays) }, scen).(*Reuse)
 	if frdA.Debug() != frdB.Debug() {
 		t.Fatalf("FRD counters diverge across identical runs:\n%+v\n%+v", frdA.Debug(), frdB.Debug())
 	}
-	msaA := runQuality(t, func() cache.Policy { return NewMSA(qualitySets, qualityWays) }, scen).(*MSA)
-	msaB := runQuality(t, func() cache.Policy { return NewMSA(qualitySets, qualityWays) }, scen).(*MSA)
+	msaA := runQuality(t, func() cache.Policy { return NewMSA(qualitySets, qualityWays) }, scen).(*Reuse)
+	msaB := runQuality(t, func() cache.Policy { return NewMSA(qualitySets, qualityWays) }, scen).(*Reuse)
 	if msaA.Debug() != msaB.Debug() {
 		t.Fatalf("MSA counters diverge across identical runs:\n%+v\n%+v", msaA.Debug(), msaB.Debug())
 	}

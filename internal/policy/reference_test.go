@@ -2,10 +2,12 @@ package policy
 
 // reference_test.go keeps the map-based samplers Hawkeye, Glider, FRD and MSA
 // used before their samplers moved onto opt.Table, verbatim apart from
-// renaming, together with the map-based OPTgen they trained from. The
-// reference wall (reference_wall_test.go) replays real LLC streams through
-// each policy and its reference and requires identical victims, statistics,
-// counters, model rows and obs snapshots.
+// renaming, together with the map-based OPTgen they trained from. FRD and MSA
+// also mirror the two obs changes the shared reuse-distance core brought:
+// FRD counts top-k hits at k = 1, and MSA's predict.bucket histogram records
+// the predicted bucket. The reference wall (reference_wall_test.go) replays
+// real LLC streams through each policy and its reference and requires
+// identical victims, statistics, counters, model rows and obs snapshots.
 
 import (
 	"reflect"
@@ -642,12 +644,13 @@ type refFRD struct {
 	learn      *frdRegressor // nil when an external model is injected
 	samplers   map[int]*refFRDSampler
 	pcErr      map[uint64]*pcErrStat
-	debug      FRDDebug
+	debug      ReuseDebug
 
 	// Observability (nil when disabled; see AttachObs).
 	obsPred   *obs.Histogram
 	obsErr    *obs.Histogram
 	obsTrain  *obs.Counter
+	obsTopK   *obs.Counter
 	obsExpire *obs.Counter
 	obsBypass *obs.Counter
 	sink      obs.Sink
@@ -668,7 +671,7 @@ func newRefFRDShell(sets, ways int) *refFRD {
 		sets:     sets,
 		ways:     ways,
 		capacity: uint64(sets * ways),
-		window:   uint64(frdWindowFactor * sets * ways),
+		window:   uint64(reuseWindowFactor * sets * ways),
 		next:     make([]uint64, sets*ways),
 		samplers: make(map[int]*refFRDSampler),
 		pcErr:    make(map[uint64]*pcErrStat),
@@ -679,7 +682,7 @@ func newRefFRDShell(sets, ways int) *refFRD {
 func (p *refFRD) Name() string { return "frd" }
 
 // Debug returns the accumulated counters.
-func (p *refFRD) Debug() FRDDebug { return p.debug }
+func (p *refFRD) Debug() ReuseDebug { return p.debug }
 
 // AttachObs implements obs.Attacher: predicted-bucket and training-error
 // histograms plus event counters.
@@ -690,6 +693,7 @@ func (p *refFRD) AttachObs(reg *obs.Registry, sink obs.Sink) {
 	p.obsPred = reg.Histogram("frd.predict.bucket", obs.LinearBuckets(0, 4, 11))
 	p.obsErr = reg.Histogram("frd.train.err", obs.LinearBuckets(-8, 2, 9))
 	p.obsTrain = reg.Counter("frd.train.events")
+	p.obsTopK = reg.Counter("frd.train.topk_hits")
 	p.obsExpire = reg.Counter("frd.train.expiries")
 	p.obsBypass = reg.Counter("frd.evict.bypass")
 	p.sink = sink
@@ -702,8 +706,9 @@ func (p *refFRD) FlushObs() {
 		return
 	}
 	p.sink.Emit("frd", "summary", map[string]any{
-		"train_events": p.debug.TrainEvents, "expiries": p.debug.Expiries,
-		"bypasses": p.debug.Bypasses, "mean_abs_err": p.debug.MeanAbsErr(),
+		"k": 1, "train_events": p.debug.TrainEvents,
+		"expiries": p.debug.Expiries, "bypasses": p.debug.Bypasses,
+		"mean_abs_err": p.debug.MeanAbsErr(), "topk_accuracy": p.debug.TopKAccuracy(),
 	})
 	for _, row := range p.TopModelRows(16) {
 		p.sink.Emit("frd", "pc_error", map[string]any{
@@ -713,8 +718,9 @@ func (p *refFRD) FlushObs() {
 	}
 }
 
-// recordErr accumulates one training error globally and per PC.
-func (p *refFRD) recordErr(pc uint64, err int) {
+// recordErr accumulates one training error and the top-k hit bit globally
+// and per PC.
+func (p *refFRD) recordErr(pc uint64, err int, topkHit bool) {
 	abs := err
 	if abs < 0 {
 		abs = -abs
@@ -722,11 +728,15 @@ func (p *refFRD) recordErr(pc uint64, err int) {
 	p.debug.TrainEvents++
 	p.debug.SumAbsErr += uint64(abs)
 	p.debug.SumErr += int64(err)
+	if topkHit {
+		p.debug.TopKHits++
+		p.obsTopK.Inc()
+	}
 	p.obsTrain.Inc()
 	p.obsErr.Observe(float64(err))
 	s, ok := p.pcErr[pc]
 	if !ok {
-		if len(p.pcErr) >= frdMaxTrackedPCs {
+		if len(p.pcErr) >= reuseMaxTrackedPCs {
 			return
 		}
 		s = &pcErrStat{}
@@ -836,7 +846,7 @@ func (p *refFRD) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 		p.next[set*p.ways+way] = satAdd(p.clock, dist)
 	}
 	p.clock++
-	if p.learn != nil && p.clock%frdSweepPeriod == 0 {
+	if p.learn != nil && p.clock%sweepPeriod == 0 {
 		p.sweep()
 	}
 }
@@ -846,12 +856,13 @@ func (p *refFRD) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 func (p *refFRD) trainSampled(set int, pc, block uint64) {
 	s, ok := p.samplers[set]
 	if !ok {
-		s = &refFRDSampler{last: make(map[uint64]refFRDSample, frdWindowFactor*p.ways)}
+		s = &refFRDSampler{last: make(map[uint64]refFRDSample, reuseWindowFactor*p.ways)}
 		p.samplers[set] = s
 	}
 	if prev, ok := s.last[block]; ok {
 		target := reuseBucket(p.clock - prev.time)
-		p.recordErr(prev.pc, target-int(prev.pred))
+		err := target - int(prev.pred)
+		p.recordErr(prev.pc, err, err >= -1 && err <= 1)
 		p.learn.train(p.learn.features(prev.pc), target)
 		p.learn.observe(prev.pc, uint8(target))
 	}
@@ -897,7 +908,7 @@ func (p *refFRD) sweep() {
 // refMSASample is one sampler record: the k buckets predicted for a block when
 // it was last touched in a sampled set.
 type refMSASample struct {
-	pred [msaMaxSteps]uint8
+	pred [reuseMaxSteps]uint8
 	pc   uint64
 	time uint64
 }
@@ -918,7 +929,7 @@ type refMSA struct {
 	learn      *msaModel // nil when an external model is injected
 	samplers   map[int]*refMSASampler
 	pcErr      map[uint64]*pcErrStat
-	debug      MSADebug
+	debug      ReuseDebug
 
 	// Observability (nil when disabled; see AttachObs).
 	obsPred   *obs.Histogram
@@ -934,10 +945,10 @@ type refMSA struct {
 func newRefMSA(sets, ways int) *refMSA { return newRefMSAK(sets, ways, msaDefaultSteps) }
 
 // newRefMSAK builds the learned refMSA policy predicting k steps ahead
-// (1 ≤ k ≤ msaMaxSteps; out-of-range k is clamped).
+// (1 ≤ k ≤ reuseMaxSteps; out-of-range k is clamped).
 func newRefMSAK(sets, ways, k int) *refMSA {
 	p := newRefMSAShell(sets, ways, k)
-	p.learn = newMSAModel(p.k)
+	p.learn = newMSAModel()
 	p.model = p.learn
 	return p
 }
@@ -945,13 +956,13 @@ func newRefMSAK(sets, ways, k int) *refMSA {
 // NewMSAWithPredictor builds an refMSA policy around an injected model — the
 
 func newRefMSAShell(sets, ways, k int) *refMSA {
-	k = clampInt(k, 1, msaMaxSteps)
+	k = clampInt(k, 1, reuseMaxSteps)
 	return &refMSA{
 		sets:     sets,
 		ways:     ways,
 		k:        k,
 		capacity: uint64(sets * ways),
-		window:   uint64(frdWindowFactor * sets * ways),
+		window:   uint64(reuseWindowFactor * sets * ways),
 		rank:     make([]uint64, sets*ways*k),
 		samplers: make(map[int]*refMSASampler),
 		pcErr:    make(map[uint64]*pcErrStat),
@@ -965,7 +976,7 @@ func (p *refMSA) Name() string { return "msa" }
 func (p *refMSA) Steps() int { return p.k }
 
 // Debug returns the accumulated counters.
-func (p *refMSA) Debug() MSADebug { return p.debug }
+func (p *refMSA) Debug() ReuseDebug { return p.debug }
 
 // AttachObs implements obs.Attacher.
 func (p *refMSA) AttachObs(reg *obs.Registry, sink obs.Sink) {
@@ -1027,7 +1038,7 @@ func (p *refMSA) TopModelRows(n int) []ModelRow {
 			ErrHist:    append([]uint64(nil), s.hist[:]...),
 		}
 		if p.learn != nil {
-			var bk [msaMaxSteps]uint8
+			var bk [reuseMaxSteps]uint8
 			p.learn.predictBuckets(pc, bk[:p.k])
 			row.Predicted = make([]int, p.k)
 			for j := 0; j < p.k; j++ {
@@ -1051,7 +1062,7 @@ func (p *refMSA) PredictFriendly(pc uint64, core uint8) bool {
 // incoming access's predicted schedule; evict the greatest, or bypass when
 // the incoming line itself ranks greatest.
 func (p *refMSA) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	var incBuf [msaMaxSteps]uint64
+	var incBuf [reuseMaxSteps]uint64
 	inc := incBuf[:p.k]
 	p.model.PredictReuse(pc, block, inc)
 	for j := range inc {
@@ -1091,10 +1102,10 @@ func (p *refMSA) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 	if p.learn != nil {
 		p.trainSampled(set, pc, block)
 	}
-	var dist [msaMaxSteps]uint64
+	var dist [reuseMaxSteps]uint64
 	p.model.PredictReuse(pc, block, dist[:p.k])
 	if p.learn != nil {
-		p.obsPred.Observe(float64(reuseBucket(dist[0])))
+		p.obsPred.Observe(float64(p.samplers[set].last[block].pred[0]))
 	}
 	if way >= 0 {
 		r := p.rank[(set*p.ways+way)*p.k : (set*p.ways+way+1)*p.k]
@@ -1103,7 +1114,7 @@ func (p *refMSA) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 		}
 	}
 	p.clock++
-	if p.learn != nil && p.clock%frdSweepPeriod == 0 {
+	if p.learn != nil && p.clock%sweepPeriod == 0 {
 		p.sweep()
 	}
 }
@@ -1125,7 +1136,7 @@ func (p *refMSA) recordErr(pc uint64, err int, topkHit bool) {
 	p.obsErr.Observe(float64(err))
 	s, ok := p.pcErr[pc]
 	if !ok {
-		if len(p.pcErr) >= frdMaxTrackedPCs {
+		if len(p.pcErr) >= reuseMaxTrackedPCs {
 			return
 		}
 		s = &pcErrStat{}
@@ -1142,7 +1153,7 @@ func (p *refMSA) recordErr(pc uint64, err int, topkHit bool) {
 func (p *refMSA) trainSampled(set int, pc, block uint64) {
 	s, ok := p.samplers[set]
 	if !ok {
-		s = &refMSASampler{last: make(map[uint64]refMSASample, frdWindowFactor*p.ways)}
+		s = &refMSASampler{last: make(map[uint64]refMSASample, reuseWindowFactor*p.ways)}
 		p.samplers[set] = s
 	}
 	if prev, ok := s.last[block]; ok {
@@ -1156,7 +1167,7 @@ func (p *refMSA) trainSampled(set int, pc, block uint64) {
 			}
 		}
 		p.recordErr(prev.pc, target-int(prev.pred[0]), hit)
-		p.learn.observe(prev.pc, uint8(target))
+		p.learn.learn(prev.pc, uint8(target))
 	}
 	e := refMSASample{pc: pc, time: p.clock}
 	p.learn.predictBuckets(pc, e.pred[:p.k])
@@ -1187,7 +1198,7 @@ func (p *refMSA) sweep() {
 		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 		for _, b := range expired {
 			e := s.last[b]
-			p.learn.observe(e.pc, uint8(beyond))
+			p.learn.learn(e.pc, uint8(beyond))
 			p.debug.Expiries++
 			p.obsExpire.Inc()
 			delete(s.last, b)

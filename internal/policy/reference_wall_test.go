@@ -76,10 +76,7 @@ func replayLearned(t *testing.T, c *cpu.Capture, cfg cache.Config, warmup int, p
 	switch p := p.(type) {
 	case interface{ Debug() policy.TrainDebug }:
 		run.debug = p.Debug()
-	case interface{ Debug() policy.FRDDebug }:
-		run.debug = p.Debug()
-		run.expiries = p.Debug().Expiries
-	case interface{ Debug() policy.MSADebug }:
+	case interface{ Debug() policy.ReuseDebug }:
 		run.debug = p.Debug()
 		run.expiries = p.Debug().Expiries
 	case interface{ Predictor() *gl.Predictor }:
