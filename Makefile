@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-sim bench-smoke vet ci cover metrics-smoke fuzz-smoke server-smoke gateway-smoke estimate-smoke ledger-smoke soak
+.PHONY: build test race cli-smoke bench bench-sim bench-smoke vet ci cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -8,15 +8,41 @@ build:
 vet:
 	$(GO) vet ./...
 
+# test runs the test suite, then vets and tests perfbench: it is its own
+# module (perfbench/go.mod), so the root commands skip it, and it calls the
+# server and gateway APIs.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# race runs the full test suite under the race detector. The experiment
-# harness fans simulations out across goroutines (internal/simrunner), and
-# most tests run with t.Parallel(), so this exercises the concurrent paths
-# for real. Expect it to take several times longer than `make test`.
+# race runs the full test suite under the race detector, without -short, so
+# gliderd's TestSoak load run is included. The experiment harness fans
+# simulations out across goroutines (internal/simrunner), the server and
+# gateway share one mutex-coordinated request front, and most tests run with
+# t.Parallel(), so this exercises the concurrent paths for real. Expect it to
+# take several times longer than `make test`.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count 1 ./...
+
+# cli-smoke drives the CLIs end to end: a scenario-zoo sweep over workload
+# spec strings; the observability pipeline (simulate with -metrics for glider
+# and both reuse-distance policies, frd and msa, plus an experiment run, then
+# aggregate the JSONL with obsreport); and the ledger loop (anchor a real zoo
+# run to a disk ledger with cmd/experiments and audit the file with
+# cmd/audit).
+cli-smoke:
+	$(GO) run ./cmd/experiments -quick -accesses 20000 -zoo-spec 'zipf(objects=65536,skew=0.9)' -zoo-spec 'mix(rr,zipf(objects=49152,skew=1.1),mcf)' zoo
+	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
+	$(GO) run ./cmd/obsreport /tmp/glider-metrics.jsonl
+	$(GO) run ./cmd/glidersim -bench omnetpp -policy frd -accesses 100000 -metrics /tmp/frd-metrics.jsonl -metrics-summary
+	$(GO) run ./cmd/glidersim -bench omnetpp -policy msa -accesses 100000 -metrics /tmp/msa-metrics.jsonl -metrics-summary
+	$(GO) run ./cmd/obsreport /tmp/frd-metrics.jsonl /tmp/msa-metrics.jsonl
+	$(GO) run ./cmd/experiments -quick -metrics /tmp/glider-exp.jsonl table2
+	$(GO) run ./cmd/obsreport -top 5 /tmp/glider-metrics.jsonl /tmp/glider-exp.jsonl
+	rm -f /tmp/glider-ledger-smoke.ledger
+	$(GO) run ./cmd/experiments -quick -accesses 20000 -ledger /tmp/glider-ledger-smoke.ledger zoo
+	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger
+	$(GO) run ./cmd/audit root -ledger /tmp/glider-ledger-smoke.ledger
 
 # bench runs the training/kernel benchmarks at full fidelity and records
 # the results as JSON in BENCH_train.json (see cmd/benchjson). The raw
@@ -45,16 +71,6 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covcheck -profile cover.out -floors coverage.txt
 
-# metrics-smoke proves the observability pipeline end to end: simulate with
-# -metrics, then aggregate the JSONL with obsreport. It covers glider and both
-# reuse-distance policies (frd, msa).
-metrics-smoke:
-	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
-	$(GO) run ./cmd/obsreport /tmp/glider-metrics.jsonl
-	$(GO) run ./cmd/glidersim -bench omnetpp -policy frd -accesses 100000 -metrics /tmp/frd-metrics.jsonl -metrics-summary
-	$(GO) run ./cmd/glidersim -bench omnetpp -policy msa -accesses 100000 -metrics /tmp/msa-metrics.jsonl -metrics-summary
-	$(GO) run ./cmd/obsreport /tmp/frd-metrics.jsonl /tmp/msa-metrics.jsonl
-
 # fuzz-smoke gives each fuzz target a short budget on top of the checked-in
 # seed corpus (which plain `go test` already replays).
 fuzz-smoke:
@@ -75,51 +91,6 @@ fuzz-smoke:
 	$(GO) test ./internal/ledger/ -run '^FuzzRecordScan$$' -fuzz '^FuzzRecordScan$$' -fuzztime 10s
 	$(GO) test ./internal/ledger/ -run '^FuzzProofVerify$$' -fuzz '^FuzzProofVerify$$' -fuzztime 10s
 
-# server-smoke runs the gliderd service layer and its typed client under the
-# race detector — the fast (-short) subset, mirroring CI's server-smoke job.
-server-smoke:
-	$(GO) test -race -count 1 -short ./internal/server/... ./internal/client/...
-
-# gateway-smoke runs the cluster layer under the race detector: the
-# consistent-hash gateway (routing, chaos, and differential suites against
-# in-process multi-node fleets) plus the open-loop load generator.
-gateway-smoke:
-	$(GO) test -race -count 1 ./internal/gateway/... ./cmd/loadgen/...
-
-# ingest-smoke runs the streaming-ingestion wall under the race detector:
-# the scanner differential suite (incl. the 256 MiB bounded-memory scan),
-# the generator property tests, the spec parser, and the scenario-zoo
-# differential tests on server and gateway.
-ingest-smoke:
-	$(GO) test -race -count 1 ./internal/trace/ ./internal/trace/ingest/
-	$(GO) test -race -count 1 -run 'Ingest|SpecSpellings|Zoo|CatalogListsSchemes|GatewayCatalogProxiesSchemes' ./internal/server/ ./internal/gateway/ ./internal/experiments/
-
-# estimate-smoke runs the learned proxy simulator's correctness wall under
-# the race detector: the surrogate package (training determinism, persisted
-# round trips, the confidence gate, the bound-coverage regression wall) plus
-# the sweep-pruning differential — train a tiny model, prune a sweep with
-# it, and demand the frontier matches the exhaustive sweep's exactly.
-estimate-smoke:
-	$(GO) test -race -count 1 ./internal/estimate/...
-	$(GO) test -race -count 1 -run 'TestSweepPruned|TestBenchModel|TestEstimate' ./internal/experiments/
-
-# ledger-smoke runs the tamper-evidence wall under the race detector: the
-# ledger package itself (canonical JSON, Merkle batches, chain links, crash
-# recovery, the corpus-backed fuzz seeds), the audit CLI's corruption drill,
-# and the cross-layer recording suites (server, gateway fleet, experiments).
-# Then it proves the loop outside the test harness: anchor a real zoo run to
-# a disk ledger with cmd/experiments and audit the file with cmd/audit.
-ledger-smoke:
-	$(GO) test -race -count 1 ./internal/ledger/ ./cmd/audit/
-	$(GO) test -race -count 1 -run 'Ledger' ./internal/server/ ./internal/gateway/ ./internal/experiments/
-	rm -f /tmp/glider-ledger-smoke.ledger
-	$(GO) run ./cmd/experiments -quick -accesses 20000 -ledger /tmp/glider-ledger-smoke.ledger zoo
-	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger
-	$(GO) run ./cmd/audit root -ledger /tmp/glider-ledger-smoke.ledger
-
-# soak drives sustained concurrent load (real simulations, cache churn,
-# mixed sim/predict traffic) through a live server under -race.
-soak:
-	$(GO) test -race -count 1 -run 'TestSoak' ./internal/server/
-
-ci: vet build test race cover
+# ci runs the CI tiers in order: vet, build and test (with perfbench), race,
+# cli-smoke, the coverage ratchet, fuzz-smoke and bench-smoke.
+ci: vet build test race cli-smoke cover fuzz-smoke bench-smoke

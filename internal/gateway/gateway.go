@@ -1,17 +1,15 @@
 package gateway
 
 import (
-	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	"glider/internal/client"
+	"glider/internal/ledger"
 	"glider/internal/obs"
 	"glider/internal/server"
 )
@@ -26,8 +24,6 @@ type Config struct {
 	// poller (membership then moves via Poll calls and passive markdown on
 	// transport errors — the deterministic mode the tests use).
 	PollInterval time.Duration
-	// PollTimeout bounds one health probe (default 2s).
-	PollTimeout time.Duration
 	// Retries caps the attempts per job, first try included (default 3).
 	// Attempts walk the key's ring successor order, so a retry is also a
 	// failover to the next-preferred shard.
@@ -43,9 +39,6 @@ type Config struct {
 	// CacheEntries bounds the gateway-level result LRU (default 1024) — the
 	// upper tier over the per-node caches.
 	CacheEntries int
-	// Limits bounds what one request may ask for (same semantics as the
-	// backend's; requests are validated before routing).
-	Limits server.Limits
 	// HTTPClient overrides the transport used for every backend.
 	HTTPClient *http.Client
 	// Obs receives the gateway's metrics; nil allocates a fresh registry.
@@ -55,9 +48,6 @@ type Config struct {
 func (c Config) defaulted() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = DefaultReplicas
-	}
-	if c.PollTimeout <= 0 {
-		c.PollTimeout = 2 * time.Second
 	}
 	if c.Retries <= 0 {
 		c.Retries = 3
@@ -70,6 +60,9 @@ func (c Config) defaulted() Config {
 	}
 	return c
 }
+
+// pollTimeout bounds one health probe.
+const pollTimeout = 2 * time.Second
 
 // node is one backend: its stable ring name ("b<i>"), base URL, and client.
 type node struct {
@@ -94,11 +87,14 @@ type GatewayHealth struct {
 	Nodes   []NodeStatus `json:"nodes"`
 }
 
-// Gateway fronts a gliderd fleet. Create with New, mount Handler, stop with
-// Close.
+// Gateway fronts a gliderd fleet: the shared request Front over a Backend
+// that routes each job on the ring, with retries and hedging. Requests are
+// validated with server.DefaultLimits before routing. Create with New,
+// mount Handler, stop with Close.
 type Gateway struct {
 	cfg     Config
 	reg     *obs.Registry
+	front   *server.Front
 	nodes   []*node
 	byName  map[string]*node
 	ring    *Ring
@@ -112,12 +108,6 @@ type Gateway struct {
 	stopCh   chan struct{}
 	pollDone chan struct{}
 
-	cmu   sync.Mutex
-	cache map[string]*list.Element
-	order *list.List // front = most recently used
-
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
 	nodeCacheHt *obs.Counter
 	retries     *obs.Counter
 	failovers   *obs.Counter
@@ -127,11 +117,6 @@ type Gateway struct {
 	saturated   *obs.Counter
 	noBackends  *obs.Counter
 	latency     *obs.Timer
-}
-
-type gwCacheEntry struct {
-	hash   string
-	result json.RawMessage
 }
 
 // New builds a gateway over cfg.Backends. Every backend starts as a ring
@@ -150,9 +135,9 @@ func New(cfg Config) *Gateway {
 		detail:   make(map[string]server.Health, len(cfg.Backends)),
 		stopCh:   make(chan struct{}),
 		pollDone: make(chan struct{}),
-		cache:    make(map[string]*list.Element),
-		order:    list.New(),
 	}
+	lim := server.DefaultLimits()
+	g.front = server.NewFront(g, g.reg, "gateway", "gateway", lim, cfg.CacheEntries, lim.MaxTimeout)
 	for i, base := range cfg.Backends {
 		n := &node{name: "b" + strconv.Itoa(i), base: base, c: client.New(base, cfg.HTTPClient)}
 		g.nodes = append(g.nodes, n)
@@ -160,8 +145,6 @@ func New(cfg Config) *Gateway {
 		g.ring.Add(n.name)
 		g.live[n.name] = true
 	}
-	g.cacheHits = g.reg.Counter("gateway.cache.hits")
-	g.cacheMisses = g.reg.Counter("gateway.cache.misses")
 	g.nodeCacheHt = g.reg.Counter("gateway.node_cache.hits")
 	g.retries = g.reg.Counter("gateway.retries")
 	g.failovers = g.reg.Counter("gateway.failovers")
@@ -211,7 +194,7 @@ func (g *Gateway) pollLoop() {
 // membership change, still completes.
 func (g *Gateway) Poll(ctx context.Context) {
 	for _, n := range g.nodes {
-		pctx, cancel := context.WithTimeout(ctx, g.cfg.PollTimeout)
+		pctx, cancel := context.WithTimeout(ctx, pollTimeout)
 		h, err := n.c.HealthDetail(pctx)
 		cancel()
 		g.setHealth(n, err == nil && h.Status == "ok", h)
@@ -256,6 +239,28 @@ func (g *Gateway) candidates(hash string) []*node {
 
 // errNoBackends means the ring is empty — every backend is down or draining.
 var errNoBackends = errors.New("no healthy backends")
+
+// Submit dispatches f on its own goroutine, which f's deadline bounds.
+func (g *Gateway) Submit(f *server.Flight) error {
+	go g.run(f)
+	return nil
+}
+
+// run dispatches f under its owner's deadline and publishes the outcome.
+func (g *Gateway) run(f *server.Flight) {
+	start := time.Now()
+	env, err := g.dispatch(f.Ctx, f.Spec, f.Hash)
+	if err != nil {
+		f.Finish(nil, false, g.translate(err))
+		return
+	}
+	g.completed.Inc()
+	g.latency.Observe(time.Since(start))
+	if env.Cached {
+		g.nodeCacheHt.Inc()
+	}
+	f.Finish(env.Result, env.Cached, nil)
+}
 
 // dispatch forwards spec to its owning shard, walking the successor order on
 // temporary failures with capped jittered backoff, hedging stragglers when
@@ -321,114 +326,76 @@ func isAPIError(err error) bool {
 	return errors.As(err, &ae)
 }
 
-// ------------------------------------------------------------- result LRU
-
-func (g *Gateway) cacheGet(hash string) (json.RawMessage, bool) {
-	g.cmu.Lock()
-	defer g.cmu.Unlock()
-	el, ok := g.cache[hash]
-	if !ok {
-		return nil, false
+// translate maps a dispatch or ledger failure to the answer a client
+// gets. A backend's rejection keeps its status, plus a Retry-After of at
+// least 1 s when it is temporary; a fleet-wide 429 is thus relayed rather
+// than masked as a 5xx. An empty ring is a 503, a deadline a 504, and any
+// other transport failure a 502.
+func (g *Gateway) translate(err error) *server.Error {
+	e := &server.Error{Status: http.StatusBadGateway, Msg: err.Error()}
+	var ae *client.APIError
+	switch {
+	case errors.As(err, &ae):
+		e.Status = ae.StatusCode
+		if ae.Temporary() {
+			e.RetryAfter = max(1, int(ae.RetryAfter/time.Second))
+			if ae.StatusCode == http.StatusTooManyRequests {
+				g.saturated.Inc()
+			}
+		}
+	case errors.Is(err, errNoBackends):
+		e.Status, e.RetryAfter = http.StatusServiceUnavailable, 1
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		e.Status = http.StatusGatewayTimeout
 	}
-	g.order.MoveToFront(el)
-	return el.Value.(*gwCacheEntry).result, true
+	return e
 }
 
-func (g *Gateway) cacheAdd(hash string, res json.RawMessage) {
-	g.cmu.Lock()
-	defer g.cmu.Unlock()
-	if el, ok := g.cache[hash]; ok {
-		g.order.MoveToFront(el)
-		el.Value.(*gwCacheEntry).result = res
-		return
+// LedgerRoot returns the chain head of the first live backend that has a
+// ledger (nodes without one answer 404 and are skipped), so `audit root`
+// against the gateway works like against a node.
+func (g *Gateway) LedgerRoot(ctx context.Context) (ledger.ChainState, error) {
+	return firstLive(g, func(c *client.Client) (ledger.ChainState, error) { return c.LedgerRoot(ctx) })
+}
+
+// LedgerProof fans a proof request across the fleet in ring order and
+// answers with the first backend that holds the artifact. Jobs shard across
+// nodes, so no single backend's ledger holds every result; the fan-out makes
+// the fleet one queryable result store. All-miss surfaces the last backend's
+// 404.
+func (g *Gateway) LedgerProof(ctx context.Context, artifact string) (ledger.Proof, error) {
+	return firstLive(g, func(c *client.Client) (ledger.Proof, error) { return c.LedgerProof(ctx, artifact) })
+}
+
+// firstLive asks the live nodes in ring order and returns the first
+// answer, or the last failure once every node has failed.
+func firstLive[T any](g *Gateway, ask func(*client.Client) (T, error)) (T, error) {
+	var lastErr error = errNoBackends
+	for _, name := range g.ring.Nodes() {
+		v, err := ask(g.byName[name].c)
+		if err == nil {
+			return v, nil
+		}
+		lastErr = err
 	}
-	g.cache[hash] = g.order.PushFront(&gwCacheEntry{hash: hash, result: res})
-	for len(g.cache) > g.cfg.CacheEntries {
-		el := g.order.Back()
-		g.order.Remove(el)
-		delete(g.cache, el.Value.(*gwCacheEntry).hash)
-	}
+	var zero T
+	return zero, g.translate(lastErr)
 }
 
 // ----------------------------------------------------------------- HTTP
 
 // CacheHeader reports which tier served a job: "gateway", "node", or "miss".
-const CacheHeader = "X-Gliderd-Cache"
+const CacheHeader = server.CacheHeader
 
-// Handler mounts the gateway API: the same /v1/sim, /v1/predict, and
-// /v1/estimate contract as a single gliderd node (so internal/client works
-// unchanged against a fleet), plus the gateway's own /healthz, /metrics, and
-// proxied catalog.
+// Handler mounts the gateway API: the same front a single gliderd node
+// serves — /v1/sim, /v1/predict, /v1/estimate, /metrics, /v1/catalog and
+// the ledger endpoints, so internal/client works unchanged against a fleet
+// — plus the gateway's own /healthz.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
+	g.front.Mount(mux)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
-	mux.HandleFunc("GET /metrics", g.handleMetrics)
-	mux.HandleFunc("GET /v1/catalog", g.handleCatalog)
-	mux.HandleFunc("GET /v1/ledger/root", g.handleLedgerRoot)
-	mux.HandleFunc("GET /v1/ledger/proof", g.handleLedgerProof)
-	mux.HandleFunc("POST /v1/sim", g.handleJob(server.KindSim, "sim"))
-	mux.HandleFunc("POST /v1/predict", g.handleJob(server.KindPredict, "predict"))
-	mux.HandleFunc("POST /v1/estimate", g.handleJob(server.KindEstimate, "estimate"))
 	return mux
-}
-
-func (g *Gateway) handleJob(kind, endpoint string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		g.reg.Counter("gateway.http." + endpoint).Inc()
-		start := time.Now()
-		var spec server.JobSpec
-		if err := decodeJSON(w, r, &spec); err != nil {
-			g.writeError(w, endpoint, badRequest(err.Error()))
-			return
-		}
-		if spec.Kind == "" {
-			spec.Kind = kind
-		}
-		if spec.Kind != kind {
-			g.writeError(w, endpoint, unprocessable(fmt.Sprintf("kind %q does not match endpoint /v1/%s", spec.Kind, endpoint)))
-			return
-		}
-		if err := spec.Validate(g.cfg.Limits); err != nil {
-			g.writeError(w, endpoint, err)
-			return
-		}
-		hash := spec.Hash()
-		// stampEstimate re-derives the attribution header from the result
-		// body, so gateway-cache hits carry the same provenance a backend
-		// answer would.
-		stampEstimate := func(res json.RawMessage) {
-			if kind != server.KindEstimate {
-				return
-			}
-			if src := server.EstimateSource(res); src != "" {
-				w.Header().Set(server.EstimateHeader, src)
-			}
-		}
-		if res, ok := g.cacheGet(hash); ok {
-			g.cacheHits.Inc()
-			w.Header().Set(CacheHeader, "gateway")
-			stampEstimate(res)
-			writeJSON(w, http.StatusOK, server.Envelope{Hash: hash, Cached: true, Result: res})
-			return
-		}
-		g.cacheMisses.Inc()
-		env, err := g.dispatch(r.Context(), spec, hash)
-		if err != nil {
-			g.writeError(w, endpoint, err)
-			return
-		}
-		g.cacheAdd(hash, env.Result)
-		g.completed.Inc()
-		g.latency.Observe(time.Since(start))
-		tier := "miss"
-		if env.Cached {
-			g.nodeCacheHt.Inc()
-			tier = "node"
-		}
-		w.Header().Set(CacheHeader, tier)
-		stampEstimate(env.Result)
-		writeJSON(w, http.StatusOK, server.Envelope{Hash: hash, Cached: env.Cached, Result: env.Result})
-	}
 }
 
 // Health reports the gateway's view of the fleet.
@@ -458,131 +425,5 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, gh)
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.http.metrics").Inc()
-	writeJSON(w, http.StatusOK, g.reg.Snapshot())
-}
-
-// handleCatalog proxies the catalog from the first live backend: the fleet
-// shares one registry build, so any node's answer is authoritative.
-func (g *Gateway) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.http.catalog").Inc()
-	for _, name := range g.ring.Nodes() {
-		cat, err := g.byName[name].c.Catalog(r.Context())
-		if err == nil {
-			writeJSON(w, http.StatusOK, cat)
-			return
-		}
-	}
-	g.writeError(w, "catalog", errNoBackends)
-}
-
-// handleLedgerRoot proxies the ledger chain head from the first live backend
-// that has one configured (nodes without a ledger answer 404 and are
-// skipped), so `audit root` against the gateway works like against a node.
-func (g *Gateway) handleLedgerRoot(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.http.ledger_root").Inc()
-	var lastErr error = errNoBackends
-	for _, name := range g.ring.Nodes() {
-		st, err := g.byName[name].c.LedgerRoot(r.Context())
-		if err == nil {
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-		lastErr = err
-	}
-	g.writeError(w, "ledger_root", lastErr)
-}
-
-// handleLedgerProof fans a proof request across the fleet in ring order and
-// answers with the first backend that holds the artifact. Jobs shard across
-// nodes, so no single backend's ledger holds every result; the fan-out makes
-// the fleet one queryable result store. All-miss surfaces the last backend's
-// 404.
-func (g *Gateway) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.http.ledger_proof").Inc()
-	artifact := r.URL.Query().Get("artifact")
-	var lastErr error = errNoBackends
-	for _, name := range g.ring.Nodes() {
-		p, err := g.byName[name].c.LedgerProof(r.Context(), artifact)
-		if err == nil {
-			writeJSON(w, http.StatusOK, p)
-			return
-		}
-		lastErr = err
-	}
-	g.writeError(w, "ledger_proof", lastErr)
-}
-
-// ------------------------------------------------------------ error plumbing
-
-type gwError struct {
-	status int
-	msg    string
-}
-
-func (e *gwError) Error() string { return e.msg }
-
-func badRequest(msg string) error    { return &gwError{status: http.StatusBadRequest, msg: msg} }
-func unprocessable(msg string) error { return &gwError{status: 422, msg: msg} }
-
-// writeError maps a failure to a response. Backend rejections keep their
-// status and Retry-After semantics — a fleet-wide 429 surfaces to the caller
-// as a 429 with a Retry-After hint, transport-level failures become 502, and
-// an empty ring answers 503.
-func (g *Gateway) writeError(w http.ResponseWriter, endpoint string, err error) {
-	g.reg.Counter("gateway.http." + endpoint + ".errors").Inc()
-	status := http.StatusBadGateway
-	retryAfter := ""
-	var ge *gwError
-	var ae *client.APIError
-	switch {
-	case errors.As(err, &ge):
-		status = ge.status
-	case server.StatusCode(err) != 0:
-		// Local validation rejections reuse the backend's status mapping so
-		// the gateway answers exactly like a single node would.
-		status = server.StatusCode(err)
-	case errors.As(err, &ae):
-		status = ae.StatusCode
-		if ae.Temporary() {
-			secs := int(ae.RetryAfter / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			retryAfter = strconv.Itoa(secs)
-			if status == http.StatusTooManyRequests {
-				g.saturated.Inc()
-			}
-		}
-	case errors.Is(err, errNoBackends):
-		status = http.StatusServiceUnavailable
-		retryAfter = "1"
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		status = http.StatusGatewayTimeout
-	}
-	if retryAfter != "" {
-		w.Header().Set("Retry-After", retryAfter)
-	}
-	writeJSON(w, status, map[string]any{"error": err.Error()})
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	server.WriteJSON(w, status, gh)
 }

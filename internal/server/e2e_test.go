@@ -379,6 +379,52 @@ func TestQueueFull429(t *testing.T) {
 	}
 }
 
+// TestOwnerBailRetake pins the singleflight's retake rule: a waiter that
+// joined a flight whose owner gave up (its timeout_ms fired) does not
+// inherit the owner's 504 but runs the job again under its own deadline.
+func TestOwnerBailRetake(t *testing.T) {
+	started := make(chan string, 4)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{Executor: blockingExecutor(started, release)})
+
+	type reply struct {
+		status int
+		err    error
+	}
+	post := func(body string) chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			// Raw http.Post: t.Fatal must not run off the test goroutine.
+			resp, err := http.Post(ts.URL+"/v1/sim", "application/json", strings.NewReader(body))
+			if err != nil {
+				ch <- reply{err: err}
+				return
+			}
+			resp.Body.Close()
+			ch <- reply{status: resp.StatusCode}
+		}()
+		return ch
+	}
+
+	owner := post(`{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":5,"timeout_ms":150}`)
+	<-started // the owner's flight is running
+	waiter := post(`{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":5}`)
+	waitFor(t, func() bool { return s.Registry().Counter("server.jobs.coalesced").Value() == 1 })
+
+	if r := <-owner; r.err != nil || r.status != http.StatusGatewayTimeout {
+		t.Fatalf("owner: status %d err %v, want 504", r.status, r.err)
+	}
+	select {
+	case <-started: // the waiter retook the job: a second execution
+	case r := <-waiter:
+		t.Fatalf("waiter answered %d (err %v) without retaking the job", r.status, r.err)
+	}
+	close(release)
+	if r := <-waiter; r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("waiter: status %d err %v, want 200", r.status, r.err)
+	}
+}
+
 // TestGracefulDrainUnderLoad pins the drain contract: the running job
 // finishes and answers 200, the queued job is rejected with 503, new
 // requests are rejected with 503, and healthz flips to draining.

@@ -92,24 +92,24 @@ func (j *JobSpec) Validate(lim Limits) error {
 	switch j.Kind {
 	case KindSim, KindPredict, KindEstimate:
 	default:
-		return &apiError{status: 422, msg: fmt.Sprintf("unknown job kind %q (want %q, %q, or %q)", j.Kind, KindSim, KindPredict, KindEstimate)}
+		return &Error{Status: 422, Msg: fmt.Sprintf("unknown job kind %q (want %q, %q, or %q)", j.Kind, KindSim, KindPredict, KindEstimate)}
 	}
 	spec, err := workload.Resolve(j.Workload)
 	if err != nil {
-		return &apiError{status: 422, msg: fmt.Sprintf("unknown workload %q: %v", j.Workload, err)}
+		return &Error{Status: 422, Msg: fmt.Sprintf("unknown workload %q: %v", j.Workload, err)}
 	}
 	// Canonicalize so every spelling of a workload spec shares one job hash
 	// (and therefore one cache entry) and echoes the same payload a direct
 	// experiments.RunCell would produce.
 	j.Workload = spec.Name
 	if _, ok := policy.Registry[j.Policy]; !ok {
-		return &apiError{status: 422, msg: fmt.Sprintf("unknown policy %q", j.Policy)}
+		return &Error{Status: 422, Msg: fmt.Sprintf("unknown policy %q", j.Policy)}
 	}
 	if j.Accesses < 1 || j.Accesses > lim.MaxAccesses {
-		return &apiError{status: 422, msg: fmt.Sprintf("accesses %d out of range [1, %d]", j.Accesses, lim.MaxAccesses)}
+		return &Error{Status: 422, Msg: fmt.Sprintf("accesses %d out of range [1, %d]", j.Accesses, lim.MaxAccesses)}
 	}
 	if j.TopPCs < 0 || j.ISVMRows < 0 || j.TimeoutMS < 0 {
-		return &apiError{status: 422, msg: "top_pcs, isvm_rows, and timeout_ms must be non-negative"}
+		return &Error{Status: 422, Msg: "top_pcs, isvm_rows, and timeout_ms must be non-negative"}
 	}
 	switch j.Kind {
 	case KindSim, KindEstimate:
@@ -118,19 +118,19 @@ func (j *JobSpec) Validate(lim Limits) error {
 		j.TopPCs, j.ISVMRows = 0, 0
 	case KindPredict:
 		if !predictorCapable(j.Policy) {
-			return &apiError{status: 422, msg: fmt.Sprintf("policy %q does not expose a friendly/averse predictor", j.Policy)}
+			return &Error{Status: 422, Msg: fmt.Sprintf("policy %q does not expose a friendly/averse predictor", j.Policy)}
 		}
 		if j.TopPCs == 0 {
 			j.TopPCs = 32
 		}
 		if j.TopPCs > lim.MaxTopPCs {
-			return &apiError{status: 422, msg: fmt.Sprintf("top_pcs %d exceeds limit %d", j.TopPCs, lim.MaxTopPCs)}
+			return &Error{Status: 422, Msg: fmt.Sprintf("top_pcs %d exceeds limit %d", j.TopPCs, lim.MaxTopPCs)}
 		}
 		if j.ISVMRows == 0 {
 			j.ISVMRows = 8
 		}
 		if j.ISVMRows > lim.MaxISVMRows {
-			return &apiError{status: 422, msg: fmt.Sprintf("isvm_rows %d exceeds limit %d", j.ISVMRows, lim.MaxISVMRows)}
+			return &Error{Status: 422, Msg: fmt.Sprintf("isvm_rows %d exceeds limit %d", j.ISVMRows, lim.MaxISVMRows)}
 		}
 	}
 	return nil

@@ -150,6 +150,45 @@ func TestServerLedgerDisabledAnswers404(t *testing.T) {
 	}
 }
 
+// TestServerLedgerAppendFailureIsCounted serves a job while the ledger's
+// backend is closed: recording fails, the job still answers 200 with the
+// executor's bytes, and server.ledger.append_errors counts the failure.
+func TestServerLedgerAppendFailureIsCounted(t *testing.T) {
+	t.Parallel()
+	mem := ledger.NewMemory()
+	led, err := ledger.New(mem, ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := json.RawMessage(`{"llc_miss_rate":0.25}`)
+	srv := New(Config{Ledger: led, Executor: func(ctx context.Context, spec JobSpec) (json.RawMessage, error) {
+		return want, nil
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Drain(context.Background())
+	})
+
+	status, _, body := postJSON(t, ts, "/v1/sim", `{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":7}`)
+	if status != http.StatusOK {
+		t.Fatalf("sim with a failing ledger: %d %s", status, body)
+	}
+	var env Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if string(env.Result) != string(want) {
+		t.Fatalf("result %s, want the executor's %s", env.Result, want)
+	}
+	if got := srv.Registry().Counter("server.ledger.append_errors").Value(); got != 1 {
+		t.Fatalf("server.ledger.append_errors = %d, want 1", got)
+	}
+}
+
 // getLedgerJSON is a minimal GET helper returning status and body.
 func getLedgerJSON(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	t.Helper()

@@ -17,22 +17,18 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"glider/internal/experiments"
 	"glider/internal/ledger"
 	"glider/internal/obs"
-	"glider/internal/policy"
 	"glider/internal/simrunner"
-	"glider/internal/workload"
 )
 
 // Config sizes the server. Zero values select the documented defaults.
@@ -50,8 +46,6 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline when the job does not set
 	// timeout_ms (default 60s).
 	DefaultTimeout time.Duration
-	// MaxBatchJobs caps the job count of one /v1/batch request (default 64).
-	MaxBatchJobs int
 	// Limits bounds what a single job may ask for.
 	Limits Limits
 	// ShardID names this instance inside a fleet. When set, every response
@@ -65,7 +59,8 @@ type Config struct {
 	// content-addressed artifact and exposes the chain head and inclusion
 	// proofs on /v1/ledger/root and /v1/ledger/proof. Recording is
 	// best-effort: a ledger failure never fails the job that produced the
-	// result. nil disables the endpoints (they answer 404).
+	// result; server.ledger.append_errors counts it. nil disables the
+	// endpoints (they answer 404).
 	Ledger *ledger.Ledger
 	// Executor overrides job execution — the deterministic seam the
 	// backpressure and drain tests use. nil selects the real experiments
@@ -86,108 +81,46 @@ func (c Config) defaulted() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
-	if c.MaxBatchJobs <= 0 {
-		c.MaxBatchJobs = 64
-	}
-	c.Limits = c.Limits.defaulted()
 	if c.Obs == nil {
 		c.Obs = obs.NewRegistry()
 	}
 	return c
 }
 
-// Envelope is the response wrapper for one job: its canonical hash, whether
-// the result came from the cache, and the result bytes exactly as the
-// executor marshaled them. Batch rows carry error/status inline instead of
-// a result.
-type Envelope struct {
-	Hash   string          `json:"hash"`
-	Cached bool            `json:"cached"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Status int             `json:"status,omitempty"`
-}
+// maxBatchJobs caps the job count of one /v1/batch request.
+const maxBatchJobs = 64
 
-// Catalog lists what the server can simulate.
-type Catalog struct {
-	Workloads []string `json:"workloads"`
-	// Schemes are the registered workload-spec schemes; jobs also accept
-	// spec strings like "zipf(objects=4096,skew=0.9)" built from these.
-	Schemes  []string `json:"schemes"`
-	Policies []string `json:"policies"`
-	// Predictors are the policies predict jobs accept.
-	Predictors []string `json:"predictors"`
-}
-
-// apiError is an error with an HTTP status.
-type apiError struct {
-	status int
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-// StatusCode returns the HTTP status carried by an error this package
-// produced (validation rejections, queue-full, draining), or 0 for any other
-// error. It lets layers above — the gateway validates specs before routing —
-// map rejections to the same wire status a single node would answer with.
-func StatusCode(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.status
-	}
-	return 0
-}
-
-// Sentinel rejections. errQueueFull maps to 429 + Retry-After, errDraining
-// to 503 + Retry-After.
+// Sentinel rejections: errQueueFull is a 429 and errDraining a 503, both
+// with Retry-After; errNoLedger is a 404.
 var (
-	errQueueFull = &apiError{status: http.StatusTooManyRequests, msg: "job queue is full"}
-	errDraining  = &apiError{status: http.StatusServiceUnavailable, msg: "server is draining"}
+	errQueueFull = &Error{Status: http.StatusTooManyRequests, RetryAfter: 1, Msg: "job queue is full"}
+	errDraining  = &Error{Status: http.StatusServiceUnavailable, RetryAfter: 1, Msg: "server is draining"}
+	errNoLedger  = &Error{Status: http.StatusNotFound, Msg: "no ledger configured"}
 )
 
-// flight is one in-progress execution of a job hash. All requests for the
-// same hash wait on the same flight; the first requester's context drives
-// the execution.
-type flight struct {
-	spec     JobSpec
-	hash     string
-	ctx      context.Context
-	enqueued time.Time
-	done     chan struct{}
-	result   json.RawMessage
-	err      error
-}
-
-// cacheEntry is one LRU slot.
-type cacheEntry struct {
-	hash   string
-	result json.RawMessage
-}
-
-// Server is the gliderd service. Create with New, mount Handler, stop with
-// Drain.
+// Server is the gliderd service: the shared request Front over a local
+// Backend — a bounded queue, a batch dispatcher onto a simrunner pool, and
+// an optional ledger. Create with New, mount Handler, stop with Drain.
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
-	queue chan *flight
+	front *Front
+	queue chan *Flight
 
 	stopCh         chan struct{}
 	dispatcherDone chan struct{}
 
+	// mu guards draining. Submit takes it inside the front's lock, so a
+	// flight is either queued before Drain flips the flag or rejected.
 	mu       sync.Mutex
 	draining bool
-	flights  map[string]*flight
-	cache    map[string]*list.Element
-	order    *list.List // front = most recently used cacheEntry
 
-	queueDepth  *obs.Histogram
-	waitTimer   *obs.Timer
-	execTimer   *obs.Timer
-	cacheHits   *obs.Counter
-	coalesced   *obs.Counter
-	rejectedFul *obs.Counter
-	rejectedDrn *obs.Counter
+	queueDepth   *obs.Histogram
+	waitTimer    *obs.Timer
+	execTimer    *obs.Timer
+	rejectedFul  *obs.Counter
+	rejectedDrn  *obs.Counter
+	appendErrors *obs.Counter
 }
 
 // New builds a server and starts its dispatcher.
@@ -196,20 +129,17 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:            cfg,
 		reg:            cfg.Obs,
-		queue:          make(chan *flight, cfg.QueueDepth),
+		queue:          make(chan *Flight, cfg.QueueDepth),
 		stopCh:         make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
-		flights:        make(map[string]*flight),
-		cache:          make(map[string]*list.Element),
-		order:          list.New(),
 	}
+	s.front = NewFront(s, s.reg, "server", "", cfg.Limits, cfg.CacheEntries, cfg.DefaultTimeout)
 	s.queueDepth = s.reg.Histogram("server.queue.depth", obs.LinearBuckets(0, float64(max(cfg.QueueDepth/8, 1)), 9))
 	s.waitTimer = s.reg.Timer("server.job.wait.seconds")
 	s.execTimer = s.reg.Timer("server.job.exec.seconds")
-	s.cacheHits = s.reg.Counter("server.cache.hits")
-	s.coalesced = s.reg.Counter("server.jobs.coalesced")
 	s.rejectedFul = s.reg.Counter("server.rejected.queue_full")
 	s.rejectedDrn = s.reg.Counter("server.rejected.draining")
+	s.appendErrors = s.reg.Counter("server.ledger.append_errors")
 	go s.dispatcher()
 	return s
 }
@@ -249,7 +179,7 @@ func (s *Server) dispatcher() {
 			// observable, nothing queued may start.
 			select {
 			case <-s.stopCh:
-				s.finish(f, nil, errDraining)
+				f.Finish(nil, false, errDraining)
 				s.rejectQueued()
 				return
 			default:
@@ -261,8 +191,8 @@ func (s *Server) dispatcher() {
 
 // fillBatch opportunistically drains up to BatchMax-1 more queued flights so
 // one pool invocation carries them all.
-func (s *Server) fillBatch(first *flight) []*flight {
-	batch := []*flight{first}
+func (s *Server) fillBatch(first *Flight) []*Flight {
+	batch := []*Flight{first}
 	for len(batch) < s.cfg.BatchMax {
 		select {
 		case f := <-s.queue:
@@ -278,19 +208,19 @@ func (s *Server) fillBatch(first *flight) []*flight {
 // Background — a drain lets running jobs finish — while each job observes
 // its own flight's request-derived context, so per-request deadlines cancel
 // mid-simulation without touching siblings.
-func (s *Server) runBatch(batch []*flight) {
+func (s *Server) runBatch(batch []*Flight) {
 	now := time.Now()
 	jobs := make([]simrunner.Job[json.RawMessage], len(batch))
 	for i, f := range batch {
 		s.waitTimer.Observe(now.Sub(f.enqueued))
 		jobs[i] = simrunner.Job[json.RawMessage]{
-			Key: f.hash,
+			Key: f.Hash,
 			Run: func(ctx context.Context) (json.RawMessage, error) {
-				if err := f.ctx.Err(); err != nil {
+				if err := f.Ctx.Err(); err != nil {
 					return nil, err
 				}
 				start := time.Now()
-				res, err := s.exec(f.ctx, f.spec)
+				res, err := s.exec(f.Ctx, f.Spec)
 				s.execTimer.Observe(time.Since(start))
 				return res, err
 			},
@@ -298,24 +228,8 @@ func (s *Server) runBatch(batch []*flight) {
 	}
 	results := simrunner.Run(context.Background(), simrunner.Options{Workers: s.cfg.Workers, Obs: s.reg}, jobs)
 	for i, r := range results {
-		s.finish(batch[i], r.Value, r.Err)
+		batch[i].Finish(r.Value, false, r.Err)
 	}
-}
-
-// finish publishes a flight's outcome: successful results enter the LRU,
-// the flight leaves the dedup table, and waiters wake via the closed
-// channel (the writes happen-before the close).
-func (s *Server) finish(f *flight, res json.RawMessage, err error) {
-	s.mu.Lock()
-	if err == nil {
-		s.cacheAdd(f.hash, res)
-	}
-	if s.flights[f.hash] == f {
-		delete(s.flights, f.hash)
-	}
-	s.mu.Unlock()
-	f.result, f.err = res, err
-	close(f.done)
 }
 
 func (s *Server) rejectQueued() {
@@ -323,24 +237,27 @@ func (s *Server) rejectQueued() {
 		select {
 		case f := <-s.queue:
 			s.rejectedDrn.Inc()
-			s.finish(f, nil, errDraining)
+			f.Finish(nil, false, errDraining)
 		default:
 			return
 		}
 	}
 }
 
-// ------------------------------------------------------------- resolution
+// -------------------------------------------------------------- execution
 
 func (s *Server) exec(ctx context.Context, spec JobSpec) (json.RawMessage, error) {
 	res, err := s.execInner(ctx, spec)
 	if err == nil && s.cfg.Ledger != nil {
-		// Record the served bytes. Best-effort by design — and because
-		// artifacts are content-addressed, this dedupes against the record
-		// the experiments entry point itself may have made: both canonicalize
-		// to the same bytes, so the ledger holds one entry either way.
+		// Record the served bytes. Best-effort by design: a failed append is
+		// counted, and the job still answers. Because artifacts are
+		// content-addressed, this dedupes against the record the experiments
+		// entry point itself may have made: both canonicalize to the same
+		// bytes, so the ledger holds one entry either way.
 		if kind := ArtifactKind(spec.Kind); kind != "" {
-			_, _ = s.cfg.Ledger.Append(kind, json.RawMessage(res))
+			if _, err := s.cfg.Ledger.Append(kind, json.RawMessage(res)); err != nil {
+				s.appendErrors.Inc()
+			}
 		}
 	}
 	return res, err
@@ -370,7 +287,7 @@ func (s *Server) execInner(ctx context.Context, spec JobSpec) (json.RawMessage, 
 		}
 		return json.Marshal(res)
 	default:
-		return nil, &apiError{status: 422, msg: fmt.Sprintf("unknown job kind %q", spec.Kind)}
+		return nil, &Error{Status: 422, Msg: fmt.Sprintf("unknown job kind %q", spec.Kind)}
 	}
 }
 
@@ -390,88 +307,57 @@ func ArtifactKind(jobKind string) string {
 	return ""
 }
 
-// resolve returns the job's result bytes, serving from the cache, joining
-// an identical in-flight execution, or becoming the owner of a new flight.
-// When a joined flight dies because its owner's deadline fired, live
-// waiters retry — one of them becomes the new owner — so one impatient
-// client cannot fail its neighbours.
-func (s *Server) resolve(ctx context.Context, spec JobSpec) (json.RawMessage, bool, error) {
-	hash := spec.Hash()
-	for {
-		s.mu.Lock()
-		if res, ok := s.cacheGet(hash); ok {
-			s.mu.Unlock()
-			s.cacheHits.Inc()
-			return res, true, nil
-		}
-		if f, ok := s.flights[hash]; ok {
-			s.mu.Unlock()
-			s.coalesced.Inc()
-			select {
-			case <-f.done:
-				if f.err != nil && f.ctx.Err() != nil && ctx.Err() == nil {
-					continue // owner bailed; retake the job
-				}
-				return f.result, false, f.err
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-		}
-		if s.draining {
-			s.mu.Unlock()
-			s.rejectedDrn.Inc()
-			return nil, false, errDraining
-		}
-		f := &flight{spec: spec, hash: hash, ctx: ctx, enqueued: time.Now(), done: make(chan struct{})}
-		select {
-		case s.queue <- f:
-			s.flights[hash] = f
-			depth := len(s.queue)
-			s.mu.Unlock()
-			s.queueDepth.Observe(float64(depth))
-		default:
-			s.mu.Unlock()
-			s.rejectedFul.Inc()
-			return nil, false, errQueueFull
-		}
-		select {
-		case <-f.done:
-			return f.result, false, f.err
-		case <-ctx.Done():
-			// Our own deadline: the flight's ctx (ours) is cancelled, the
-			// dispatcher will observe it and finish the flight; waiters
-			// retry under their own contexts.
-			return nil, false, ctx.Err()
-		}
+// ---------------------------------------------------------------- backend
+
+// Submit queues f for the dispatcher without blocking: a full queue
+// rejects it with 429 and a draining server with 503.
+func (s *Server) Submit(f *Flight) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		s.rejectedDrn.Inc()
+		return errDraining
+	}
+	f.enqueued = time.Now()
+	select {
+	case s.queue <- f:
+		s.queueDepth.Observe(float64(len(s.queue)))
+		return nil
+	default:
+		s.rejectedFul.Inc()
+		return errQueueFull
 	}
 }
 
-// ------------------------------------------------------------ result LRU
-
-// cacheGet returns the cached result bytes. Caller holds s.mu.
-func (s *Server) cacheGet(hash string) (json.RawMessage, bool) {
-	el, ok := s.cache[hash]
-	if !ok {
-		return nil, false
+// LedgerRoot returns the local ledger's chain head.
+func (s *Server) LedgerRoot(ctx context.Context) (ledger.ChainState, error) {
+	if s.cfg.Ledger == nil {
+		return ledger.ChainState{}, errNoLedger
 	}
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).result, true
+	return s.cfg.Ledger.Root(), nil
 }
 
-// cacheAdd inserts a result, evicting the least-recently-used entry past
-// capacity. Caller holds s.mu.
-func (s *Server) cacheAdd(hash string, res json.RawMessage) {
-	if el, ok := s.cache[hash]; ok {
-		s.order.MoveToFront(el)
-		el.Value.(*cacheEntry).result = res
-		return
+// LedgerProof proves a hex artifact ID against the local ledger, anchoring
+// the artifact first if it is still pending. Unknown artifacts answer 404
+// so a gateway can fan a proof request across a fleet and take the first
+// hit.
+func (s *Server) LedgerProof(ctx context.Context, artifact string) (ledger.Proof, error) {
+	if s.cfg.Ledger == nil {
+		return ledger.Proof{}, errNoLedger
 	}
-	s.cache[hash] = s.order.PushFront(&cacheEntry{hash: hash, result: res})
-	for len(s.cache) > s.cfg.CacheEntries {
-		el := s.order.Back()
-		s.order.Remove(el)
-		delete(s.cache, el.Value.(*cacheEntry).hash)
+	id, err := ledger.ParseID(artifact)
+	if err != nil {
+		return ledger.Proof{}, &Error{Status: http.StatusBadRequest, Msg: fmt.Sprintf("artifact: %v", err)}
 	}
+	p, err := s.cfg.Ledger.Prove(id)
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, ledger.ErrUnknownArtifact) {
+			status = http.StatusNotFound
+		}
+		return ledger.Proof{}, &Error{Status: status, Msg: err.Error()}
+	}
+	return p, nil
 }
 
 // ----------------------------------------------------------------- HTTP
@@ -479,25 +365,6 @@ func (s *Server) cacheAdd(hash string, res json.RawMessage) {
 // ShardHeader is the response header naming the instance that served a
 // request (set only when Config.ShardID is non-empty).
 const ShardHeader = "X-Gliderd-Shard"
-
-// EstimateHeader is the response header on /v1/estimate answers naming the
-// result's provenance — "surrogate" or "exact-fallback" — mirroring the
-// result's "source" field so clients and proxies can attribute an answer
-// without parsing the body.
-const EstimateHeader = "X-Gliderd-Estimate"
-
-// EstimateSource extracts the "source" field from a marshaled estimate
-// result ("" when absent). The gateway reuses it to stamp the attribution
-// header on estimate responses it answers from its own cache.
-func EstimateSource(res json.RawMessage) string {
-	var v struct {
-		Source string `json:"source"`
-	}
-	if json.Unmarshal(res, &v) != nil {
-		return ""
-	}
-	return v.Source
-}
 
 // Health is the /healthz payload: the coarse state string ("ok" or
 // "draining"), the shard identity, and queue occupancy, so a gateway can
@@ -511,17 +378,12 @@ type Health struct {
 	QueueCapacity int    `json:"queue_capacity"`
 }
 
-// Handler mounts the API.
+// Handler mounts the API: the front's endpoints plus /healthz and
+// /v1/batch.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	s.front.Mount(mux)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
-	mux.HandleFunc("GET /v1/ledger/root", s.handleLedgerRoot)
-	mux.HandleFunc("GET /v1/ledger/proof", s.handleLedgerProof)
-	mux.HandleFunc("POST /v1/sim", s.handleJob(KindSim, "sim"))
-	mux.HandleFunc("POST /v1/predict", s.handleJob(KindPredict, "predict"))
-	mux.HandleFunc("POST /v1/estimate", s.handleJob(KindEstimate, "estimate"))
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	if s.cfg.ShardID == "" {
 		return mux
@@ -543,7 +405,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "draining"
 	}
-	writeJSON(w, status, Health{
+	WriteJSON(w, status, Health{
 		Status:        state,
 		Shard:         s.cfg.ShardID,
 		Draining:      draining,
@@ -552,104 +414,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.http.metrics").Inc()
-	writeJSON(w, http.StatusOK, s.reg.Snapshot())
-}
-
-func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.http.catalog").Inc()
-	cat := Catalog{Workloads: workload.Names(), Schemes: workload.Schemes()}
-	for name := range policy.Registry {
-		cat.Policies = append(cat.Policies, name)
-		if predictorCapable(name) {
-			cat.Predictors = append(cat.Predictors, name)
-		}
-	}
-	sort.Strings(cat.Policies)
-	sort.Strings(cat.Predictors)
-	writeJSON(w, http.StatusOK, cat)
-}
-
-// handleLedgerRoot publishes the ledger chain head: batch/artifact counts
-// and the chain root an auditor compares against its own replay.
-func (s *Server) handleLedgerRoot(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.http.ledger_root").Inc()
-	if s.cfg.Ledger == nil {
-		s.writeError(w, "ledger_root", &apiError{status: http.StatusNotFound, msg: "no ledger configured"})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cfg.Ledger.Root())
-}
-
-// handleLedgerProof answers ?artifact=<hex id> with a self-contained
-// inclusion proof (anchoring the artifact first if it is still pending).
-// Unknown artifacts answer 404 so a gateway can fan a proof request across
-// a fleet and take the first hit.
-func (s *Server) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.http.ledger_proof").Inc()
-	if s.cfg.Ledger == nil {
-		s.writeError(w, "ledger_proof", &apiError{status: http.StatusNotFound, msg: "no ledger configured"})
-		return
-	}
-	id, err := ledger.ParseID(r.URL.Query().Get("artifact"))
-	if err != nil {
-		s.writeError(w, "ledger_proof", &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf("artifact: %v", err)})
-		return
-	}
-	p, err := s.cfg.Ledger.Prove(id)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ledger.ErrUnknownArtifact) {
-			status = http.StatusNotFound
-		}
-		s.writeError(w, "ledger_proof", &apiError{status: status, msg: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, p)
-}
-
-func (s *Server) handleJob(kind, endpoint string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Counter("server.http." + endpoint).Inc()
-		var spec JobSpec
-		if err := decodeJSON(w, r, &spec); err != nil {
-			s.writeError(w, endpoint, &apiError{status: http.StatusBadRequest, msg: err.Error()})
-			return
-		}
-		if spec.Kind == "" {
-			spec.Kind = kind
-		}
-		if spec.Kind != kind {
-			s.writeError(w, endpoint, &apiError{status: 422, msg: fmt.Sprintf("kind %q does not match endpoint /v1/%s", spec.Kind, endpoint)})
-			return
-		}
-		if err := spec.Validate(s.cfg.Limits); err != nil {
-			s.writeError(w, endpoint, err)
-			return
-		}
-		ctx, cancel := s.requestCtx(r, spec)
-		defer cancel()
-		res, cached, err := s.resolve(ctx, spec)
-		if err != nil {
-			s.writeError(w, endpoint, err)
-			return
-		}
-		if spec.Kind == KindEstimate {
-			if src := EstimateSource(res); src != "" {
-				w.Header().Set(EstimateHeader, src)
-			}
-		}
-		writeJSON(w, http.StatusOK, Envelope{Hash: spec.Hash(), Cached: cached, Result: res})
-	}
-}
-
 // BatchRequest is the /v1/batch body.
 type BatchRequest struct {
 	Jobs []JobSpec `json:"jobs"`
 }
 
-// handleBatch runs every job concurrently through the same
+// handleBatch runs every job concurrently through the front's
 // cache/coalesce/queue path the single endpoints use and streams one NDJSON
 // envelope per job, in request order, flushing as each becomes available.
 // Per-job failures (including 429s once the queue fills) ride inline as
@@ -658,23 +428,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("server.http.batch").Inc()
 	var req BatchRequest
 	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, "batch", &apiError{status: http.StatusBadRequest, msg: err.Error()})
+		s.front.writeError(w, "batch", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		s.writeError(w, "batch", &apiError{status: 422, msg: "batch has no jobs"})
+		s.front.writeError(w, "batch", &Error{Status: 422, Msg: "batch has no jobs"})
 		return
 	}
-	if len(req.Jobs) > s.cfg.MaxBatchJobs {
-		s.writeError(w, "batch", &apiError{status: 422, msg: fmt.Sprintf("batch of %d jobs exceeds limit %d", len(req.Jobs), s.cfg.MaxBatchJobs)})
+	if len(req.Jobs) > maxBatchJobs {
+		s.front.writeError(w, "batch", &Error{Status: 422, Msg: fmt.Sprintf("batch of %d jobs exceeds limit %d", len(req.Jobs), maxBatchJobs)})
 		return
 	}
 	for i := range req.Jobs {
 		if req.Jobs[i].Kind == "" {
 			req.Jobs[i].Kind = KindSim
 		}
-		if err := req.Jobs[i].Validate(s.cfg.Limits); err != nil {
-			s.writeError(w, "batch", &apiError{status: 422, msg: fmt.Sprintf("job %d: %v", i, err)})
+		if err := req.Jobs[i].Validate(s.front.limits); err != nil {
+			s.front.writeError(w, "batch", &Error{Status: 422, Msg: fmt.Sprintf("job %d: %v", i, err)})
 			return
 		}
 	}
@@ -684,16 +454,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ch := make(chan Envelope, 1)
 		out[i] = ch
 		go func() {
-			ctx, cancel := s.requestCtxFrom(r.Context(), spec)
-			defer cancel()
-			env := Envelope{Hash: spec.Hash()}
-			res, cached, err := s.resolve(ctx, spec)
+			env, _, err := s.front.resolve(r.Context(), spec)
 			if err != nil {
 				env.Error = err.Error()
-				env.Status = statusFor(err)
-			} else {
-				env.Cached = cached
-				env.Result = res
+				env.Status, _ = statusFor(err)
 			}
 			ch <- env
 		}()
@@ -712,65 +476,4 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-}
-
-// requestCtx derives the request's deadline context from the job's
-// timeout_ms (capped by Limits.MaxTimeout) or the server default.
-func (s *Server) requestCtx(r *http.Request, spec JobSpec) (context.Context, context.CancelFunc) {
-	return s.requestCtxFrom(r.Context(), spec)
-}
-
-func (s *Server) requestCtxFrom(parent context.Context, spec JobSpec) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if spec.TimeoutMS > 0 {
-		d = time.Duration(spec.TimeoutMS) * time.Millisecond
-	}
-	if d > s.cfg.Limits.MaxTimeout {
-		d = s.cfg.Limits.MaxTimeout
-	}
-	return context.WithTimeout(parent, d)
-}
-
-// statusFor maps an error to its HTTP status.
-func statusFor(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.status
-	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		// The requester is gone; the status is written to a closed pipe,
-		// but pick something truthful for the batch inline case.
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, endpoint string, err error) {
-	s.reg.Counter("server.http." + endpoint + ".errors").Inc()
-	status := statusFor(err)
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, map[string]any{"error": err.Error()})
-}
-
-// decodeJSON decodes a bounded, strict JSON body.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
