@@ -38,9 +38,9 @@ var auditCells = []auditCell{
 }
 
 // buildLedger anchors auditCells into a fresh disk ledger exactly the way
-// production does — through the experiments-layer recorder — and returns the
-// path plus the content address of each cell's result in order. Not parallel
-// at the caller: it owns the package-global recorder while running.
+// gliderd's executor does — appending each RunCell result under
+// LedgerKindCell — and returns the path plus the content address of each
+// cell's result in order.
 func buildLedger(t *testing.T) (string, []string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "results.ledger")
@@ -52,9 +52,6 @@ func buildLedger(t *testing.T) (string, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.SetLedger(led)
-	defer experiments.SetLedger(nil)
-
 	var ids []string
 	for _, c := range auditCells {
 		res, err := experiments.RunCell(context.Background(), c.workload, c.policy, c.accesses, c.seed)
@@ -63,6 +60,9 @@ func buildLedger(t *testing.T) (string, []string) {
 		}
 		raw, err := json.Marshal(res)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := led.Append(experiments.LedgerKindCell, json.RawMessage(raw)); err != nil {
 			t.Fatal(err)
 		}
 		id, err := ledger.ArtifactIDFor(experiments.LedgerKindCell, raw)

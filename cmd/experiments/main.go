@@ -57,7 +57,7 @@ func main() {
 		sweepWLs = append(sweepWLs, s)
 		return nil
 	})
-	ledgerPath := flag.String("ledger", "", "record results into this append-only experiment ledger file (audit with cmd/audit)")
+	ledgerPath := flag.String("ledger", "", "record the zoo and estimate results into this append-only experiment ledger file (audit with cmd/audit)")
 	metricsPath := flag.String("metrics", "", "write JSONL telemetry events to this file (report with obsreport)")
 	metricsSummary := flag.Bool("metrics-summary", false, "print a metrics summary to stderr when all experiments finish")
 	profiles := prof.Flags(flag.CommandLine)
@@ -140,7 +140,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments: ledger failed verification:", err)
 			os.Exit(1)
 		}
-		experiments.SetLedger(led)
 	}
 
 	args := flag.Args()
@@ -154,7 +153,7 @@ func main() {
 
 	for _, name := range args {
 		start := time.Now()
-		if err := run(name, cfg, zooSpecs, sweepWLs, *asJSON); err != nil {
+		if err := run(name, cfg, zooSpecs, sweepWLs, *asJSON, os.Stdout, led); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 			stopProf()
 			os.Exit(1)
@@ -165,7 +164,6 @@ func main() {
 	}
 
 	if led != nil {
-		experiments.SetLedger(nil)
 		if err := led.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: closing ledger:", err)
 			os.Exit(1)
@@ -195,131 +193,147 @@ func main() {
 // renderer is any experiment result.
 type renderer interface{ Render(w io.Writer) }
 
-// emit writes a result as text or JSON.
-func emit(name string, r renderer, asJSON bool) error {
+// emit writes a result to w as text or JSON.
+func emit(w io.Writer, name string, r renderer, asJSON bool) error {
 	if !asJSON {
-		r.Render(os.Stdout)
+		r.Render(w)
 		return nil
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(map[string]any{"experiment": name, "result": r})
 }
 
-func run(name string, cfg experiments.Config, zooSpecs, sweepWLs []string, asJSON bool) error {
+// record appends an emitted result to the -ledger file, if one is open. A
+// failed append is reported but does not fail the run: the result is
+// already written, and the audit of the file shows what it holds.
+func record(led *ledger.Ledger, kind string, payload any) {
+	if led == nil {
+		return
+	}
+	if _, err := led.Append(kind, payload); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: ledger: %s not recorded: %v\n", kind, err)
+	}
+}
+
+// run computes one experiment, writes it to w, and records the zoo and the
+// estimate study's sweep into led (nil: record nothing).
+func run(name string, cfg experiments.Config, zooSpecs, sweepWLs []string, asJSON bool, w io.Writer, led *ledger.Ledger) error {
 	switch name {
 	case "zoo":
 		z, err := experiments.RunZoo(cfg, zooSpecs)
 		if err != nil {
 			return err
 		}
-		return emit(name, z, asJSON)
+		record(led, experiments.LedgerKindZoo, z)
+		return emit(w, name, z, asJSON)
 	case "learned":
 		l, err := experiments.RunLearned(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, l, asJSON)
+		return emit(w, name, l, asJSON)
 	case "estimate":
 		e, err := experiments.RunEstimate(cfg, sweepWLs)
 		if err != nil {
 			return err
 		}
-		return emit(name, e, asJSON)
+		record(led, experiments.LedgerKindSweep, e.Sweep)
+		return emit(w, name, e, asJSON)
 	case "table1":
-		return emit(name, experiments.RunTable1(), asJSON)
+		return emit(w, name, experiments.RunTable1(), asJSON)
 	case "table2":
 		t, err := experiments.RunTable2(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, t, asJSON)
+		return emit(w, name, t, asJSON)
 	case "table3":
 		t, err := experiments.RunTable3(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, t, asJSON)
+		return emit(w, name, t, asJSON)
 	case "table4":
 		t, err := experiments.RunTable4(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, t, asJSON)
+		return emit(w, name, t, asJSON)
 	case "fig4":
 		f, err := experiments.RunFig4(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "fig5":
 		f, err := experiments.RunFig5(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "fig6":
 		f, err := experiments.RunFig6(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "fig9":
 		f, err := experiments.RunFig9(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "fig10":
 		f, err := experiments.RunFig10(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "fig11", "fig12":
 		f, err := experiments.RunFig11(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "fig13":
 		f, err := experiments.RunFig13(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "fig14":
 		lstm, linear := experiments.DefaultFig14Lens()
 		f, err := experiments.RunFig14(cfg, lstm, linear)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "fig15":
 		f, err := experiments.RunFig15(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, f, asJSON)
+		return emit(w, name, f, asJSON)
 	case "extension":
 		e, err := experiments.RunExtensionMLP(cfg)
 		if err != nil {
 			return err
 		}
-		if err := emit(name, e, asJSON); err != nil {
+		if err := emit(w, name, e, asJSON); err != nil {
 			return err
 		}
 		q, err := experiments.RunExtensionQuantization(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, q, asJSON)
+		return emit(w, name, q, asJSON)
 	case "lineage":
 		l, err := experiments.RunLineage(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(name, l, asJSON)
+		return emit(w, name, l, asJSON)
 	case "ablations":
 		for _, runA := range []func(experiments.Config) (experiments.Ablation, error){
 			experiments.RunAblationOptgenVsBelady,
@@ -332,7 +346,7 @@ func run(name string, cfg experiments.Config, zooSpecs, sweepWLs []string, asJSO
 			if err != nil {
 				return err
 			}
-			if err := emit(name, a, asJSON); err != nil {
+			if err := emit(w, name, a, asJSON); err != nil {
 				return err
 			}
 		}

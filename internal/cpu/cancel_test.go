@@ -117,11 +117,11 @@ func TestCancelledJobLeavesPoolReusable(t *testing.T) {
 	if redo[0].Err != nil {
 		t.Fatalf("rerun after cancellation failed: %v", redo[0].Err)
 	}
-	direct, err := SingleCoreMissRate(context.Background(), spec, "glider", accesses, 7)
+	direct, err := SingleCore(context.Background(), spec, "glider", accesses, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if redo[0].Value != direct {
-		t.Fatalf("rerun miss rate %v != direct %v", redo[0].Value, direct)
+	if redo[0].Value != direct.LLC.MissRate() {
+		t.Fatalf("rerun miss rate %v != direct %v", redo[0].Value, direct.LLC.MissRate())
 	}
 }

@@ -132,11 +132,7 @@ func TestSingleCoreHarness(t *testing.T) {
 	if res.IPC <= 0 {
 		t.Fatal("no IPC")
 	}
-	mr, err := SingleCoreMissRate(context.Background(), spec, "lru", 20000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mr <= 0 || mr > 1 {
+	if mr := res.LLC.MissRate(); mr <= 0 || mr > 1 {
 		t.Fatalf("miss rate %v", mr)
 	}
 }

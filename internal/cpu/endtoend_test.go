@@ -15,16 +15,16 @@ func TestDeterministicMissRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := SingleCoreMissRate(context.Background(), spec, "glider", 60000, 7)
+	a, err := SingleCore(context.Background(), spec, "glider", 60000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SingleCoreMissRate(context.Background(), spec, "glider", 60000, 7)
+	b, err := SingleCore(context.Background(), spec, "glider", 60000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatalf("same seed produced different miss rates: %v vs %v", a, b)
+	if a.LLC.MissRate() != b.LLC.MissRate() {
+		t.Fatalf("same seed produced different miss rates: %v vs %v", a.LLC.MissRate(), b.LLC.MissRate())
 	}
 }
 
@@ -62,18 +62,14 @@ func TestHeadlineResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 400_000
-	lru, err := SingleCoreMissRate(context.Background(), spec, "lru", n, 42)
-	if err != nil {
-		t.Fatal(err)
+	missRate := func(pol string) float64 {
+		res, err := SingleCore(context.Background(), spec, pol, n, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.LLC.MissRate()
 	}
-	hawkeye, err := SingleCoreMissRate(context.Background(), spec, "hawkeye", n, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	glider, err := SingleCoreMissRate(context.Background(), spec, "glider", n, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lru, hawkeye, glider := missRate("lru"), missRate("hawkeye"), missRate("glider")
 	if glider >= lru {
 		t.Fatalf("Glider (%.3f) does not beat LRU (%.3f)", glider, lru)
 	}

@@ -148,12 +148,26 @@ func TestEngineMatchesReferenceSingleCore(t *testing.T) {
 				if !reflect.DeepEqual(stored, want) {
 					t.Fatalf("%s: SingleCore diverged from a fresh BuildHierarchy run:\nstored=%+v\nfresh =%+v", pol, stored, want)
 				}
-				mr, err := cpu.SingleCoreMissRate(ctx, spec, pol, wallAccesses, wallSeed)
+				c, err := cpu.SharedCapture(ctx, spec, wallAccesses, wallSeed, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mr != wantF.LLC.MissRate() {
-					t.Fatalf("%s: SingleCoreMissRate %v, reference %v", pol, mr, wantF.LLC.MissRate())
+				llc, err := cpu.BuildLLC(1, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				storedF, err := c.RunFunctional(ctx, llc, wallAccesses/5, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if storedF.LLC != wantF.LLC || !reflect.DeepEqual(storedF.Predictions, wantF.Predictions) {
+					t.Fatalf("%s: functional replay of the shared capture diverged from the reference:\nstored=%+v\nref   =%+v", pol, storedF.LLC, wantF.LLC)
+				}
+				// Timing does not steer the LLC: the timed replay sees the
+				// functional run's LLC outcome, so its miss rate is the one
+				// the miss-rate studies report.
+				if stored.LLC != wantF.LLC {
+					t.Fatalf("%s: timed LLC stats %+v, functional %+v", pol, stored.LLC, wantF.LLC)
 				}
 			}
 		})

@@ -143,22 +143,10 @@ func replayShared(ctx context.Context, spec workload.Spec, cores int, policyName
 	return c.Run(ctx, llc, dram.New(dcfg), DefaultCoreConfig(), accesses/5)
 }
 
-// SingleCoreMissRate runs one benchmark functionally and returns the LLC
-// miss rate (Figure 11's underlying metric).
-func SingleCoreMissRate(ctx context.Context, spec workload.Spec, policyName string, accesses int, seed int64) (float64, error) {
-	c, err := SharedCapture(ctx, spec, accesses, seed, 1)
-	if err != nil {
-		return 0, err
-	}
-	llc, err := BuildLLC(1, policyName)
-	if err != nil {
-		return 0, err
-	}
-	res, err := c.RunFunctional(ctx, llc, accesses/5, false)
-	if err != nil {
-		return 0, err
-	}
-	return res.LLC.MissRate(), nil
+// CoreSeed is the seed of core's trace in a mix run seeded seed. MultiCore
+// runs core i on it, and core i's solo baseline must replay that same trace.
+func CoreSeed(seed int64, core int) int64 {
+	return seed + int64(core)
 }
 
 // MultiCore runs a workload mix on a shared LLC with full timing and
@@ -167,7 +155,7 @@ func MultiCore(ctx context.Context, mix workload.Mix, policyName string, accesse
 	cores := len(mix.Members)
 	perCore := make([]*trace.Trace, cores)
 	for i, spec := range mix.Members {
-		t, err := workload.SharedE(spec, accessesPerCore, seed+int64(i))
+		t, err := workload.SharedE(spec, accessesPerCore, CoreSeed(seed, i))
 		if err != nil {
 			return Result{}, err
 		}
@@ -198,16 +186,28 @@ func WeightedSpeedup(ctx context.Context, mix workload.Mix, policyName string, a
 	if err != nil {
 		return 0, err
 	}
-	sum := 0.0
+	solo := make([]float64, len(mix.Members))
 	for i, spec := range mix.Members {
-		solo, err := SoloOnShared(ctx, spec, len(mix.Members), policyName, accessesPerCore, seed+int64(i))
+		res, err := SoloOnShared(ctx, spec, len(mix.Members), policyName, accessesPerCore, CoreSeed(seed, i))
 		if err != nil {
 			return 0, err
 		}
-		if solo.IPC <= 0 {
+		solo[i] = res.IPC
+	}
+	return Weighted(mix, shared, solo)
+}
+
+// Weighted reduces a mix's shared run to the §5.1 metric,
+// Σ_i shared.PerCoreIPC[i] / solo[i], where solo[i] is the IPC of core i's
+// benchmark alone on the same cache with the same policy, replaying the
+// trace seeded CoreSeed(seed, i).
+func Weighted(mix workload.Mix, shared Result, solo []float64) (float64, error) {
+	sum := 0.0
+	for i, spec := range mix.Members {
+		if solo[i] <= 0 {
 			return 0, fmt.Errorf("cpu: zero single-core IPC for %s", spec.Name)
 		}
-		sum += shared.PerCoreIPC[i] / solo.IPC
+		sum += shared.PerCoreIPC[i] / solo[i]
 	}
 	return sum, nil
 }

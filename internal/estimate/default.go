@@ -32,18 +32,15 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
-var (
-	defaultOnce sync.Once
-	defaultEst  *Estimator
-	defaultErr  error
-)
+var defaultEst = sync.OnceValues(func() (*Estimator, error) {
+	est, _, err := Train(context.Background(), DefaultTrainConfig())
+	return est, err
+})
 
 // Default returns the lazily-trained process-wide estimator. The first call
 // pays the training cost (a few seconds of short exact simulations); later
-// calls are free. Concurrent callers share one training run.
+// calls are free. Concurrent callers share one training run. It is a memo of
+// a pure function, so sharing it across callers cannot change a result.
 func Default() (*Estimator, error) {
-	defaultOnce.Do(func() {
-		defaultEst, _, defaultErr = Train(context.Background(), DefaultTrainConfig())
-	})
-	return defaultEst, defaultErr
+	return defaultEst()
 }

@@ -72,7 +72,6 @@ func RunCell(ctx context.Context, workloadName, policyName string, accesses int,
 		DRAMReads:    res.DRAM.Reads,
 		DRAMWrites:   res.DRAM.Writes,
 	}
-	record(LedgerKindCell, out)
 	return out, nil
 }
 
@@ -180,6 +179,5 @@ func RunPredictCell(ctx context.Context, workloadName, policyName string, access
 	if mi, ok := llc.Policy().(policy.ModelIntrospector); ok && isvmRows > 0 {
 		out.ModelRows = mi.TopModelRows(isvmRows)
 	}
-	record(LedgerKindPredict, out)
 	return out, nil
 }

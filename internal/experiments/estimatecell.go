@@ -49,12 +49,7 @@ func RunEstimateCell(ctx context.Context, workloadName, policyName string, acces
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	out, err := runEstimateCellWith(ctx, est, workloadName, policyName, accesses, seed)
-	if err != nil {
-		return EstimateResult{}, err
-	}
-	record(LedgerKindEstimate, out)
-	return out, nil
+	return runEstimateCellWith(ctx, est, workloadName, policyName, accesses, seed)
 }
 
 // runEstimateCellWith is RunEstimateCell against a caller-supplied model

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 
@@ -44,10 +43,6 @@ type Config struct {
 	LinearEpochs int
 	// ConvergenceEpochs is the epoch count for Figure 15.
 	ConvergenceEpochs int
-	// Seeds is the number of independent trace seeds averaged per
-	// benchmark in the single-core study (1 reproduces the paper's
-	// single-SimPoint methodology; >1 adds variance estimates).
-	Seeds int
 	// Workers bounds the number of concurrent simulation jobs in the
 	// parallelized experiments (0 = one per available CPU). Results are
 	// bit-identical for every worker count; see internal/simrunner.
@@ -80,7 +75,6 @@ func Default() Config {
 		LSTM:               offline.DefaultLSTMOptions(),
 		LinearEpochs:       3,
 		ConvergenceEpochs:  15,
-		Seeds:              1,
 	}
 }
 
@@ -104,7 +98,6 @@ func Quick() Config {
 		LSTM:               lstm,
 		LinearEpochs:       2,
 		ConvergenceEpochs:  4,
-		Seeds:              1,
 	}
 }
 
@@ -588,9 +581,6 @@ type Fig11Row struct {
 	MissReduction map[string]float64
 	// Speedup[policy] is the % IPC improvement over LRU.
 	Speedup map[string]float64
-	// MissReductionStd holds the across-seed standard deviation when the
-	// config requests multiple seeds (empty otherwise).
-	MissReductionStd map[string]float64
 }
 
 // Fig11 covers both Figure 11 (miss reduction) and Figure 12 (speedup),
@@ -603,28 +593,10 @@ type Fig11 struct {
 	SuiteAverages map[string]map[string][2]float64 // [missReduction, speedup]
 }
 
-// fig11ReplicaSeed returns the trace seed for one replica of the
-// single-core study. Replica 0 is the canonical run driven directly by the
-// configured seed; extra replicas draw hash-derived seeds via the runner's
-// derivation so they never correlate with the base seed stream or each
-// other.
-func fig11ReplicaSeed(cfg Config, s int) int64 {
-	if s == 0 {
-		return cfg.Seed
-	}
-	return simrunner.SeedFor(cfg.Seed, simrunner.Key("fig11", "replica", strconv.Itoa(s)))
-}
-
-// simPoint is one timing simulation's summary, the unit of work the
-// single-core study parallelizes over.
-type simPoint struct {
-	MissRate, IPC float64
-}
-
 // RunFig11 runs every single-core benchmark under LRU plus the comparison
-// policies with full timing: one parallel job per (benchmark, replica,
-// policy) simulation, then a serial-order reduction so results are
-// bit-identical to the serial implementation.
+// policies with full timing on the sweep grid (one parallel job per
+// (benchmark, policy) cell), then reduces the cells in grid order, so the
+// averages do not depend on the worker count.
 func RunFig11(cfg Config) (Fig11, error) {
 	out := Fig11{Policies: PolicySet, SuiteAverages: map[string]map[string][2]float64{}}
 	type suiteAcc struct {
@@ -641,72 +613,30 @@ func RunFig11(cfg Config) (Fig11, error) {
 		return s
 	}
 
-	seeds := cfg.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
 	specs := workload.SingleCoreSet()
-	pols := append([]string{"lru"}, PolicySet...)
-	jobs := make([]simrunner.Job[simPoint], 0, len(specs)*seeds*len(pols))
-	for _, spec := range specs {
-		for s := 0; s < seeds; s++ {
-			seed := fig11ReplicaSeed(cfg, s)
-			for _, pol := range pols {
-				jobs = append(jobs, simrunner.Job[simPoint]{
-					Key: simrunner.Key("fig11", spec.Name, pol, "seed="+strconv.Itoa(s)),
-					Run: func(ctx context.Context) (simPoint, error) {
-						res, err := cpu.SingleCore(ctx, spec, pol, cfg.Accesses, seed)
-						if err != nil {
-							return simPoint{}, err
-						}
-						return simPoint{MissRate: res.LLC.MissRate(), IPC: res.IPC}, nil
-					},
-				})
-			}
-		}
-	}
-	points, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
+	cells, err := runGrid(cfg, specs, append([]string{"lru"}, PolicySet...))
 	if err != nil {
 		return out, err
 	}
-
-	// Reduce in the exact nested order the jobs were emitted in (and the
-	// serial loops ran in), so float accumulation order is unchanged.
 	k := 0
 	for _, spec := range specs {
+		base := cells[k]
+		k++
 		row := Fig11Row{
 			Name:          spec.Name,
+			LRUMissRate:   base.LLCMissRate,
+			LRUIPC:        base.IPC,
 			MissReduction: map[string]float64{},
 			Speedup:       map[string]float64{},
 		}
-		perSeedMiss := map[string][]float64{}
-		for s := 0; s < seeds; s++ {
-			base := points[k]
+		for _, pol := range PolicySet {
+			res := cells[k]
 			k++
-			row.LRUMissRate += base.MissRate / float64(seeds)
-			row.LRUIPC += base.IPC / float64(seeds)
-			for _, pol := range PolicySet {
-				res := points[k]
-				k++
-				if base.MissRate > 0 {
-					mr := 100 * (base.MissRate - res.MissRate) / base.MissRate
-					row.MissReduction[pol] += mr / float64(seeds)
-					perSeedMiss[pol] = append(perSeedMiss[pol], mr)
-				}
-				if base.IPC > 0 {
-					row.Speedup[pol] += 100 * (res.IPC - base.IPC) / base.IPC / float64(seeds)
-				}
+			if base.LLCMissRate > 0 {
+				row.MissReduction[pol] = 100 * (base.LLCMissRate - res.LLCMissRate) / base.LLCMissRate
 			}
-		}
-		if seeds > 1 {
-			row.MissReductionStd = map[string]float64{}
-			for _, pol := range PolicySet {
-				mean := row.MissReduction[pol]
-				variance := 0.0
-				for _, v := range perSeedMiss[pol] {
-					variance += (v - mean) * (v - mean)
-				}
-				row.MissReductionStd[pol] = sqrt(variance / float64(seeds))
+			if base.IPC > 0 {
+				row.Speedup[pol] = 100 * (res.IPC - base.IPC) / base.IPC
 			}
 		}
 		out.Rows = append(out.Rows, row)
@@ -748,9 +678,6 @@ func (f Fig11) renderMetric(w io.Writer, get func(Fig11Row, string) float64, avg
 		fmt.Fprintf(w, "  %-14s", r.Name)
 		for _, pol := range f.Policies {
 			fmt.Fprintf(w, " %8.1f%%", get(r, pol))
-			if avgIdx == 0 && r.MissReductionStd != nil {
-				fmt.Fprintf(w, "±%.1f", r.MissReductionStd[pol])
-			}
 		}
 		fmt.Fprintln(w)
 	}
@@ -781,29 +708,36 @@ type Fig13 struct {
 }
 
 // RunFig13 runs the multi-core mixes in two parallel phases: the solo
-// baselines first (deduplicated per (benchmark, policy) across mixes, as
-// the serial implementation's cache did), then the shared-LLC mix runs,
-// which read the completed solo table without further synchronization.
+// baselines first, then the shared-LLC mix runs, which read the completed
+// solo table without further synchronization. Core i's solo baseline
+// replays the trace seeded cpu.CoreSeed(cfg.Seed, i), which depends on the
+// core but not the mix, so solo runs are deduplicated per (benchmark, core,
+// policy) across mixes; cpu.Weighted reduces each mix as
+// cpu.WeightedSpeedup does.
 func RunFig13(cfg Config) (Fig13, error) {
 	out := Fig13{Policies: PolicySet, Speedups: map[string][]float64{}, Averages: map[string]float64{}}
 	mixes := workload.Mixes(cfg.Mixes, 4, cfg.Seed)
 	pols := append([]string{"lru"}, PolicySet...)
+	soloKey := func(spec workload.Spec, core int, pol string) string {
+		return simrunner.Key("fig13", "solo", spec.Name, "core="+strconv.Itoa(core), pol)
+	}
 
-	// Phase 1: solo IPCs, one job per unique (benchmark, policy) pair.
+	// Phase 1: solo IPCs, one job per unique (benchmark, core, policy).
 	soloIdx := map[string]int{}
 	var soloJobs []simrunner.Job[float64]
 	for _, mix := range mixes {
-		for _, spec := range mix.Members {
+		for i, spec := range mix.Members {
+			seed := cpu.CoreSeed(cfg.Seed, i)
 			for _, pol := range pols {
-				key := spec.Name + "|" + pol
+				key := soloKey(spec, i, pol)
 				if _, ok := soloIdx[key]; ok {
 					continue
 				}
 				soloIdx[key] = len(soloJobs)
 				soloJobs = append(soloJobs, simrunner.Job[float64]{
-					Key: simrunner.Key("fig13", "solo", spec.Name, pol),
+					Key: key,
 					Run: func(ctx context.Context) (float64, error) {
-						res, err := cpu.SoloOnShared(ctx, spec, 4, pol, cfg.MixAccessesPerCore, cfg.Seed)
+						res, err := cpu.SoloOnShared(ctx, spec, 4, pol, cfg.MixAccessesPerCore, seed)
 						if err != nil {
 							return 0, err
 						}
@@ -829,15 +763,11 @@ func RunFig13(cfg Config) (Fig13, error) {
 					if err != nil {
 						return 0, err
 					}
-					sum := 0.0
+					solo := make([]float64, len(mix.Members))
 					for i, spec := range mix.Members {
-						solo := soloIPCs[soloIdx[spec.Name+"|"+pol]]
-						if solo <= 0 {
-							return 0, fmt.Errorf("fig13: zero solo IPC for %s", spec.Name)
-						}
-						sum += shared.PerCoreIPC[i] / solo
+						solo[i] = soloIPCs[soloIdx[soloKey(spec, i, pol)]]
 					}
-					return sum, nil
+					return cpu.Weighted(mix, shared, solo)
 				},
 			})
 		}
@@ -890,6 +820,3 @@ func (f Fig13) Render(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 }
-
-// sqrt is a tiny alias keeping the Fig11 variance code readable.
-func sqrt(x float64) float64 { return math.Sqrt(x) }

@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"glider/internal/cpu"
+	"glider/internal/workload"
 )
 
 // The experiment harness is exercised end-to-end at Quick scale: every
@@ -159,6 +165,50 @@ func TestFig13(t *testing.T) {
 	}
 }
 
+// TestFig13MatchesWeightedSpeedup pins Figure 13's deduplicated solo table
+// to cpu.WeightedSpeedup, the one definition of the §5.1 metric: core i of a
+// mix runs the trace seeded cpu.CoreSeed(cfg.Seed, i), and its solo
+// baseline must replay that same trace.
+func TestFig13MatchesWeightedSpeedup(t *testing.T) {
+	t.Parallel()
+	cfg := Quick()
+	// Below about 100k accesses per core the shared LLC never fills, every
+	// policy ties with LRU, and every speedup is 0 whatever the baseline.
+	cfg.MixAccessesPerCore = 100_000
+	f, err := RunFig13(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := map[string][]float64{}
+	for _, mix := range workload.Mixes(cfg.Mixes, 4, cfg.Seed) {
+		lru, err := cpu.WeightedSpeedup(ctx, mix, "lru", cfg.MixAccessesPerCore, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range f.Policies {
+			ws, err := cpu.WeightedSpeedup(ctx, mix, pol, cfg.MixAccessesPerCore, cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[pol] = append(want[pol], 100*(ws-lru)/lru)
+		}
+	}
+	separated := false
+	for _, pol := range f.Policies {
+		sort.Float64s(want[pol])
+		if !reflect.DeepEqual(f.Speedups[pol], want[pol]) {
+			t.Fatalf("%s: Figure 13 speedups %v, cpu.WeightedSpeedup %v", pol, f.Speedups[pol], want[pol])
+		}
+		for _, v := range want[pol] {
+			separated = separated || v != 0
+		}
+	}
+	if !separated {
+		t.Fatal("every speedup is 0: the mixes are too short to tell the baselines apart")
+	}
+}
+
 func TestFig14(t *testing.T) {
 	t.Parallel()
 	f, err := RunFig14(Quick(), []int{5, 10}, []int{2, 5})
@@ -311,27 +361,6 @@ func TestExtensionQuantization(t *testing.T) {
 	}
 }
 
-func TestFig11MultiSeedVariance(t *testing.T) {
-	t.Parallel()
-	cfg := Quick()
-	cfg.Seeds = 2
-	cfg.Accesses = 60000
-	f, err := RunFig11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range f.Rows[:3] {
-		if r.MissReductionStd == nil {
-			t.Fatal("multi-seed run missing variance estimates")
-		}
-		for _, pol := range f.Policies {
-			if r.MissReductionStd[pol] < 0 {
-				t.Fatalf("negative stddev for %s", pol)
-			}
-		}
-	}
-}
-
 func TestLineage(t *testing.T) {
 	t.Parallel()
 	cfg := Quick()
@@ -340,19 +369,16 @@ func TestLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Rows) != 3 || len(l.Policies) != 14 {
-		t.Fatalf("shape: %d rows, %d policies", len(l.Rows), len(l.Policies))
+	if len(l.Workloads) != 3 || len(l.Policies) != 14 || len(l.Cells) != 3*14 {
+		t.Fatalf("shape: %d benchmarks, %d policies, %d cells", len(l.Workloads), len(l.Policies), len(l.Cells))
 	}
-	for _, r := range l.Rows {
-		for _, pol := range l.Policies {
-			mr := r.MissRates[pol]
-			if mr <= 0 || mr > 1 {
-				t.Fatalf("%s/%s miss rate %v", r.Name, pol, mr)
-			}
+	for _, c := range l.Cells {
+		if mr := c.LLCMissRate; mr <= 0 || mr > 1 {
+			t.Fatalf("%s/%s miss rate %v", c.Workload, c.Policy, mr)
 		}
 	}
-	if l.AvgReduction["lru"] != 0 {
-		t.Fatalf("LRU self-reduction %v, want 0", l.AvgReduction["lru"])
+	if l.Policies[0] != "lru" || l.avgReduction(0) != 0 {
+		t.Fatalf("LRU self-reduction %v, want 0", l.avgReduction(0))
 	}
 	var buf bytes.Buffer
 	l.Render(&buf)

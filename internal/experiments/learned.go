@@ -4,17 +4,14 @@ package experiments
 // policy family in the repo (Hawkeye's OPT-trained classifier, Glider's
 // ISVM, the FRD forward-reuse-distance regressor, the MSA multi-step-ahead
 // evictor) against the LRU baseline, across the paper's Table 2 benchmark
-// set. It answers ROADMAP item 3's question — how do the post-Glider
-// learned families compare on the paper's own workloads — with the same
-// deterministic parallel-runner machinery as every other sweep.
+// set. It answers how the post-Glider learned families compare on the
+// paper's own workloads, on the same grid as every other single-core study.
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"slices"
 
-	"glider/internal/cpu"
-	"glider/internal/simrunner"
 	"glider/internal/workload"
 )
 
@@ -22,55 +19,19 @@ import (
 // baseline, in render order.
 var LearnedPolicySet = []string{"lru", "hawkeye", "glider", "frd", "msa"}
 
-// LearnedCell is one (benchmark, policy) outcome of the learned sweep.
-type LearnedCell struct {
-	Workload    string  `json:"workload"`
-	Policy      string  `json:"policy"`
-	IPC         float64 `json:"ipc"`
-	LLCMissRate float64 `json:"llc_miss_rate"`
-}
-
-// Learned is the learned-policy sweep result: Cells ordered benchmark-major
-// in OfflineSet order, policy order LearnedPolicySet.
-type Learned struct {
-	Benchmarks []string      `json:"benchmarks"`
-	Policies   []string      `json:"policies"`
-	Cells      []LearnedCell `json:"cells"`
-}
+// Learned is the learned-policy sweep: the Table 2 benchmarks in OfflineSet
+// order across LearnedPolicySet.
+type Learned struct{ Sweep }
 
 // RunLearned sweeps the Table 2 benchmark set across LearnedPolicySet on
 // the parallel runner.
 func RunLearned(cfg Config) (Learned, error) {
-	specs := workload.OfflineSet()
-	out := Learned{Policies: LearnedPolicySet}
-	var jobs []simrunner.Job[LearnedCell]
-	for _, spec := range specs {
-		out.Benchmarks = append(out.Benchmarks, spec.Name)
-		for _, pol := range LearnedPolicySet {
-			spec, pol := spec, pol
-			jobs = append(jobs, simrunner.Job[LearnedCell]{
-				Key: simrunner.Key("learned", spec.Name, pol),
-				Run: func(ctx context.Context) (LearnedCell, error) {
-					res, err := cpu.SingleCore(ctx, spec, pol, cfg.Accesses, cfg.Seed)
-					if err != nil {
-						return LearnedCell{}, fmt.Errorf("learned %s/%s: %w", spec.Name, pol, err)
-					}
-					return LearnedCell{
-						Workload:    spec.Name,
-						Policy:      pol,
-						IPC:         res.IPC,
-						LLCMissRate: res.LLC.MissRate(),
-					}, nil
-				},
-			})
-		}
+	var names []string
+	for _, spec := range workload.OfflineSet() {
+		names = append(names, spec.Name)
 	}
-	cells, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
-	if err != nil {
-		return Learned{}, err
-	}
-	out.Cells = cells
-	return out, nil
+	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: names, Policies: LearnedPolicySet})
+	return Learned{s}, err
 }
 
 // Render writes one miss-rate row per benchmark, one column per policy,
@@ -82,25 +43,21 @@ func (l Learned) Render(w io.Writer) {
 		fmt.Fprintf(w, " %9s", p)
 	}
 	fmt.Fprintln(w)
-	byKey := make(map[string]LearnedCell, len(l.Cells))
-	for _, c := range l.Cells {
-		byKey[c.Workload+"\x00"+c.Policy] = c
-	}
-	for _, b := range l.Benchmarks {
+	for wi, b := range l.Workloads {
 		fmt.Fprintf(w, "  %-12s", b)
-		for _, p := range l.Policies {
-			fmt.Fprintf(w, " %8.2f%%", 100*byKey[b+"\x00"+p].LLCMissRate)
+		for pi := range l.Policies {
+			fmt.Fprintf(w, " %8.2f%%", 100*l.at(wi, pi).LLCMissRate)
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "  %-12s", "ipc vs lru")
-	for _, p := range l.Policies {
+	lru := slices.Index(l.Policies, "lru")
+	for pi := range l.Policies {
 		var sum float64
 		n := 0
-		for _, b := range l.Benchmarks {
-			base := byKey[b+"\x00lru"].IPC
-			if base > 0 {
-				sum += byKey[b+"\x00"+p].IPC / base
+		for wi := range l.Workloads {
+			if base := l.at(wi, lru).IPC; base > 0 {
+				sum += l.at(wi, pi).IPC / base
 				n++
 			}
 		}

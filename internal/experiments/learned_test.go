@@ -14,11 +14,11 @@ func TestRunLearnedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Benchmarks) == 0 {
+	if len(l.Workloads) == 0 {
 		t.Fatal("no benchmarks")
 	}
-	if len(l.Cells) != len(l.Benchmarks)*len(l.Policies) {
-		t.Fatalf("got %d cells, want %d", len(l.Cells), len(l.Benchmarks)*len(l.Policies))
+	if len(l.Cells) != len(l.Workloads)*len(l.Policies) {
+		t.Fatalf("got %d cells, want %d", len(l.Cells), len(l.Workloads)*len(l.Policies))
 	}
 	for _, c := range l.Cells {
 		if c.LLCMissRate < 0 || c.LLCMissRate > 1 {

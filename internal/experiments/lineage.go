@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-
-	"glider/internal/cpu"
-	"glider/internal/workload"
+	"slices"
 )
 
 // Lineage: the evolution §2.1 describes, measured — from recency (LRU/LIP/
@@ -21,67 +18,42 @@ var LineagePolicies = []string{
 	"sdbp", "ship++", "perceptron", "mpppb", "hawkeye", "glider",
 }
 
-// LineageRow is one benchmark's miss rate under every policy.
-type LineageRow struct {
-	Name      string
-	MissRates map[string]float64
-}
+// Lineage is the full study: a representative benchmark triple
+// (pointer-chasing, context-dependent, graph) across LineagePolicies.
+type Lineage struct{ Sweep }
 
-// Lineage is the full study.
-type Lineage struct {
-	Policies []string
-	Rows     []LineageRow
-	// AvgReduction[policy] is the mean miss reduction over LRU (%).
-	AvgReduction map[string]float64
-}
-
-// RunLineage measures every policy on a representative benchmark triple
-// (pointer-chasing, context-dependent, graph).
+// RunLineage measures every policy on the benchmark triple.
 func RunLineage(cfg Config) (Lineage, error) {
-	out := Lineage{Policies: LineagePolicies, AvgReduction: map[string]float64{}}
-	benches := []string{"mcf", "omnetpp", "bfs"}
-	sums := map[string]float64{}
-	for _, name := range benches {
-		spec, err := workload.Lookup(name)
-		if err != nil {
-			return out, err
+	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: []string{"mcf", "omnetpp", "bfs"}, Policies: LineagePolicies})
+	return Lineage{s}, err
+}
+
+// avgReduction is policy pi's mean miss reduction over LRU (%), averaged
+// over every benchmark (one with a zero LRU miss rate counts as 0).
+func (l Lineage) avgReduction(pi int) float64 {
+	lru := slices.Index(l.Policies, "lru")
+	sum := 0.0
+	for wi := range l.Workloads {
+		if base := l.at(wi, lru).LLCMissRate; base > 0 {
+			sum += 100 * (base - l.at(wi, pi).LLCMissRate) / base
 		}
-		row := LineageRow{Name: name, MissRates: map[string]float64{}}
-		var lru float64
-		for _, pol := range LineagePolicies {
-			mr, err := cpu.SingleCoreMissRate(context.Background(), spec, pol, cfg.Accesses, cfg.Seed)
-			if err != nil {
-				return out, err
-			}
-			row.MissRates[pol] = mr
-			if pol == "lru" {
-				lru = mr
-			}
-			if lru > 0 {
-				sums[pol] += 100 * (lru - mr) / lru
-			}
-		}
-		out.Rows = append(out.Rows, row)
 	}
-	for _, pol := range LineagePolicies {
-		out.AvgReduction[pol] = sums[pol] / float64(len(benches))
-	}
-	return out, nil
+	return sum / float64(len(l.Workloads))
 }
 
 // Render writes the study.
 func (l Lineage) Render(w io.Writer) {
 	fmt.Fprintln(w, "Lineage study: replacement-policy evolution (§2.1), LLC miss rates")
 	fmt.Fprintf(w, "  %-12s", "policy")
-	for _, r := range l.Rows {
-		fmt.Fprintf(w, " %10s", r.Name)
+	for _, b := range l.Workloads {
+		fmt.Fprintf(w, " %10s", b)
 	}
 	fmt.Fprintf(w, " %12s\n", "avg red.")
-	for _, pol := range l.Policies {
+	for pi, pol := range l.Policies {
 		fmt.Fprintf(w, "  %-12s", pol)
-		for _, r := range l.Rows {
-			fmt.Fprintf(w, " %9.1f%%", r.MissRates[pol]*100)
+		for wi := range l.Workloads {
+			fmt.Fprintf(w, " %9.1f%%", l.at(wi, pi).LLCMissRate*100)
 		}
-		fmt.Fprintf(w, " %11.1f%%\n", l.AvgReduction[pol])
+		fmt.Fprintf(w, " %11.1f%%\n", l.avgReduction(pi))
 	}
 }

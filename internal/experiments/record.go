@@ -1,21 +1,9 @@
 package experiments
 
-import (
-	"sync"
-
-	"glider/internal/ledger"
-)
-
-// The experiment ledger: when installed, every Run* entry point records its
-// result as a content-addressed artifact, so a direct CLI run anchors the
-// same evidence a served result does. Recording is best-effort and
-// observation-only — it never changes a result and never fails a run — and
-// because artifact IDs are content addresses, double-recording the same
-// result from two layers (experiments here, the server on the served bytes)
-// dedupes to one ledger entry.
-
-// Artifact kinds the experiment layer records. Exported so auditors
-// (cmd/audit) can branch on them when re-simulating.
+// Artifact kinds results are recorded under in a ledger. Exported so the
+// recorders (gliderd's executor, cmd/experiments -ledger, perfbench) and
+// the auditor (cmd/audit, which branches on them when re-simulating) agree
+// on one vocabulary.
 const (
 	LedgerKindCell     = "cell"
 	LedgerKindPredict  = "predict"
@@ -23,35 +11,3 @@ const (
 	LedgerKindSweep    = "sweep"
 	LedgerKindZoo      = "zoo"
 )
-
-var (
-	recMu     sync.RWMutex
-	recLedger *ledger.Ledger
-)
-
-// SetLedger installs (or, with nil, removes) the process-wide experiment
-// ledger the Run* entry points record into.
-func SetLedger(l *ledger.Ledger) {
-	recMu.Lock()
-	recLedger = l
-	recMu.Unlock()
-}
-
-// ActiveLedger returns the installed experiment ledger (nil when recording
-// is off).
-func ActiveLedger() *ledger.Ledger {
-	recMu.RLock()
-	defer recMu.RUnlock()
-	return recLedger
-}
-
-// record appends one result to the installed ledger, if any. Errors are
-// swallowed by design: the ledger's own Verify/audit path is the place
-// recording gaps surface, and a full disk must not fail a simulation.
-func record(kind string, payload any) {
-	l := ActiveLedger()
-	if l == nil {
-		return
-	}
-	_, _ = l.Append(kind, payload)
-}

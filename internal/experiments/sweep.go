@@ -32,8 +32,8 @@ type SweepOptions struct {
 	Workloads []string
 	// Policies are the policy names; nil means every registered policy.
 	Policies []string
-	// Estimator prunes the sweep; nil means the process-wide default
-	// (estimate.Default), which trains on first use.
+	// Estimator prunes the sweep; RunSweepPruned requires it and
+	// RunSweepExhaustive ignores it.
 	Estimator *estimate.Estimator
 }
 
@@ -87,6 +87,10 @@ type Sweep struct {
 	SurrogateCells int         `json:"surrogate_cells"`
 }
 
+// at returns the cell of workload wi and policy pi. Both sweep variants
+// hold the whole grid, workload-major.
+func (s Sweep) at(wi, pi int) SweepCell { return s.Cells[wi*len(s.Policies)+pi] }
+
 // PruneFactor is the grid-size-to-exact-simulations ratio — the sweep-cost
 // reduction the surrogate bought (1.0 for an exhaustive sweep).
 func (s Sweep) PruneFactor() float64 {
@@ -139,21 +143,26 @@ func RunSweepExhaustive(cfg Config, opts SweepOptions) (Sweep, error) {
 		return Sweep{}, err
 	}
 	s := newSweep(cfg, specs, pols)
-	var jobs []simrunner.Job[SweepCell]
+	if s.Cells, err = runGrid(cfg, specs, pols); err != nil {
+		return Sweep{}, err
+	}
+	s.ExactCells = len(s.Cells)
+	s.computeFrontier()
+	return s, nil
+}
+
+// runGrid simulates every (workload, policy) cell exactly, one runner job
+// per cell, and returns the cells workload-major in input order. It is the
+// one grid behind every single-core study: the sweeps, the zoo, the learned
+// and lineage studies, and Figures 11–12.
+func runGrid(cfg Config, specs []workload.Spec, pols []string) ([]SweepCell, error) {
+	jobs := make([]simrunner.Job[SweepCell], 0, len(specs)*len(pols))
 	for _, spec := range specs {
 		for _, pol := range pols {
 			jobs = append(jobs, exactCellJob(cfg, spec, pol))
 		}
 	}
-	cells, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
-	if err != nil {
-		return Sweep{}, err
-	}
-	s.Cells = cells
-	s.ExactCells = len(cells)
-	s.computeFrontier()
-	record(LedgerKindSweep, s)
-	return s, nil
+	return simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
 }
 
 // RunSweepPruned runs the surrogate over the grid and simulates only the
@@ -169,9 +178,7 @@ func RunSweepPruned(cfg Config, opts SweepOptions) (Sweep, error) {
 	}
 	est := opts.Estimator
 	if est == nil {
-		if est, err = estimate.Default(); err != nil {
-			return Sweep{}, err
-		}
+		return Sweep{}, fmt.Errorf("sweep: pruning needs an estimator")
 	}
 	s := newSweep(cfg, specs, pols)
 
@@ -292,7 +299,6 @@ func RunSweepPruned(cfg Config, opts SweepOptions) (Sweep, error) {
 		}
 	}
 	s.computeFrontier()
-	record(LedgerKindSweep, s)
 	return s, nil
 }
 
@@ -308,8 +314,8 @@ func newSweep(cfg Config, specs []workload.Spec, pols []string) Sweep {
 	return s
 }
 
-// exactCellJob simulates one cell; both sweep variants build their exact
-// cells through it, which is what makes shared cells bit-identical.
+// exactCellJob simulates one cell; every grid builds its exact cells
+// through it, which is what makes shared cells bit-identical.
 func exactCellJob(cfg Config, spec workload.Spec, pol string) simrunner.Job[SweepCell] {
 	return simrunner.Job[SweepCell]{
 		Key: simrunner.Key("sweep", spec.Name, strconv.Itoa(cfg.Accesses), pol),

@@ -118,3 +118,12 @@ func TestSweepPrunedDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepPrunedNeedsEstimator: pruning without a model is an error, not a
+// silent fallback onto a process-wide one.
+func TestSweepPrunedNeedsEstimator(t *testing.T) {
+	t.Parallel()
+	if _, err := RunSweepPruned(Quick(), SweepOptions{Workloads: []string{"mcf"}, Policies: []string{"lru"}}); err == nil {
+		t.Fatal("RunSweepPruned without an estimator succeeded")
+	}
+}

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-
-	"glider/internal/cpu"
-	"glider/internal/simrunner"
-	"glider/internal/workload"
 )
 
 // ---------------------------------------------------------------- Scenario zoo
@@ -33,21 +28,9 @@ func DefaultZoo() []string {
 	}
 }
 
-// ZooCell is one (scenario, policy) simulation outcome.
-type ZooCell struct {
-	Workload    string  `json:"workload"`
-	Policy      string  `json:"policy"`
-	IPC         float64 `json:"ipc"`
-	LLCMissRate float64 `json:"llc_miss_rate"`
-}
-
-// Zoo is the scenario-zoo sweep result: Cells ordered scenario-major in the
-// input order, policy order PolicySet plus LRU baseline.
-type Zoo struct {
-	Scenarios []string  `json:"scenarios"`
-	Policies  []string  `json:"policies"`
-	Cells     []ZooCell `json:"cells"`
-}
+// Zoo is the scenario-zoo sweep: every scenario across ZooPolicySet,
+// scenarios in input order.
+type Zoo struct{ Sweep }
 
 // ZooPolicySet is the comparison set for the scenario zoo: the paper's four
 // policies, the LRU baseline the service deployments care about, and the
@@ -61,45 +44,8 @@ func RunZoo(cfg Config, specs []string) (Zoo, error) {
 	if len(specs) == 0 {
 		specs = DefaultZoo()
 	}
-	resolved := make([]workload.Spec, len(specs))
-	z := Zoo{Policies: ZooPolicySet}
-	for i, s := range specs {
-		spec, err := workload.Resolve(s)
-		if err != nil {
-			return Zoo{}, fmt.Errorf("zoo scenario %q: %w", s, err)
-		}
-		resolved[i] = spec
-		z.Scenarios = append(z.Scenarios, spec.Name)
-	}
-
-	var jobs []simrunner.Job[ZooCell]
-	for _, spec := range resolved {
-		for _, pol := range ZooPolicySet {
-			spec, pol := spec, pol
-			jobs = append(jobs, simrunner.Job[ZooCell]{
-				Key: simrunner.Key("zoo", spec.Name, pol),
-				Run: func(ctx context.Context) (ZooCell, error) {
-					res, err := cpu.SingleCore(ctx, spec, pol, cfg.Accesses, cfg.Seed)
-					if err != nil {
-						return ZooCell{}, fmt.Errorf("zoo %s/%s: %w", spec.Name, pol, err)
-					}
-					return ZooCell{
-						Workload:    spec.Name,
-						Policy:      pol,
-						IPC:         res.IPC,
-						LLCMissRate: res.LLC.MissRate(),
-					}, nil
-				},
-			})
-		}
-	}
-	cells, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
-	if err != nil {
-		return Zoo{}, err
-	}
-	z.Cells = cells
-	record(LedgerKindZoo, z)
-	return z, nil
+	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: specs, Policies: ZooPolicySet})
+	return Zoo{s}, err
 }
 
 // Render writes one miss-rate row per scenario, one column per policy.
@@ -110,14 +56,10 @@ func (z Zoo) Render(w io.Writer) {
 		fmt.Fprintf(w, " %9s", p)
 	}
 	fmt.Fprintln(w)
-	byKey := make(map[string]ZooCell, len(z.Cells))
-	for _, c := range z.Cells {
-		byKey[c.Workload+"\x00"+c.Policy] = c
-	}
-	for _, s := range z.Scenarios {
+	for wi, s := range z.Workloads {
 		fmt.Fprintf(w, "  %-64s", s)
-		for _, p := range z.Policies {
-			fmt.Fprintf(w, " %8.2f%%", 100*byKey[s+"\x00"+p].LLCMissRate)
+		for pi := range z.Policies {
+			fmt.Fprintf(w, " %8.2f%%", 100*z.at(wi, pi).LLCMissRate)
 		}
 		fmt.Fprintln(w)
 	}

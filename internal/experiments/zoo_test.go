@@ -18,11 +18,11 @@ func TestRunZooDefaultScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(z.Scenarios) != len(DefaultZoo()) {
-		t.Fatalf("got %d scenarios, want %d", len(z.Scenarios), len(DefaultZoo()))
+	if len(z.Workloads) != len(DefaultZoo()) {
+		t.Fatalf("got %d scenarios, want %d", len(z.Workloads), len(DefaultZoo()))
 	}
-	if len(z.Cells) != len(z.Scenarios)*len(z.Policies) {
-		t.Fatalf("got %d cells, want %d", len(z.Cells), len(z.Scenarios)*len(z.Policies))
+	if len(z.Cells) != len(z.Workloads)*len(z.Policies) {
+		t.Fatalf("got %d cells, want %d", len(z.Cells), len(z.Workloads)*len(z.Policies))
 	}
 	seen := map[string]bool{}
 	for _, c := range z.Cells {
@@ -39,7 +39,7 @@ func TestRunZooDefaultScenarios(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	z.Render(&buf)
-	for _, s := range z.Scenarios {
+	for _, s := range z.Workloads {
 		if !strings.Contains(buf.String(), s) {
 			t.Fatalf("render missing scenario %s", s)
 		}

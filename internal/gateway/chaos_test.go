@@ -194,11 +194,19 @@ func TestChaosStallTriggersHedgeThatWins(t *testing.T) {
 			c.counter("gateway.hedges"), c.counter("gateway.hedge.wins"))
 	}
 
-	// A job owned by a healthy node answers before the hedge delay: no new
-	// hedge fires for it.
+	// A job owned by a healthy node is answered by its owner alone: it runs
+	// exactly once and no hedge fires for it. A 5 ms hedge delay can expire
+	// before a healthy answer on a loaded machine, so this step runs on a
+	// cluster with the same stalled node and a delay no healthy answer
+	// reaches.
+	h := newCluster(t, 3, cannedCellExec, func(cfg *Config) {
+		cfg.HedgeDelay = time.Minute
+	})
+	releaseH := h.nodes[victim].Stall()
+	defer releaseH()
 	fastSeed := int64(-1)
 	for s := int64(500); s < 1000; s++ {
-		if c.ownerIndex(t, validatedSpec(t, s).Hash()) != victim {
+		if h.ownerIndex(t, validatedSpec(t, s).Hash()) != victim {
 			fastSeed = s
 			break
 		}
@@ -206,10 +214,13 @@ func TestChaosStallTriggersHedgeThatWins(t *testing.T) {
 	if fastSeed < 0 {
 		t.Fatal("no seed owned by a healthy node")
 	}
-	if status, _, _ := postJSON(t, c.ts, "/v1/sim", simBody(fastSeed)); status != http.StatusOK {
+	if status, _, _ := postJSON(t, h.ts, "/v1/sim", simBody(fastSeed)); status != http.StatusOK {
 		t.Fatalf("healthy-owner job failed")
 	}
-	if got := c.totalExecs(validatedSpec(t, fastSeed).Hash()); got != 1 {
+	if got := h.totalExecs(validatedSpec(t, fastSeed).Hash()); got != 1 {
 		t.Fatal("healthy-owner job not executed exactly once")
+	}
+	if got := h.counter("gateway.hedges"); got != 0 {
+		t.Fatalf("healthy-owner job fired %d hedges", got)
 	}
 }
