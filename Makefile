@@ -28,8 +28,8 @@ race:
 # spec strings; the observability pipeline (simulate with -metrics for glider
 # and both reuse-distance policies, frd and msa, plus an experiment run, then
 # aggregate the JSONL with obsreport); and the ledger loop (anchor a real zoo
-# run to a disk ledger with cmd/experiments and audit the file with
-# cmd/audit).
+# run to a disk ledger with cmd/experiments, audit the file with cmd/audit,
+# and re-simulate the anchored zoo bit for bit).
 cli-smoke:
 	$(GO) run ./cmd/experiments -quick -accesses 20000 -zoo-spec 'zipf(objects=65536,skew=0.9)' -zoo-spec 'mix(rr,zipf(objects=49152,skew=1.1),mcf)' zoo
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
@@ -42,6 +42,7 @@ cli-smoke:
 	rm -f /tmp/glider-ledger-smoke.ledger
 	$(GO) run ./cmd/experiments -quick -accesses 20000 -ledger /tmp/glider-ledger-smoke.ledger zoo
 	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger
+	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger -artifact "$$($(GO) run ./cmd/audit list -ledger /tmp/glider-ledger-smoke.ledger | awk '$$2=="zoo"{print $$1}')" -resim
 	$(GO) run ./cmd/audit root -ledger /tmp/glider-ledger-smoke.ledger
 
 # bench runs the training/kernel benchmarks at full fidelity and records

@@ -86,29 +86,36 @@ func audit(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-// corrupt flips one digit of the victim record's `"seed":N` parameter — a
-// single-byte mutation that keeps the record canonical JSON, so only the
-// content hash betrays it. With fixCRC the frame checksum is recomputed in
-// place (an attacker patching the file consistently); without it the framing
-// itself catches the damage first.
+// corrupt flips one digit of the victim record's `"accesses":N` parameter
+// (the victim is the cell run with seed victimSeed) — a single-byte mutation
+// that keeps the record canonical JSON, so only the content hash betrays
+// it. With fixCRC the frame checksum is recomputed in place (an attacker
+// patching the file consistently); without it the framing itself catches
+// the damage first.
 func corrupt(t *testing.T, path string, victimSeed int64, fixCRC bool) {
+	t.Helper()
+	forge(t, path, fmt.Sprintf(`"seed":%d`, victimSeed), `"accesses":`, fixCRC)
+}
+
+// forge flips the first digit after field in the first artifact record
+// that contains marker, patching the frame checksum when fixCRC is set.
+func forge(t *testing.T, path, marker, field string, fixCRC bool) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	marker := []byte(fmt.Sprintf(`"seed":%d`, victimSeed))
 	off := 0
 	for off < len(data) {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
 		payload := data[off+8 : off+8+n]
-		if payload[0] == 'A' && bytes.Contains(payload, marker) {
-			i := bytes.Index(payload, []byte(`"accesses":`))
+		if payload[0] == 'A' && bytes.Contains(payload, []byte(marker)) {
+			i := bytes.Index(payload, []byte(field))
 			if i < 0 {
-				t.Fatalf("victim record has no accesses field: %s", payload)
+				t.Fatalf("victim record has no %s field: %s", field, payload)
 			}
-			digit := i + len(`"accesses":`)
-			payload[digit] = payload[digit]%8 + '1' // '2' -> '3': still a digit, still canonical JSON
+			digit := i + len(field)
+			payload[digit] = payload[digit]%8 + '1' // '2' -> '3': still a digit
 			if fixCRC {
 				binary.LittleEndian.PutUint32(data[off+4:], crc32.ChecksumIEEE(payload))
 			}
@@ -120,6 +127,28 @@ func corrupt(t *testing.T, path string, victimSeed int64, fixCRC bool) {
 		off += 8 + n
 	}
 	t.Fatalf("no artifact record with %s in %s", marker, path)
+}
+
+// appendTo reopens the ledger at path through ledger.New, as every recorder
+// does, appends payload under kind, and returns the artifact ID.
+func appendTo(t *testing.T, path, kind string, payload any) string {
+	t.Helper()
+	b, err := ledger.OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := ledger.New(b, ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := led.Append(kind, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return a.ID.String()
 }
 
 func TestAuditPristineLedger(t *testing.T) {
@@ -262,6 +291,8 @@ func TestAuditUsageErrors(t *testing.T) {
 		{"verify"},                  // missing -ledger
 		{"prove", "-ledger", empty}, // prove without -artifact
 		{"verify", "-bogus"},        // unknown flag
+		// -resim without -artifact
+		{"verify", "-ledger", empty, "-resim"},
 	}
 	for _, args := range cases {
 		if code, _, _ := audit(t, args...); code != 2 {
@@ -277,5 +308,94 @@ func TestAuditUsageErrors(t *testing.T) {
 	path, _ := buildLedger(t)
 	if code, _, errOut := audit(t, "verify", "-ledger", path, "-artifact", "zz"); code != 1 {
 		t.Fatalf("bad artifact id: exit %d (%s)", code, errOut)
+	}
+}
+
+// TestAuditResimulatesZoo anchors a one-workload zoo next to the audit
+// cells and requires -resim to reproduce it bit for bit; a zoo anchored
+// with a forged cell, a zoo cell forged after anchoring (CRC patched) and
+// a pruned sweep must all fail.
+func TestAuditResimulatesZoo(t *testing.T) {
+	path, _ := buildLedger(t)
+	// Seed 3 is no audit cell's seed, so the zoo is the record forge finds.
+	cfg := experiments.Config{Accesses: 20000, Seed: 3}
+	z, err := experiments.RunZoo(cfg, []string{"zipf(objects=65536,skew=0.9)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoo := appendTo(t, path, experiments.LedgerKindZoo, z)
+	lie := z.Sweep
+	lie.Cells = append([]experiments.SweepCell(nil), z.Cells...)
+	lie.Cells[0].LLCMissRate += 0.01
+	forged := appendTo(t, path, experiments.LedgerKindZoo, experiments.Zoo{Sweep: lie})
+	sweep := appendTo(t, path, experiments.LedgerKindSweep, lie)
+
+	code, out, _ := audit(t, "verify", "-ledger", path, "-artifact", zoo, "-resim")
+	if code != 0 || !strings.Contains(out, "re-simulation bit-identical") {
+		t.Fatalf("zoo verify -resim: exit %d: %s", code, out)
+	}
+	for _, c := range []struct{ id, want string }{
+		{forged, "diverged"},
+		{sweep, "estimator"},
+	} {
+		if code, _, errOut := audit(t, "verify", "-ledger", path, "-artifact", c.id, "-resim"); code != 1 || !strings.Contains(errOut, c.want) {
+			t.Fatalf("verify -resim %s: exit %d, want 1 and %q: %s", c.id, code, c.want, errOut)
+		}
+	}
+
+	forge(t, path, `"seed":3`, `"llc_miss_rate":`, true)
+	code, _, errOut := audit(t, "verify", "-ledger", path, "-artifact", zoo, "-resim")
+	if code != 1 || !strings.Contains(errOut, "content damaged") {
+		t.Fatalf("forged zoo cell: exit %d: %s", code, errOut)
+	}
+}
+
+// TestAuditRefusesDuplicateArtifact writes a log that records one artifact
+// twice, under a batch whose root and chain link are recomputed over both
+// leaves. ledger.New refuses such a log, so audit verify must fail it too.
+func TestAuditRefusesDuplicateArtifact(t *testing.T) {
+	raw := json.RawMessage(`{"seq":1}`)
+	data, err := ledger.EncodeArtifact(experiments.LedgerKindCell, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := ledger.ArtifactIDFor(experiments.LedgerKindCell, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := ledger.MerkleRoot([]ledger.ID{id, id})
+	batch, err := ledger.CanonicalJSON(map[string]any{
+		"index":  0,
+		"leaves": []string{id.String(), id.String()},
+		"root":   root.String(),
+		"prev":   ledger.ID{}.String(),
+		"chain":  ledger.ChainHash(ledger.ID{}, root).String(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dup.ledger")
+	b, err := ledger.OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []ledger.Record{
+		{Type: ledger.RecordArtifact, Data: data},
+		{Type: ledger.RecordArtifact, Data: data},
+		{Type: ledger.RecordBatch, Data: batch},
+	} {
+		if err := b.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ledger.New(b, ledger.Options{}); err == nil {
+		t.Fatal("ledger.New opened a log with a duplicated artifact")
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut := audit(t, "verify", "-ledger", path)
+	if code != 1 || !strings.Contains(errOut, "record 1 artifact "+id.String()+": duplicate") {
+		t.Fatalf("verify on a duplicated artifact: exit %d: %s", code, errOut)
 	}
 }

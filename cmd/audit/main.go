@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"glider/internal/experiments"
@@ -67,6 +68,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "audit: -ledger is required")
 		return 2
 	}
+	if *resim && (cmd != "verify" || *artifact == "") {
+		fmt.Fprintln(stderr, "audit: -resim needs verify -artifact")
+		return 2
+	}
 
 	b, err := ledger.ReadDisk(*ledgerPath)
 	if err != nil {
@@ -104,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// Scoped to the artifact: a damaged sibling does not block proving
 		// an intact leaf — the chain committed to leaf IDs, not bytes.
-		p, err := proveAndCheck(b, rep, *artifact)
+		p, err := proveAndCheck(rep, *artifact)
 		if err != nil {
 			fmt.Fprintf(stderr, "audit: %v\n", err)
 			return 1
@@ -118,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// sibling leaf was damaged. The ledger-wide problems are still
 			// printed above; a full-ledger verdict is `verify` without
 			// -artifact.
-			return verifyArtifact(b, rep, *artifact, *resim, *timeout, stdout, stderr)
+			return verifyArtifact(rep, *artifact, *resim, *timeout, stdout, stderr)
 		}
 		if !rep.OK() {
 			fmt.Fprintf(stderr, "audit: FAILED: %d problem(s) in %s\n", len(rep.Problems), *ledgerPath)
@@ -133,14 +138,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// proveAndCheck rebuilds the inclusion proof from the committed batch
-// records and verifies it locally before handing it out.
-func proveAndCheck(b ledger.Backend, rep ledger.VerifyReport, artifact string) (ledger.Proof, error) {
+// proveAndCheck builds the inclusion proof from the verified batches and
+// checks it locally before handing it out.
+func proveAndCheck(rep ledger.VerifyReport, artifact string) (ledger.Proof, error) {
 	id, err := ledger.ParseID(artifact)
 	if err != nil {
 		return ledger.Proof{}, fmt.Errorf("artifact: %v", err)
 	}
-	p, err := ledger.ProveFrom(b, rep, id)
+	p, err := rep.Prove(id)
 	if err != nil {
 		return ledger.Proof{}, err
 	}
@@ -152,25 +157,16 @@ func proveAndCheck(b ledger.Backend, rep ledger.VerifyReport, artifact string) (
 
 // verifyArtifact checks one artifact's inclusion proof and content, and with
 // resim re-runs the recorded simulation and byte-compares the results.
-func verifyArtifact(b ledger.Backend, rep ledger.VerifyReport, artifact string, resim bool, timeout time.Duration, stdout, stderr io.Writer) int {
-	p, err := proveAndCheck(b, rep, artifact)
+func verifyArtifact(rep ledger.VerifyReport, artifact string, resim bool, timeout time.Duration, stdout, stderr io.Writer) int {
+	p, err := proveAndCheck(rep, artifact)
 	if err != nil {
 		fmt.Fprintf(stderr, "audit: %v\n", err)
 		return 1
 	}
-	var target *ledger.VerifiedArtifact
-	for i := range rep.Artifacts {
-		if rep.Artifacts[i].ID.String() == p.Artifact {
-			target = &rep.Artifacts[i]
-			break
-		}
-	}
-	if target == nil || target.Err != nil {
-		var detail error
-		if target != nil {
-			detail = target.Err
-		}
-		fmt.Fprintf(stderr, "audit: artifact %s: content damaged: %v\n", artifact, detail)
+	i := slices.IndexFunc(rep.Artifacts, func(a ledger.VerifiedArtifact) bool { return a.ID.String() == p.Artifact })
+	target := rep.Artifacts[i] // Prove found the artifact, so i >= 0
+	if target.Err != nil {
+		fmt.Fprintf(stderr, "audit: artifact %s: content damaged: %v\n", artifact, target.Err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "audit: artifact %s: inclusion proof ok (batch %d leaf %d of %d)\n", p.Artifact, p.Batch, p.Leaf, p.Size)
@@ -179,7 +175,7 @@ func verifyArtifact(b ledger.Backend, rep ledger.VerifyReport, artifact string, 
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	if err := resimulate(ctx, *target); err != nil {
+	if err := resimulate(ctx, target); err != nil {
 		fmt.Fprintf(stderr, "audit: artifact %s: re-simulation: %v\n", artifact, err)
 		return 1
 	}
@@ -190,8 +186,10 @@ func verifyArtifact(b ledger.Backend, rep ledger.VerifyReport, artifact string, 
 // resimulate re-runs an artifact's recorded experiment from the parameters
 // embedded in its own payload and requires the fresh result to canonicalize
 // to exactly the stored bytes. Supported kinds are the ones whose payloads
-// are self-describing — "cell" (a timing simulation names its workload,
-// policy, accesses, and seed) and "estimate".
+// are self-describing: "cell" and "estimate" (one simulation names its
+// workload, policy, accesses and seed) and "zoo" (an exhaustive grid names
+// its workloads, policies, accesses and seed; the grid runs to completion,
+// ignoring ctx).
 func resimulate(ctx context.Context, a ledger.VerifiedArtifact) error {
 	switch a.Kind {
 	case experiments.LedgerKindCell:
@@ -214,6 +212,19 @@ func resimulate(ctx context.Context, a ledger.VerifiedArtifact) error {
 			return err
 		}
 		return compareCanonical(a.Payload, fresh)
+	case experiments.LedgerKindZoo:
+		var rec experiments.Sweep
+		if err := ledger.DecodePayload(a, &rec); err != nil {
+			return err
+		}
+		cfg := experiments.Config{Accesses: rec.Accesses, Seed: rec.Seed}
+		fresh, err := experiments.RunSweepExhaustive(cfg, experiments.SweepOptions{Workloads: rec.Workloads, Policies: rec.Policies})
+		if err != nil {
+			return err
+		}
+		return compareCanonical(a.Payload, fresh)
+	case experiments.LedgerKindSweep:
+		return fmt.Errorf("kind %q does not support re-simulation (its surrogate cells need the estimator its run trained)", a.Kind)
 	default:
 		return fmt.Errorf("kind %q does not support re-simulation (its payload does not embed its full parameters)", a.Kind)
 	}

@@ -35,8 +35,7 @@ type headSnapshot struct {
 	Samples               int
 }
 
-// Save serializes the estimator with encoding/gob (the same transport the
-// other internal/ml model snapshots use).
+// Save serializes the estimator with encoding/gob.
 func (e *Estimator) Save(w io.Writer) error {
 	snap := estimatorSnapshot{
 		Schema:       e.Schema,

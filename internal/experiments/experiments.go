@@ -79,7 +79,9 @@ func Default() Config {
 }
 
 // Quick returns a configuration small enough for unit tests and testing.B
-// benchmarks while exercising every code path.
+// benchmarks while exercising every code path. Mixes run 100k accesses per
+// core: below about that the shared LLC never fills, every policy ties with
+// LRU, and every Figure 13 speedup is 0.
 func Quick() Config {
 	lstm := offline.LSTMOptions{
 		HistoryLen:        10,
@@ -94,7 +96,7 @@ func Quick() Config {
 		OfflineAccesses:    80_000,
 		Seed:               42,
 		Mixes:              2,
-		MixAccessesPerCore: 25_000,
+		MixAccessesPerCore: 100_000,
 		LSTM:               lstm,
 		LinearEpochs:       2,
 		ConvergenceEpochs:  4,

@@ -187,14 +187,6 @@ func (p *Predictor) DebugCounts() (samples, pos, neg, skipped uint64) {
 	return p.samples, p.trainPos, p.trainNeg, p.skipped
 }
 
-// WeightsFor returns a copy of the ISVM row for pc and its table index,
-// for diagnostics and tests.
-func (p *Predictor) WeightsFor(pc uint64) (idx int, weights []int8) {
-	idx = p.tableIndex(pc)
-	row := p.weights[idx*p.cfg.WeightsPerISVM : (idx+1)*p.cfg.WeightsPerISVM]
-	return idx, append([]int8(nil), row...)
-}
-
 // WeightStats summarizes the ISVM table's weight distribution — the §4.4
 // diagnostic view of what the predictor has learned. Saturated counts warn
 // that training pressure exceeds the 8-bit weight range.

@@ -1,9 +1,8 @@
 package glider
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -238,41 +237,53 @@ func TestSumEmptyHistory(t *testing.T) {
 	}
 }
 
-func TestPredictorSaveLoadRoundTrip(t *testing.T) {
-	p := NewPredictor(DefaultConfig(2))
-	for i := 0; i < 300; i++ {
-		p.Train(5, []uint64{1, 2, 3}, true)
-		p.Train(6, []uint64{4, 5}, false)
+// TestPredictorIntrospection pins the diagnostic views of the ISVM table
+// that the policy's observability hooks and predict cells report:
+// WeightStatsNow over every weight, and TopRows ranking rows by L1 norm
+// (ties by index), skipping all-zero rows and returning copies.
+func TestPredictorIntrospection(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.TableSize, cfg.WeightsPerISVM = 4, 4
+	p := NewPredictor(cfg)
+	copy(p.weights, []int8{
+		0, 0, 0, 0, // row 0: untouched
+		127, -1, 0, 0, // row 1: L1 128
+		-128, 0, 0, 0, // row 2: L1 128
+		3, -2, 0, 1, // row 3: L1 6
+	})
+	want := WeightStats{Total: 16, NonZero: 6, Positive: 3, Negative: 3, Saturated: 2, Min: -128, Max: 127, MeanAbs: 262.0 / 6}
+	if got := p.WeightStatsNow(); got != want {
+		t.Fatalf("WeightStatsNow = %+v, want %+v", got, want)
 	}
-	p.Observe(0, 7)
-	p.Observe(1, 8)
+	rows := p.TopRows(2)
+	wantRows := []RowSnapshot{
+		{Index: 1, L1: 128, Weights: []int8{127, -1, 0, 0}},
+		{Index: 2, L1: 128, Weights: []int8{-128, 0, 0, 0}},
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Fatalf("TopRows(2) = %+v, want %+v", rows, wantRows)
+	}
+	rows[0].Weights[0] = 0
+	if p.weights[4] != 127 {
+		t.Fatal("TopRows returned a view of the table, not a copy")
+	}
+	if got := p.TopRows(10); len(got) != 3 || got[2].Index != 3 || got[2].L1 != 6 {
+		t.Fatalf("TopRows(10) = %+v, want rows 1, 2, 3", got)
+	}
+	if got := p.TopRows(0); got != nil {
+		t.Fatalf("TopRows(0) = %+v, want nil", got)
+	}
 
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
+	// Training moves exactly the trained PC's row.
+	q := NewPredictor(DefaultConfig(1))
+	for i := 0; i < 10; i++ {
+		q.Train(5, []uint64{1, 2, 3}, true)
 	}
-	q, err := LoadPredictor(&buf)
-	if err != nil {
-		t.Fatal(err)
+	top := q.TopRows(5)
+	if len(top) != 1 || top[0].Index != q.tableIndex(5) {
+		t.Fatalf("after training PC 5: TopRows %+v, want its row %d alone", top, q.tableIndex(5))
 	}
-	for _, pc := range []uint64{5, 6} {
-		for _, hist := range [][]uint64{{1, 2, 3}, {4, 5}} {
-			if p.Sum(pc, hist) != q.Sum(pc, hist) {
-				t.Fatal("loaded predictor sums differ")
-			}
-		}
-	}
-	if p.TrainingThreshold() != q.TrainingThreshold() {
-		t.Fatal("threshold state not restored")
-	}
-	h0, h1 := q.History(0), q.History(1)
-	if len(h0) != 1 || h0[0] != 7 || len(h1) != 1 || h1[0] != 8 {
-		t.Fatalf("PCHRs not restored: %v %v", h0, h1)
-	}
-}
-
-func TestLoadPredictorRejectsGarbage(t *testing.T) {
-	if _, err := LoadPredictor(strings.NewReader("garbage")); err == nil {
-		t.Fatal("garbage accepted")
+	if s := q.WeightStatsNow(); s.Positive == 0 || s.Negative != 0 {
+		t.Fatalf("after friendly training: %+v", s)
 	}
 }

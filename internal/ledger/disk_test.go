@@ -251,7 +251,7 @@ func TestDiskAppendAfterReopen(t *testing.T) {
 		t.Fatalf("state %+v", rep.State)
 	}
 	for _, id := range append(ids, a.ID) {
-		p, err := ProveFrom(b2, rep, id)
+		p, err := rep.Prove(id)
 		if err != nil {
 			t.Fatal(err)
 		}

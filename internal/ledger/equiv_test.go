@@ -12,7 +12,8 @@ import (
 // identical randomized append/flush/dedupe schedules and requires identical
 // observable state throughout: chain heads, artifact anchors, and proof
 // bytes. Afterwards the disk log is reopened and must replay to the same
-// head — the durability half of the equivalence.
+// head — the durability half of the equivalence — and Verify must prove
+// every artifact to the writer's proof bytes.
 func TestMemoryDiskEquivalence(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 8; seed++ {
@@ -131,6 +132,17 @@ func TestMemoryDiskEquivalence(t *testing.T) {
 			}
 			if rep.State != finalHead {
 				t.Fatalf("audit head %+v, want %+v", rep.State, finalHead)
+			}
+			// And proves every artifact to the writer's bytes.
+			for id, want := range proofs {
+				p, err := rep.Prove(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j, _ := json.Marshal(p)
+				if string(j) != want {
+					t.Fatalf("audit proof for %s diverged:\n%s\n%s", id, j, want)
+				}
 			}
 			if err := ld2.Close(); err != nil {
 				t.Fatal(err)

@@ -121,6 +121,30 @@ func (p Proof) Verify() error {
 	return nil
 }
 
+// proofFor builds the inclusion proof for artifact a, anchored in batch bt.
+// Ledger.Prove and VerifyReport.Prove both build through it.
+func proofFor(a Artifact, bt Batch) (Proof, error) {
+	path, err := MerklePath(bt.Leaves, a.Leaf)
+	if err != nil {
+		return Proof{}, err
+	}
+	p := Proof{
+		Artifact: a.ID.String(),
+		Kind:     a.Kind,
+		Batch:    bt.Index,
+		Leaf:     a.Leaf,
+		Size:     len(bt.Leaves),
+		Path:     make([]string, len(path)),
+		Root:     bt.Root.String(),
+		Prev:     bt.Prev.String(),
+		Chain:    bt.Chain.String(),
+	}
+	for i, h := range path {
+		p.Path[i] = h.String()
+	}
+	return p, nil
+}
+
 // Options configures a Ledger.
 type Options struct {
 	// FlushEvery anchors pending artifacts on this interval (<= 0: only
@@ -169,28 +193,40 @@ type Ledger struct {
 	bytes    *obs.Counter
 }
 
-// New opens a ledger over a backend, replaying and verifying whatever the
-// backend already holds: every batch's root is recomputed from its recorded
-// leaves, every chain link is rechecked, and every artifact's content hash
-// must match its recorded leaf. A log that fails any of these is rejected —
-// opening a tampered ledger is an error, not a warning.
+// New opens a ledger over a backend. The log is read once, by Verify, and
+// a log with any problem is refused with the first one: a batch root or
+// chain link that does not recompute, an artifact whose content no longer
+// matches its leaf, an artifact recorded twice. Opening a tampered ledger is
+// an error, not a warning.
 func New(b Backend, opts Options) (*Ledger, error) {
+	rep := Verify(b)
+	if !rep.OK() {
+		return nil, fmt.Errorf("ledger: %s", rep.Problems[0])
+	}
 	opts = opts.defaulted()
 	l := &Ledger{
-		b:      b,
-		opts:   opts,
-		arts:   make(map[ID]*Artifact),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
+		b:       b,
+		opts:    opts,
+		arts:    make(map[ID]*Artifact, len(rep.Artifacts)),
+		order:   make([]ID, len(rep.Artifacts)),
+		batches: rep.Batches,
+		flushed: rep.State.Artifacts,
+		stopCh:  make(chan struct{}),
+		doneCh:  make(chan struct{}),
+	}
+	for i := range rep.Artifacts {
+		a := &rep.Artifacts[i].Artifact
+		l.arts[a.ID] = a
+		l.order[i] = a.ID
+	}
+	if n := len(rep.Batches); n > 0 {
+		l.chain = rep.Batches[n-1].Chain
 	}
 	if opts.Obs != nil {
 		l.appended = opts.Obs.Counter("ledger.artifacts.appended")
 		l.deduped = opts.Obs.Counter("ledger.artifacts.deduped")
 		l.anchored = opts.Obs.Counter("ledger.batches.anchored")
 		l.bytes = opts.Obs.Counter("ledger.bytes.appended")
-	}
-	if err := l.replay(); err != nil {
-		return nil, err
 	}
 	if opts.FlushEvery > 0 {
 		go l.flushLoop()
@@ -200,93 +236,26 @@ func New(b Backend, opts Options) (*Ledger, error) {
 	return l, nil
 }
 
-// replay rebuilds (and verifies) the in-memory index from the backend.
-func (l *Ledger) replay() error {
-	for i := 0; i < l.b.Len(); i++ {
-		rec, err := l.b.Read(i)
-		if err != nil {
-			return err
-		}
-		switch rec.Type {
-		case RecordArtifact:
-			a, err := decodeArtifact(rec.Data)
-			if err != nil {
-				return fmt.Errorf("ledger: replay record %d: %w", i, err)
-			}
-			if _, dup := l.arts[a.ID]; dup {
-				return fmt.Errorf("ledger: replay record %d: duplicate artifact %s", i, a.ID)
-			}
-			l.arts[a.ID] = a
-			l.order = append(l.order, a.ID)
-		case RecordBatch:
-			bt, err := decodeBatch(rec.Data)
-			if err != nil {
-				return fmt.Errorf("ledger: replay record %d: %w", i, err)
-			}
-			if err := l.adoptBatch(bt); err != nil {
-				return fmt.Errorf("ledger: replay record %d: %w", i, err)
-			}
-		default:
-			return fmt.Errorf("ledger: replay record %d: unknown record type %q", i, rec.Type)
-		}
-	}
-	return nil
-}
-
-// adoptBatch validates one replayed batch against the running state and
-// marks its artifacts anchored.
-func (l *Ledger) adoptBatch(bt Batch) error {
-	if bt.Index != len(l.batches) {
-		return fmt.Errorf("batch index %d, want %d", bt.Index, len(l.batches))
-	}
-	if bt.Prev != l.chain {
-		return fmt.Errorf("batch %d: prev chain root %s does not extend %s", bt.Index, bt.Prev, l.chain)
-	}
-	pending := l.order[l.flushed:]
-	if len(bt.Leaves) == 0 || len(bt.Leaves) != len(pending) {
-		return fmt.Errorf("batch %d: %d leaves but %d artifacts pending", bt.Index, len(bt.Leaves), len(pending))
-	}
-	for j, leaf := range bt.Leaves {
-		if pending[j] != leaf {
-			return fmt.Errorf("batch %d leaf %d: recorded %s, log order has %s", bt.Index, j, leaf, pending[j])
-		}
-	}
-	if root := MerkleRoot(bt.Leaves); root != bt.Root {
-		return fmt.Errorf("batch %d: recorded root %s, recomputed %s", bt.Index, bt.Root, root)
-	}
-	if chain := ChainHash(bt.Prev, bt.Root); chain != bt.Chain {
-		return fmt.Errorf("batch %d: recorded chain root %s, recomputed %s", bt.Index, bt.Chain, chain)
-	}
-	for j, leaf := range bt.Leaves {
-		a := l.arts[leaf]
-		a.Batch, a.Leaf = bt.Index, j
-	}
-	l.batches = append(l.batches, bt)
-	l.chain = bt.Chain
-	l.flushed += len(bt.Leaves)
-	return nil
-}
-
-func decodeArtifact(data []byte) (*Artifact, error) {
+func decodeArtifact(data []byte) (Artifact, error) {
 	canon, err := Canonicalize(data)
 	if err != nil {
-		return nil, err
+		return Artifact{}, err
 	}
 	if string(canon) != string(data) {
-		return nil, errors.New("artifact record is not canonical")
+		return Artifact{}, errors.New("artifact record is not canonical")
 	}
 	var rec artifactRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, err
+		return Artifact{}, err
 	}
 	if rec.Kind == "" {
-		return nil, errors.New("artifact record has no kind")
+		return Artifact{}, errors.New("artifact record has no kind")
 	}
 	payload, err := Canonicalize(rec.Payload)
 	if err != nil {
-		return nil, err
+		return Artifact{}, err
 	}
-	return &Artifact{ID: contentID(data), Kind: rec.Kind, Payload: payload, Batch: -1, Leaf: -1}, nil
+	return Artifact{ID: contentID(data), Kind: rec.Kind, Payload: payload, Batch: -1, Leaf: -1}, nil
 }
 
 func decodeBatch(data []byte) (Batch, error) {
@@ -378,7 +347,7 @@ func (l *Ledger) Append(kind string, payload any) (Artifact, error) {
 	if err != nil {
 		return Artifact{}, err
 	}
-	l.arts[id] = a
+	l.arts[id] = &a
 	l.order = append(l.order, id)
 	l.appended.Inc()
 	l.bytes.Add(uint64(len(data)))
@@ -504,26 +473,7 @@ func (l *Ledger) Prove(id ID) (Proof, error) {
 			return Proof{}, err
 		}
 	}
-	bt := l.batches[a.Batch]
-	path, err := MerklePath(bt.Leaves, a.Leaf)
-	if err != nil {
-		return Proof{}, err
-	}
-	p := Proof{
-		Artifact: a.ID.String(),
-		Kind:     a.Kind,
-		Batch:    bt.Index,
-		Leaf:     a.Leaf,
-		Size:     len(bt.Leaves),
-		Path:     make([]string, len(path)),
-		Root:     bt.Root.String(),
-		Prev:     bt.Prev.String(),
-		Chain:    bt.Chain.String(),
-	}
-	for i, h := range path {
-		p.Path[i] = h.String()
-	}
-	return p, nil
+	return proofFor(*a, l.batches[a.Batch])
 }
 
 // Close stops the auto-flush loop, anchors whatever is pending, and closes

@@ -306,8 +306,10 @@ func tamperedCopy(t *testing.T, b Backend, ri, bi int, mask byte) *MemoryBackend
 	return out
 }
 
-// TestLedgerOpenRejectsTamper flips one byte in every record of an anchored
-// log, one at a time, and requires New to reject each tampered log outright.
+// TestLedgerOpenRejectsTamper flips each byte of every record of an
+// anchored log, one at a time, and requires New to reject each tampered log
+// outright, exactly when Verify reports a problem: New reads the log through
+// Verify, so the two never disagree on whether a log is sound.
 func TestLedgerOpenRejectsTamper(t *testing.T) {
 	t.Parallel()
 	b := NewMemory()
@@ -325,8 +327,13 @@ func TestLedgerOpenRejectsTamper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for bi := 0; bi < len(rec.Data); bi += 7 { // every 7th byte: dense enough, fast enough
-			if _, err := New(tamperedCopy(t, b, ri, bi, 0x01), Options{}); err == nil {
+		for bi := range rec.Data {
+			tb := tamperedCopy(t, b, ri, bi, 0x01)
+			_, err := New(tb, Options{})
+			if ok := Verify(tb).OK(); ok != (err == nil) {
+				t.Fatalf("record %d byte %d flipped: Verify OK %v, New error %v", ri, bi, ok, err)
+			}
+			if err == nil {
 				t.Fatalf("New accepted log with record %d byte %d flipped (%q)", ri, bi, rec.Data)
 			}
 		}

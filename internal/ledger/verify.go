@@ -6,15 +6,10 @@ import (
 )
 
 // VerifiedArtifact is one artifact as seen by a full verification replay.
+// Once anchored, its ID is the stored leaf ID — the identity the chain
+// committed to; Payload is nil when the record is damaged.
 type VerifiedArtifact struct {
-	// ID is the stored leaf ID — the identity the chain committed to.
-	ID   ID
-	Kind string
-	// Payload is the canonical payload (nil when the record is damaged).
-	Payload []byte
-	// Batch/Leaf locate the artifact (Batch -1 while pending).
-	Batch int
-	Leaf  int
+	Artifact
 	// Err is non-nil when the artifact's content no longer matches the
 	// chain's commitment (or no longer decodes at all).
 	Err error
@@ -53,6 +48,8 @@ type VerifyReport struct {
 	State ChainState
 	// Artifacts lists every artifact in log order, damaged ones included.
 	Artifacts []VerifiedArtifact
+	// Batches lists every batch that verified, in chain order.
+	Batches []Batch
 	// Problems lists every verification failure in detection order.
 	Problems []Problem
 }
@@ -62,29 +59,19 @@ func (r VerifyReport) OK() bool { return len(r.Problems) == 0 }
 
 // Verify replays a backend's full record log and checks every commitment
 // independently of the Ledger type: batch roots recomputed from recorded
-// leaves, chain links rechecked hop by hop, and each artifact's content
-// hash compared against the leaf the chain committed to. Structural damage
-// to the chain itself (a bad root or broken link) stops the replay — nothing
-// after it is trustworthy — but per-artifact content damage is collected and
-// attributed to its exact leaf, so intact siblings still verify (and can
-// still be proven and re-simulated).
+// leaves, chain links rechecked hop by hop, each artifact's content hash
+// compared against the leaf the chain committed to, and no artifact recorded
+// twice. It is the one reader of the log: New opens a backend through it.
+// Structural damage to the chain itself (a bad root or broken link) stops
+// the replay — nothing after it is trustworthy — but per-artifact content
+// damage is collected and attributed to its exact leaf, so intact siblings
+// still verify (and can still be proven and re-simulated).
 func Verify(b Backend) VerifyReport {
 	var rep VerifyReport
-	// arts maps content ID → verified artifact index for leaf matching;
-	// position tracks pending artifacts in log order, keeping per-record
-	// indices so problems name the damaged record.
-	type pendingArt struct {
-		rec  int
-		idx  int // index into rep.Artifacts
-		id   ID  // content hash of the record as stored
-		ok   bool
-		kind string
-	}
-	var pending []pendingArt
 	var chain ID
-	batches := 0
-	anchored := 0
-
+	anchored := 0           // rep.Artifacts[anchored:] are pending
+	var recs []int          // the log record of each rep.Artifacts entry
+	firstAt := map[ID]int{} // the record each decoded artifact first appeared at
 	fail := func(p Problem) { rep.Problems = append(rep.Problems, p) }
 
 	for i := 0; i < b.Len(); i++ {
@@ -99,132 +86,98 @@ func Verify(b Backend) VerifyReport {
 			if err != nil {
 				// The record still occupies a leaf slot: remember it by the
 				// hash of its (damaged) bytes so the batch walk can name it.
-				rep.Artifacts = append(rep.Artifacts, VerifiedArtifact{ID: contentID(rec.Data), Batch: -1, Leaf: -1, Err: err})
-				pending = append(pending, pendingArt{rec: i, idx: len(rep.Artifacts) - 1, id: contentID(rec.Data)})
-				continue
+				a = Artifact{ID: contentID(rec.Data), Batch: -1, Leaf: -1}
+			} else if first, dup := firstAt[a.ID]; dup {
+				fail(Problem{Record: i, Batch: -1, Leaf: -1, Artifact: a.ID.String(), Msg: fmt.Sprintf("duplicate of record %d", first)})
+			} else {
+				firstAt[a.ID] = i
 			}
-			rep.Artifacts = append(rep.Artifacts, VerifiedArtifact{ID: a.ID, Kind: a.Kind, Payload: a.Payload, Batch: -1, Leaf: -1})
-			pending = append(pending, pendingArt{rec: i, idx: len(rep.Artifacts) - 1, id: a.ID, ok: true, kind: a.Kind})
+			rep.Artifacts = append(rep.Artifacts, VerifiedArtifact{Artifact: a, Err: err})
+			recs = append(recs, i)
 		case RecordBatch:
+			n := len(rep.Batches)
 			bt, err := decodeBatch(rec.Data)
+			var msg string
 			if err != nil {
-				fail(Problem{Record: i, Batch: batches, Leaf: -1, Msg: fmt.Sprintf("batch record does not decode: %v", err)})
-				return rep
+				msg = fmt.Sprintf("batch record does not decode: %v", err)
+			} else {
+				msg = chainProblem(bt, n, chain, len(rep.Artifacts)-anchored)
 			}
-			if bt.Index != batches {
-				fail(Problem{Record: i, Batch: batches, Leaf: -1, Msg: fmt.Sprintf("batch index %d, want %d", bt.Index, batches)})
-				return rep
-			}
-			if bt.Prev != chain {
-				fail(Problem{Record: i, Batch: bt.Index, Leaf: -1, Msg: fmt.Sprintf("prev chain root %s does not extend %s", bt.Prev, chain)})
-				return rep
-			}
-			if len(bt.Leaves) == 0 || len(bt.Leaves) != len(pending) {
-				fail(Problem{Record: i, Batch: bt.Index, Leaf: -1, Msg: fmt.Sprintf("%d leaves but %d artifacts pending", len(bt.Leaves), len(pending))})
-				return rep
-			}
-			if root := MerkleRoot(bt.Leaves); root != bt.Root {
-				fail(Problem{Record: i, Batch: bt.Index, Leaf: -1, Msg: fmt.Sprintf("recorded root %s, recomputed %s", bt.Root, root)})
-				return rep
-			}
-			if link := ChainHash(bt.Prev, bt.Root); link != bt.Chain {
-				fail(Problem{Record: i, Batch: bt.Index, Leaf: -1, Msg: fmt.Sprintf("recorded chain root %s, recomputed %s", bt.Chain, link)})
+			if msg != "" {
+				fail(Problem{Record: i, Batch: n, Leaf: -1, Msg: msg})
 				return rep
 			}
 			// The chain is sound. Now attribute any content damage to its
 			// exact leaf: a stored leaf whose artifact record hashes
 			// differently was modified after anchoring.
 			for j, leaf := range bt.Leaves {
-				p := pending[j]
-				va := &rep.Artifacts[p.idx]
-				va.Batch, va.Leaf = bt.Index, j
-				va.ID = leaf
+				va := &rep.Artifacts[anchored+j]
 				switch {
-				case !p.ok:
+				case va.Err != nil:
 					va.Err = fmt.Errorf("artifact record does not decode: %v", va.Err)
-					fail(Problem{Record: p.rec, Batch: bt.Index, Leaf: j, Artifact: leaf.String(), Msg: va.Err.Error()})
-				case p.id != leaf:
-					va.Err = fmt.Errorf("content hash %s does not match committed leaf %s", p.id, leaf)
+				case va.ID != leaf:
+					va.Err = fmt.Errorf("content hash %s does not match committed leaf %s", va.ID, leaf)
 					va.Payload = nil
-					fail(Problem{Record: p.rec, Batch: bt.Index, Leaf: j, Artifact: leaf.String(), Msg: va.Err.Error()})
 				}
+				if va.Err != nil {
+					fail(Problem{Record: recs[anchored+j], Batch: n, Leaf: j, Artifact: leaf.String(), Msg: va.Err.Error()})
+				}
+				va.ID, va.Batch, va.Leaf = leaf, n, j
 			}
-			pending = pending[:0]
-			chain = bt.Chain
-			batches++
+			rep.Batches = append(rep.Batches, bt)
 			anchored += len(bt.Leaves)
+			chain = bt.Chain
 		default:
 			fail(Problem{Record: i, Batch: -1, Leaf: -1, Msg: fmt.Sprintf("unknown record type %q", rec.Type)})
 			return rep
 		}
 	}
-	for _, p := range pending {
-		if !p.ok {
-			va := rep.Artifacts[p.idx]
-			fail(Problem{Record: p.rec, Batch: -1, Leaf: -1, Artifact: p.id.String(), Msg: fmt.Sprintf("pending artifact record does not decode: %v", va.Err)})
+	for j, va := range rep.Artifacts[anchored:] {
+		if va.Err != nil {
+			fail(Problem{Record: recs[anchored+j], Batch: -1, Leaf: -1, Artifact: va.ID.String(), Msg: fmt.Sprintf("pending artifact record does not decode: %v", va.Err)})
 		}
 	}
-	rep.State = ChainState{Batches: batches, Artifacts: anchored, Pending: len(pending), Chain: chain.String()}
+	rep.State = ChainState{Batches: len(rep.Batches), Artifacts: anchored, Pending: len(rep.Artifacts) - anchored, Chain: chain.String()}
 	return rep
 }
 
-// ProveFrom builds an inclusion proof for an anchored artifact straight
-// from a verification report — the read-only path cmd/audit uses, which
-// works even when sibling artifacts are damaged (the chain committed to
-// their leaf IDs, not their bytes).
-func ProveFrom(b Backend, rep VerifyReport, id ID) (Proof, error) {
-	var target *VerifiedArtifact
-	for i := range rep.Artifacts {
-		if rep.Artifacts[i].ID == id {
-			target = &rep.Artifacts[i]
-			break
-		}
+// chainProblem checks decoded batch bt against the verified chain: it must
+// be batch n, extend chain, cover exactly the pending artifacts, and carry
+// the root and chain link its leaves recompute to. It returns "" for a
+// sound batch.
+func chainProblem(bt Batch, n int, chain ID, pending int) string {
+	switch {
+	case bt.Index != n:
+		return fmt.Sprintf("batch index %d, want %d", bt.Index, n)
+	case bt.Prev != chain:
+		return fmt.Sprintf("prev chain root %s does not extend %s", bt.Prev, chain)
+	case len(bt.Leaves) == 0 || len(bt.Leaves) != pending:
+		return fmt.Sprintf("%d leaves but %d artifacts pending", len(bt.Leaves), pending)
 	}
-	if target == nil {
-		return Proof{}, fmt.Errorf("%w: %s", ErrUnknownArtifact, id)
+	if root := MerkleRoot(bt.Leaves); root != bt.Root {
+		return fmt.Sprintf("recorded root %s, recomputed %s", bt.Root, root)
 	}
-	if target.Batch < 0 {
-		return Proof{}, fmt.Errorf("ledger: artifact %s is not anchored yet", id)
+	if link := ChainHash(bt.Prev, bt.Root); link != bt.Chain {
+		return fmt.Sprintf("recorded chain root %s, recomputed %s", bt.Chain, link)
 	}
-	// Recover the batch record to rebuild the path from committed leaves.
-	batchSeen := -1
-	for i := 0; i < b.Len(); i++ {
-		rec, err := b.Read(i)
-		if err != nil {
-			return Proof{}, err
-		}
-		if rec.Type != RecordBatch {
+	return ""
+}
+
+// Prove builds the inclusion proof for an anchored artifact from the
+// verified batches — the read-only path cmd/audit uses. It works even when
+// sibling artifacts are damaged: the chain committed to their leaf IDs, not
+// their bytes.
+func (r VerifyReport) Prove(id ID) (Proof, error) {
+	for _, a := range r.Artifacts {
+		if a.ID != id {
 			continue
 		}
-		batchSeen++
-		if batchSeen != target.Batch {
-			continue
+		if a.Batch < 0 {
+			return Proof{}, fmt.Errorf("ledger: artifact %s is not anchored yet", id)
 		}
-		bt, err := decodeBatch(rec.Data)
-		if err != nil {
-			return Proof{}, err
-		}
-		path, err := MerklePath(bt.Leaves, target.Leaf)
-		if err != nil {
-			return Proof{}, err
-		}
-		p := Proof{
-			Artifact: id.String(),
-			Kind:     target.Kind,
-			Batch:    bt.Index,
-			Leaf:     target.Leaf,
-			Size:     len(bt.Leaves),
-			Path:     make([]string, len(path)),
-			Root:     bt.Root.String(),
-			Prev:     bt.Prev.String(),
-			Chain:    bt.Chain.String(),
-		}
-		for i, h := range path {
-			p.Path[i] = h.String()
-		}
-		return p, nil
+		return proofFor(a.Artifact, r.Batches[a.Batch])
 	}
-	return Proof{}, fmt.Errorf("ledger: batch %d not found for artifact %s", target.Batch, id)
+	return Proof{}, fmt.Errorf("%w: %s", ErrUnknownArtifact, id)
 }
 
 // DecodePayload unmarshals an artifact payload into v — a convenience for

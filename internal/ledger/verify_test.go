@@ -74,7 +74,7 @@ func TestVerifyAttributesLeafDamage(t *testing.T) {
 	// Every sibling still proves inclusion from the committed batch record.
 	for i, id := range ids {
 		if i == victim {
-			if _, err := ProveFrom(b, rep, id); err == nil {
+			if _, err := rep.Prove(id); err == nil {
 				// The committed leaf ID is still provable as a commitment —
 				// but the damaged artifact carries its error.
 				va := rep.Artifacts[i]
@@ -84,7 +84,7 @@ func TestVerifyAttributesLeafDamage(t *testing.T) {
 			}
 			continue
 		}
-		proof, err := ProveFrom(b, rep, id)
+		proof, err := rep.Prove(id)
 		if err != nil {
 			t.Fatalf("sibling %d: %v", i, err)
 		}
@@ -168,13 +168,54 @@ func TestVerifyPendingTail(t *testing.T) {
 		t.Fatalf("state %+v", rep.State)
 	}
 	// A pending artifact has no inclusion proof yet.
-	if _, err := ProveFrom(b, rep, a.ID); err == nil {
+	if _, err := rep.Prove(a.ID); err == nil {
 		t.Fatal("pending artifact proved")
 	}
 	// And an unknown ID is an ErrUnknownArtifact.
 	var missing ID
 	missing[0] = 0xee
-	if _, err := ProveFrom(b, rep, missing); err == nil {
+	if _, err := rep.Prove(missing); err == nil {
 		t.Fatal("unknown artifact proved")
+	}
+}
+
+// TestVerifyRejectsDuplicateArtifact records one artifact twice under a
+// batch whose root and chain link are recomputed over both leaves: every
+// commitment holds, but Append never writes an artifact twice. Verify must
+// report exactly that record, and New must refuse the log.
+func TestVerifyRejectsDuplicateArtifact(t *testing.T) {
+	t.Parallel()
+	data, err := EncodeArtifact("cell", []byte(`{"seq":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := contentID(data)
+	leaves := []ID{id, id}
+	root := MerkleRoot(leaves)
+	batch, err := CanonicalJSON(batchRecord{
+		Index:  0,
+		Leaves: []string{id.String(), id.String()},
+		Root:   root.String(),
+		Prev:   ID{}.String(),
+		Chain:  ChainHash(ID{}, root).String(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewMemory()
+	for _, rec := range []Record{{RecordArtifact, data}, {RecordArtifact, data}, {RecordBatch, batch}} {
+		if err := b.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := Verify(b)
+	if len(rep.Problems) != 1 {
+		t.Fatalf("problems: %v, want one duplicate", rep.Problems)
+	}
+	if p := rep.Problems[0]; p.Record != 1 || p.Artifact != id.String() || !strings.Contains(p.Msg, "duplicate") {
+		t.Fatalf("problem %+v, want the duplicate at record 1", p)
+	}
+	if _, err := New(b, Options{}); err == nil || !strings.Contains(err.Error(), rep.Problems[0].String()) {
+		t.Fatalf("New: %v, want the duplicate refused", err)
 	}
 }
