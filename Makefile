@@ -27,9 +27,10 @@ race:
 # cli-smoke drives the CLIs end to end: a scenario-zoo sweep over workload
 # spec strings; the observability pipeline (simulate with -metrics for glider
 # and both reuse-distance policies, frd and msa, plus an experiment run, then
-# aggregate the JSONL with obsreport); and the ledger loop (anchor a real zoo
+# aggregate the JSONL with obsreport); the ledger loop (anchor a real zoo
 # run to a disk ledger with cmd/experiments, audit the file with cmd/audit,
-# and re-simulate the anchored zoo bit for bit).
+# and re-simulate the anchored zoo bit for bit); and the offline models
+# trained by cmd/offline on a ChampSim file that cmd/tracegen writes.
 cli-smoke:
 	$(GO) run ./cmd/experiments -quick -accesses 20000 -zoo-spec 'zipf(objects=65536,skew=0.9)' -zoo-spec 'mix(rr,zipf(objects=49152,skew=1.1),mcf)' zoo
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
@@ -44,6 +45,8 @@ cli-smoke:
 	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger
 	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger -artifact "$$($(GO) run ./cmd/audit list -ledger /tmp/glider-ledger-smoke.ledger | awk '$$2=="zoo"{print $$1}')" -resim
 	$(GO) run ./cmd/audit root -ledger /tmp/glider-ledger-smoke.ledger
+	$(GO) run ./cmd/tracegen -bench mcf -accesses 60000 -champsim -o /tmp/glider-mcf.champsim
+	$(GO) run ./cmd/offline -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 60000 -models all -epochs 1 -lstm-epochs 1
 
 # bench runs the training/kernel benchmarks at full fidelity and records
 # the results as JSON in BENCH_train.json (see cmd/benchjson). The raw

@@ -399,3 +399,73 @@ func TestAuditRefusesDuplicateArtifact(t *testing.T) {
 		t.Fatalf("verify on a duplicated artifact: exit %d: %s", code, errOut)
 	}
 }
+
+// TestAuditRootAfterChainDamage forges batch 1's root in a 3-batch ledger,
+// patching the frame checksum: `audit root` must still report the head of
+// the prefix that verified, batch 0's, and exit 1 on the problem.
+func TestAuditRootAfterChainDamage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.ledger")
+	b, err := ledger.OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := ledger.New(b, ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head0 ledger.ChainState
+	for i := 0; i < 3; i++ {
+		if _, err := led.Append(experiments.LedgerKindCell, map[string]int{"seq": i}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := led.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			head0 = led.Root()
+		}
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Forge one hex digit of the second batch record's root, CRC patched.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off, batches := 0, 0; ; {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		payload := data[off+8 : off+8+n]
+		if payload[0] == ledger.RecordBatch {
+			if batches++; batches == 2 {
+				at := bytes.Index(payload, []byte(`"root":"`)) + len(`"root":"`)
+				if payload[at] == '0' {
+					payload[at] = '1'
+				} else {
+					payload[at] = '0'
+				}
+				binary.LittleEndian.PutUint32(data[off+4:], crc32.ChecksumIEEE(payload))
+				break
+			}
+		}
+		off += 8 + n
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	code, out, errOut := audit(t, "root", "-ledger", path)
+	if code != 1 || !strings.Contains(errOut, "batch 1 (record 3): recorded root") {
+		t.Fatalf("root on a forged batch 1: exit %d: %s", code, errOut)
+	}
+	var got ledger.ChainState
+	if err := json.Unmarshal([]byte(out), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := head0
+	want.Pending = 1 // artifact 1 was read, but no verified batch anchors it
+	if got != want {
+		t.Fatalf("root reported %+v, want batch 0's head %+v", got, want)
+	}
+}

@@ -7,16 +7,18 @@
 //	glidersim -bench omnetpp -policy glider -accesses 1000000 [-timing]
 //	glidersim -trace trace.bin -policy hawkeye
 //	glidersim -bench omnetpp -policy lru,hawkeye,glider -workers 4
-//	glidersim -champsim trace.gz -offline -batch 16 -train-workers 4
+//	glidersim -champsim trace.gz -policy hawkeye
 //
 // Traces can come from a built-in synthetic benchmark or ingest spec string
-// (-bench, e.g. "zipf(objects=8192,skew=0.9)") or from a file written by
-// tracegen (-trace, binary or text format). Giving -policy
-// a comma-separated list runs the policies concurrently over the same trace
-// and prints a side-by-side comparison. -offline skips simulation and
-// instead trains the paper's offline attention LSTM on the loaded trace —
-// the only path that reaches ChampSim traces, which the offline command's
-// built-in benchmarks cannot load.
+// (-bench, e.g. "zipf(objects=8192,skew=0.9)"), from a file written by
+// tracegen (-trace, binary or text format), or from a ChampSim trace
+// (-champsim). Giving -policy a comma-separated list runs the policies
+// concurrently over the same trace and prints a side-by-side comparison.
+//
+// glidersim only simulates; the offline command trains the paper's offline
+// models, and its -bench takes a ChampSim file as 'champsim(file=PATH)'.
+// glidersim's former -offline mode existed only because offline could not
+// load ChampSim files.
 package main
 
 import (
@@ -25,13 +27,11 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"glider/internal/cache"
 	"glider/internal/cpu"
 	"glider/internal/dram"
 	"glider/internal/obs"
-	"glider/internal/offline"
 	"glider/internal/policy"
 	"glider/internal/prof"
 	"glider/internal/simrunner"
@@ -52,10 +52,6 @@ func main() {
 	timing := flag.Bool("timing", false, "run the full timing model and report IPC")
 	warmupFrac := flag.Float64("warmup", 0.2, "fraction of the trace used for warmup")
 	workers := flag.Int("workers", 0, "concurrent policy runs when comparing (0 = one per CPU)")
-	offlineMode := flag.Bool("offline", false, "train the offline attention LSTM on the trace instead of simulating")
-	lstmEpochs := flag.Int("lstm-epochs", 0, "with -offline: override LSTM training epochs")
-	batch := flag.Int("batch", 0, "with -offline: LSTM minibatch size (1 = serial per-sequence updates)")
-	trainWorkers := flag.Int("train-workers", 0, "with -offline: concurrent gradient workers per minibatch (0 = one per CPU); results are identical for any value")
 	list := flag.Bool("list", false, "list benchmarks and policies, then exit")
 	metricsPath := flag.String("metrics", "", "write JSONL telemetry events to this file (report with obsreport)")
 	metricsSummary := flag.Bool("metrics-summary", false, "print a metrics summary to stderr when the run finishes")
@@ -115,14 +111,6 @@ func main() {
 		if *metricsSummary {
 			reg.Snapshot().WriteSummary(os.Stderr)
 		}
-	}
-
-	if *offlineMode {
-		if err := trainOffline(tr, *lstmEpochs, *batch, *trainWorkers, *seed, reg, sink); err != nil {
-			fatal(err)
-		}
-		finishMetrics()
-		return
 	}
 
 	warmup := int(float64(tr.Len()) * *warmupFrac)
@@ -294,46 +282,6 @@ func comparePolicies(tr *trace.Trace, pols []string, cores int, timing bool, war
 	for i, s := range stats {
 		fmt.Printf("%-12s %10d %10d %10d %8.1f\n", pols[i], s.llc.Accesses, s.llc.Misses, s.llc.Evictions, s.llc.MissRate()*100)
 	}
-	return nil
-}
-
-// trainOffline labels the trace with Belady's decisions and trains the
-// attention LSTM on it, reporting the per-epoch accuracy curve. The
-// batch/workers knobs feed the data-parallel trainer; any worker count
-// produces bit-identical results.
-func trainOffline(tr *trace.Trace, epochs, batch, workers int, seed int64, reg *obs.Registry, sink obs.Sink) error {
-	start := time.Now()
-	d, err := offline.BuildDatasetFromTrace(tr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trace        %s (%d accesses)\n", tr.Name, tr.Len())
-	fmt.Printf("dataset      %d LLC accesses, %d PCs, %.1f%% cache-friendly (built in %v)\n",
-		d.Len(), len(d.Vocab), d.FriendlyFraction()*100, time.Since(start).Round(time.Millisecond))
-
-	opts := offline.DefaultLSTMOptions()
-	opts.Seed = seed
-	if epochs > 0 {
-		opts.Epochs = epochs
-	}
-	if batch > 0 {
-		opts.BatchSize = batch
-	}
-	opts.Workers = workers
-	opts.Obs = reg
-	opts.Sink = sink
-
-	start = time.Now()
-	_, res, err := offline.TrainLSTM(d, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("LSTM         batch %d, trained in %v\n", opts.BatchSize, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("accuracy     %.1f%%  (per epoch:", res.FinalAccuracy()*100)
-	for _, a := range res.EpochAccuracy {
-		fmt.Printf(" %.1f", a*100)
-	}
-	fmt.Println(")")
 	return nil
 }
 

@@ -44,7 +44,8 @@ func (p Problem) String() string {
 
 // VerifyReport is the outcome of a full ledger verification replay.
 type VerifyReport struct {
-	// State is the verified chain head.
+	// State is the verified chain head: when structural damage stops the
+	// replay, the head of the prefix that verified before it.
 	State ChainState
 	// Artifacts lists every artifact in log order, damaged ones included.
 	Artifacts []VerifiedArtifact
@@ -66,13 +67,16 @@ func (r VerifyReport) OK() bool { return len(r.Problems) == 0 }
 // the replay — nothing after it is trustworthy — but per-artifact content
 // damage is collected and attributed to its exact leaf, so intact siblings
 // still verify (and can still be proven and re-simulated).
-func Verify(b Backend) VerifyReport {
-	var rep VerifyReport
+func Verify(b Backend) (rep VerifyReport) {
 	var chain ID
 	anchored := 0           // rep.Artifacts[anchored:] are pending
 	var recs []int          // the log record of each rep.Artifacts entry
 	firstAt := map[ID]int{} // the record each decoded artifact first appeared at
 	fail := func(p Problem) { rep.Problems = append(rep.Problems, p) }
+	// Every return, the early ones included, reports the verified head.
+	defer func() {
+		rep.State = ChainState{Batches: len(rep.Batches), Artifacts: anchored, Pending: len(rep.Artifacts) - anchored, Chain: chain.String()}
+	}()
 
 	for i := 0; i < b.Len(); i++ {
 		rec, err := b.Read(i)
@@ -137,7 +141,6 @@ func Verify(b Backend) VerifyReport {
 			fail(Problem{Record: recs[anchored+j], Batch: -1, Leaf: -1, Artifact: va.ID.String(), Msg: fmt.Sprintf("pending artifact record does not decode: %v", va.Err)})
 		}
 	}
-	rep.State = ChainState{Batches: len(rep.Batches), Artifacts: anchored, Pending: len(rep.Artifacts) - anchored, Chain: chain.String()}
 	return rep
 }
 

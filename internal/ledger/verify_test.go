@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -143,6 +144,73 @@ func TestVerifyStopsOnChainDamage(t *testing.T) {
 	// verified before the break.
 	if rep.State.Batches != 0 && rep.State.Batches != 1 {
 		t.Fatalf("state %+v", rep.State)
+	}
+}
+
+// TestVerifyStateAfterChainDamage: structural damage stops the replay, and
+// State is still the head of the prefix that verified before it — batch
+// 0's, whether batch 1's root is forged or an unknown record follows
+// batch 0.
+func TestVerifyStateAfterChainDamage(t *testing.T) {
+	t.Parallel()
+	src := NewMemory()
+	l := mustLedger(t, src, Options{})
+	var head0 ChainState
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append("cell", payload{Seq: i}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			head0 = l.Root()
+		}
+	}
+	// copyLog copies src's first n records, with batch 1's root forged.
+	copyLog := func(n int) *MemoryBackend {
+		b := NewMemory()
+		batches := 0
+		for i := 0; i < n; i++ {
+			rec, err := src.Read(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Type == RecordBatch {
+				if batches == 1 {
+					at := bytes.Index(rec.Data, []byte(`"root":"`)) + len(`"root":"`)
+					rec.Data = []byte(flipHex(string(rec.Data), at))
+				}
+				batches++
+			}
+			if err := b.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+
+	// Records: artifact 0, batch 0, artifact 1, batch 1 (forged), ...
+	rep := Verify(copyLog(src.Len()))
+	if len(rep.Problems) != 1 || rep.Problems[0].Batch != 1 || !strings.Contains(rep.Problems[0].Msg, "recorded root") {
+		t.Fatalf("problems %v, want batch 1's forged root", rep.Problems)
+	}
+	want := head0
+	want.Pending = 1 // artifact 1 was read, but no verified batch anchors it
+	if rep.State != want || len(rep.Batches) != 1 {
+		t.Fatalf("state %+v with %d batches, want %+v (batch 0's head)", rep.State, len(rep.Batches), want)
+	}
+
+	b := copyLog(2)
+	if err := b.Append(Record{Type: 'Z', Data: []byte("?")}); err != nil {
+		t.Fatal(err)
+	}
+	rep = Verify(b)
+	if len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0].Msg, "unknown record type") {
+		t.Fatalf("problems %v, want the unknown record", rep.Problems)
+	}
+	if rep.State != head0 {
+		t.Fatalf("state %+v, want %+v (batch 0's head)", rep.State, head0)
 	}
 }
 

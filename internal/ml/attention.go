@@ -11,13 +11,11 @@ package ml
 // caching outcome.
 
 // AttentionState records one attention application for the backward pass.
-// Exactly one of Sources (scalar path) or SourceMat (batched path) is set.
 type AttentionState struct {
-	// Target is h_t, Sources the h_s vectors attended over.
-	Target  Vec
-	Sources []Vec
-	// SourceMat is the batched-path source storage: row s is h_s. The rows
-	// are contiguous views into the LSTM's hidden-state scratch.
+	// Target is h_t.
+	Target Vec
+	// SourceMat holds the h_s vectors attended over: row s is h_s. The
+	// rows are contiguous views into the LSTM's hidden-state scratch.
 	SourceMat *Mat
 	// Weights is the softmax output a_t(·).
 	Weights Vec
@@ -30,9 +28,9 @@ type Attention struct {
 	// Scale is the scaling factor f applied to scores before softmax.
 	Scale float64
 
-	// scores/dW are reused per-call scratch for the batched path. Each
-	// model (and each training shadow) owns its own Attention, so scratch
-	// is never shared across goroutines.
+	// scores/dW are reused per-call scratch. Each model (and each
+	// training shadow) owns its own Attention, so scratch is never shared
+	// across goroutines.
 	scores Vec
 	dW     Vec
 }
@@ -45,28 +43,9 @@ func scratchVec(buf *Vec, n int) Vec {
 	return (*buf)[:n]
 }
 
-// Forward computes attention of target over sources. sources must be
-// non-empty.
-func (a *Attention) Forward(target Vec, sources []Vec) *AttentionState {
-	scores := NewVec(len(sources))
-	for s, hs := range sources {
-		scores[s] = a.Scale * target.Dot(hs)
-	}
-	weights := NewVec(len(sources))
-	Softmax(scores, weights)
-	ctx := NewVec(len(target))
-	for s, hs := range sources {
-		w := weights[s]
-		for j := range ctx {
-			ctx[j] += w * hs[j]
-		}
-	}
-	return &AttentionState{Target: target, Sources: sources, Weights: weights, Context: ctx}
-}
-
-// ForwardMat is the batched-path Forward: sources are the rows of a matrix
-// (contiguous LSTM hidden states), scores and the context reduce to the
-// existing MulVec/MulVecT kernels, and the caller provides the weights and
+// ForwardMat computes attention of target over sources, the rows of a
+// matrix (contiguous LSTM hidden states). Scores and the context reduce to
+// the MulVec/MulVecT kernels, and the caller provides the weights and
 // context storage plus the state to fill (typically arena storage reused
 // across sequences), so the steady-state path allocates nothing.
 func (a *Attention) ForwardMat(target Vec, sources *Mat, weights, ctx Vec, st *AttentionState) {
@@ -81,12 +60,13 @@ func (a *Attention) ForwardMat(target Vec, sources *Mat, weights, ctx Vec, st *A
 	*st = AttentionState{Target: target, SourceMat: sources, Weights: weights, Context: ctx}
 }
 
-// BackwardMat is the batched-path Backward. dSources is the matrix whose
-// row s accumulates ∂L/∂h_s (a prefix view of the caller's dH scratch);
-// dTarget accumulates ∂L/∂h_t in place. The three source-side updates are
-// expressed as the shared dense kernels: dW = S·dContext (MulVec),
-// dSources += a ⊗ dContext and dSources += dScore ⊗ target (AddOuter), and
-// dTarget += Sᵀ·dScore (MulVecT).
+// BackwardMat propagates ∂L/∂context through the attention. dSources is
+// the matrix whose row s accumulates ∂L/∂h_s (a prefix view of the
+// caller's dH scratch); dTarget accumulates ∂L/∂h_t in place. The three
+// source-side updates are expressed as the shared dense kernels:
+// dW = S·dContext (MulVec), dSources += a ⊗ dContext and
+// dSources += dScore ⊗ target (AddOuter), and dTarget += Sᵀ·dScore
+// (MulVecT).
 func (a *Attention) BackwardMat(st *AttentionState, dContext Vec, dSources *Mat, dTarget Vec) {
 	src := st.SourceMat
 	dW := scratchVec(&a.dW, src.Rows)
@@ -100,40 +80,4 @@ func (a *Attention) BackwardMat(st *AttentionState, dContext Vec, dSources *Mat,
 	}
 	src.MulVecT(dW, dTarget)
 	dSources.AddOuter(dW, st.Target)
-}
-
-// Backward propagates ∂L/∂context through the attention. It returns
-// ∂L/∂target and accumulates ∂L/∂h_s into dSources (indexed like
-// st.Sources; entries may be nil-initialized by the caller).
-func (a *Attention) Backward(st *AttentionState, dContext Vec, dSources []Vec) Vec {
-	n := len(st.Sources)
-	// dWeights[s] = dContext · h_s ; also dSources gets a_s * dContext.
-	dWeights := NewVec(n)
-	for s, hs := range st.Sources {
-		dWeights[s] = dContext.Dot(hs)
-		w := st.Weights[s]
-		ds := dSources[s]
-		for j := range ds {
-			ds[j] += w * dContext[j]
-		}
-	}
-	// Softmax backward: dScore[s] = a_s * (dW[s] − Σ_k a_k dW[k]).
-	dot := 0.0
-	for s := 0; s < n; s++ {
-		dot += st.Weights[s] * dWeights[s]
-	}
-	dTarget := NewVec(len(st.Target))
-	for s, hs := range st.Sources {
-		dScore := st.Weights[s] * (dWeights[s] - dot) * a.Scale
-		if dScore == 0 {
-			continue
-		}
-		// score = target·h_s ⇒ d target += dScore·h_s, d h_s += dScore·target.
-		ds := dSources[s]
-		for j := range dTarget {
-			dTarget[j] += dScore * hs[j]
-			ds[j] += dScore * st.Target[j]
-		}
-	}
-	return dTarget
 }

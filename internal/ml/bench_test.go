@@ -56,23 +56,20 @@ func BenchmarkAddOuterBatch(b *testing.B) {
 
 // BenchmarkLSTMStep measures one full train step (forward + backward +
 // optimizer) of the attention model on a paper-shaped sequence (2N = 60
-// tokens, N predictions), for both kernel paths. ns/op here is the unit of
-// work the data-parallel trainer distributes.
+// tokens, N predictions). ns/op here is the unit of work the data-parallel
+// trainer distributes.
 func BenchmarkLSTMStep(b *testing.B) {
-	for mode, kernels := range kernelModes {
-		b.Run(mode, func(b *testing.B) {
-			cfg := FastConfig(256)
-			cfg.Kernels = kernels
-			m, err := NewAttentionLSTM(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tokens, labels := benchSeq(cfg.Vocab, 60)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.TrainSequence(tokens, labels, 30)
-			}
-		})
-	}
+	b.Run("batched", func(b *testing.B) {
+		cfg := FastConfig(256)
+		m, err := NewAttentionLSTM(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tokens, labels := benchSeq(cfg.Vocab, 60)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.TrainSequence(tokens, labels, 30)
+		}
+	})
 }

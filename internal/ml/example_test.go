@@ -6,16 +6,19 @@ import (
 	"glider/internal/ml"
 )
 
-// The offline ISVM over the k-sparse unordered feature — Glider's model —
-// separates contexts the PC alone cannot.
-func ExampleOfflineISVM() {
-	m := ml.NewOfflineISVM(5, 10)
+// The hinge SVM over the k-sparse unordered feature (every history PC at
+// Pos 0) is the offline ISVM, Glider's model: it separates contexts the PC
+// alone cannot.
+func ExampleHingeSVM() {
+	m := ml.NewHingeSVM(10)
+	anchor := []ml.Feature{{PC: 0x44e141}}
+	other := []ml.Feature{{PC: 0x44e999}}
 	for i := 0; i < 50; i++ {
-		m.Train(0x44c7f6, []uint64{0x44e141}, true) // anchor present → cache
-		m.Train(0x44c7f6, []uint64{0x44e999}, false)
+		m.Train(0x44c7f6, anchor, true) // anchor present → cache
+		m.Train(0x44c7f6, other, false)
 	}
-	fmt.Println(m.Predict(0x44c7f6, []uint64{0x44e141}))
-	fmt.Println(m.Predict(0x44c7f6, []uint64{0x44e999}))
+	fmt.Println(m.Predict(0x44c7f6, anchor))
+	fmt.Println(m.Predict(0x44c7f6, other))
 	// Output:
 	// true
 	// false

@@ -55,13 +55,6 @@ func (c *captureOptimizer) Step(params []*Param) {
 	}
 }
 
-// kernelModes names both kernel paths so every gradient check runs against
-// the original scalar reference AND the batched production kernels.
-var kernelModes = map[string]KernelMode{
-	"scalar":  KernelScalar,
-	"batched": KernelBatched,
-}
-
 // wantParamNames is the complete trainable-parameter set of the model; the
 // checks below fail if any of these stops receiving a gradient.
 var wantParamNames = []string{"embedding", "lstm.wx", "lstm.wh", "lstm.b", "out.w", "out.b"}
@@ -107,58 +100,55 @@ func checkModelGradients(t *testing.T, m *AttentionLSTM, tokens []int, labels []
 }
 
 func TestAttentionLSTMGradients(t *testing.T) {
-	for mode, kernels := range kernelModes {
-		t.Run(mode, func(t *testing.T) {
-			cfg := AttentionLSTMConfig{Vocab: 7, Embed: 5, Hidden: 6, Scale: 2, LR: 0.01, Seed: 3, Kernels: kernels}
-			m, err := NewAttentionLSTM(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := rand.New(rand.NewSource(11))
-			tokens := make([]int, 12)
-			labels := make([]bool, 12)
-			for i := range tokens {
-				tokens[i] = r.Intn(cfg.Vocab)
-				labels[i] = r.Intn(2) == 0
-			}
-			checkModelGradients(t, m, tokens, labels, 6, 7)
-		})
-	}
+	t.Run("batched", func(t *testing.T) {
+		cfg := AttentionLSTMConfig{Vocab: 7, Embed: 5, Hidden: 6, Scale: 2, LR: 0.01, Seed: 3}
+		m, err := NewAttentionLSTM(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(11))
+		tokens := make([]int, 12)
+		labels := make([]bool, 12)
+		for i := range tokens {
+			tokens[i] = r.Intn(cfg.Vocab)
+			labels[i] = r.Intn(2) == 0
+		}
+		checkModelGradients(t, m, tokens, labels, 6, 7)
+	})
 }
 
 func TestLSTMGradientsViaModel(t *testing.T) {
 	// A second configuration (scale 1, different sizes) to cover the
 	// unscaled-attention path.
-	for mode, kernels := range kernelModes {
-		t.Run(mode, func(t *testing.T) {
-			cfg := AttentionLSTMConfig{Vocab: 4, Embed: 3, Hidden: 4, Scale: 1, LR: 0.01, Seed: 9, Kernels: kernels}
-			m, err := NewAttentionLSTM(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tokens := []int{0, 1, 2, 3, 2, 1, 0, 3}
-			labels := []bool{true, false, true, true, false, true, false, true}
-			checkModelGradients(t, m, tokens, labels, 4, 5)
-		})
-	}
+	t.Run("batched", func(t *testing.T) {
+		cfg := AttentionLSTMConfig{Vocab: 4, Embed: 3, Hidden: 4, Scale: 1, LR: 0.01, Seed: 9}
+		m, err := NewAttentionLSTM(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tokens := []int{0, 1, 2, 3, 2, 1, 0, 3}
+		labels := []bool{true, false, true, true, false, true, false, true}
+		checkModelGradients(t, m, tokens, labels, 4, 5)
+	})
 }
 
 // TestKernelPathEquivalence trains two identically-seeded models — one on
-// the scalar reference kernels, one on the batched kernels — and demands
-// that per-sequence losses and the final weights agree to floating-point
-// noise. The batched path is a reordering of the same arithmetic, not an
-// approximation; any real divergence is a kernel bug.
+// the scalar reference kernels (reference_test.go), one on the production
+// batched kernels — and demands that per-sequence losses and the final
+// weights agree to floating-point noise. The batched path is a reordering
+// of the same arithmetic, not an approximation; any real divergence is a
+// kernel bug.
 func TestKernelPathEquivalence(t *testing.T) {
-	build := func(kernels KernelMode) *AttentionLSTM {
+	build := func() *AttentionLSTM {
 		m, err := NewAttentionLSTM(AttentionLSTMConfig{
-			Vocab: 11, Embed: 6, Hidden: 8, Scale: 2, LR: 0.05, ClipNorm: 1, Seed: 21, Kernels: kernels,
+			Vocab: 11, Embed: 6, Hidden: 8, Scale: 2, LR: 0.05, ClipNorm: 1, Seed: 21,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	scalar, batched := build(KernelScalar), build(KernelBatched)
+	scalar, batched := build(), build()
 
 	r := rand.New(rand.NewSource(77))
 	const tol = 1e-9
@@ -171,7 +161,7 @@ func TestKernelPathEquivalence(t *testing.T) {
 			labels[i] = r.Intn(2) == 0
 		}
 		predictFrom := n / 2
-		ls := scalar.TrainSequence(tokens, labels, predictFrom)
+		ls := scalar.trainSequenceScalar(tokens, labels, predictFrom)
 		lb := batched.TrainSequence(tokens, labels, predictFrom)
 		if diff := math.Abs(ls - lb); diff > tol*(1+math.Abs(ls)) {
 			t.Fatalf("sequence %d: scalar loss %v vs batched loss %v", seq, ls, lb)

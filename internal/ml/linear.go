@@ -2,163 +2,84 @@ package ml
 
 // Offline linear baselines from the paper's evaluation (§5.2):
 //
-//   - OfflineISVM: the paper's Integer SVM over the k-sparse binary feature
-//     (the last k *unique* PCs, unordered) trained with hinge loss — the
-//     offline counterpart of Glider's hardware predictor.
-//   - OrderedSVM: the paper's re-implementation of the Perceptron baseline,
-//     an SVM with the same hinge loss over an *ordered* history of the last
-//     h PCs (each position is its own feature dimension), trained from
-//     Belady labels.
+//   - HingeSVM: an integer SVM trained with hinge loss from Belady labels
+//     over binary history features. Its two uses differ only in their
+//     features. The paper's offline ISVM, the offline counterpart of
+//     Glider's hardware predictor, puts each of the last k *unique* PCs at
+//     Pos 0, so its feature is an unordered set. The Perceptron baseline
+//     puts each of the last h PCs at its history position, so the model
+//     must learn every ordering separately (§5.2, footnote 8).
 //   - HawkeyeCounters: Hawkeye's per-PC saturating-counter predictor, the
 //     statistical baseline both are compared against.
 
-// OfflineISVM is an integer SVM over per-PC weight vectors indexed by the
-// unordered set of recent unique PCs. Fact 1 of §4.3: with binary features,
-// gradient descent with learning rate 1/n on margin 1 equals learning rate
-// 1 on margin n, so weights stay integral; StepInverse is that n.
-type OfflineISVM struct {
-	// K is the number of unique history PCs used as features.
-	K int
-	// StepInverse is n in Fact 1 (the paper's step size 0.001 → n = 1000).
-	StepInverse int
-	// weights[pc][featurePC] — materialized lazily per observed pair.
-	weights map[uint64]map[uint64]int
+// Feature is one binary history feature: a PC at a history position. Every
+// feature of an unordered history has Pos 0.
+type Feature struct {
+	Pos int
+	PC  uint64
 }
 
-// NewOfflineISVM builds the model. k=5 and stepInverse=1000 reproduce
+// HingeSVM is an integer SVM over per-PC weight vectors indexed by binary
+// history features. Fact 1 of §4.3: with binary features, gradient descent
+// with learning rate 1/n on margin 1 equals learning rate 1 on margin n, so
+// weights stay integral; StepInverse is that n. Integer sums do not depend
+// on the order of their terms, so neither does any margin.
+type HingeSVM struct {
+	// StepInverse is n in Fact 1 (the paper's step size 0.001 → n = 1000).
+	StepInverse int
+	// weights[pc][feature] — materialized lazily per observed pair.
+	weights map[uint64]map[Feature]int
+}
+
+// NewHingeSVM builds the model. stepInverse 1000 (or 0) reproduces
 // Table 5.
-func NewOfflineISVM(k, stepInverse int) *OfflineISVM {
-	if k <= 0 {
-		k = 5
-	}
+func NewHingeSVM(stepInverse int) *HingeSVM {
 	if stepInverse <= 0 {
 		stepInverse = 1000
 	}
-	return &OfflineISVM{K: k, StepInverse: stepInverse, weights: make(map[uint64]map[uint64]int)}
+	return &HingeSVM{StepInverse: stepInverse, weights: make(map[uint64]map[Feature]int)}
 }
 
-// Sum returns the margin for (pc, unique-history).
-func (m *OfflineISVM) Sum(pc uint64, history []uint64) int {
+// Sum returns the margin for (pc, features).
+func (m *HingeSVM) Sum(pc uint64, features []Feature) int {
 	w := m.weights[pc]
 	if w == nil {
 		return 0
 	}
 	s := 0
-	for _, h := range history {
-		s += w[h]
+	for _, f := range features {
+		s += w[f]
 	}
 	return s
 }
 
-// Predict classifies (pc, history) as cache-friendly.
-func (m *OfflineISVM) Predict(pc uint64, history []uint64) bool {
-	return m.Sum(pc, history) >= 0
+// Predict classifies (pc, features) as cache-friendly.
+func (m *HingeSVM) Predict(pc uint64, features []Feature) bool {
+	return m.Sum(pc, features) >= 0
 }
 
 // Train applies one hinge-loss subgradient step on the sample.
-func (m *OfflineISVM) Train(pc uint64, history []uint64, friendly bool) {
+func (m *HingeSVM) Train(pc uint64, features []Feature, friendly bool) {
 	y := 1
 	if !friendly {
 		y = -1
 	}
-	sum := m.Sum(pc, history)
 	// Hinge: update only while y·sum < margin n (Equation 5).
-	if y*sum >= m.StepInverse {
+	if y*m.Sum(pc, features) >= m.StepInverse {
 		return
 	}
 	w := m.weights[pc]
 	if w == nil {
-		w = make(map[uint64]int, m.K*4)
+		w = make(map[Feature]int)
 		m.weights[pc] = w
 	}
-	for _, h := range history {
-		w[h] += y
+	for _, f := range features {
+		w[f] += y
 	}
 }
 
 // NumWeights returns the materialized weight count.
-func (m *OfflineISVM) NumWeights() int {
-	n := 0
-	for _, w := range m.weights {
-		n += len(w)
-	}
-	return n
-}
-
-// OrderedSVM is the Perceptron baseline: hinge-loss SVM whose features are
-// the last H PCs *with position* — (position, pc) pairs are distinct
-// dimensions, so the model must learn every ordering separately (§5.2,
-// footnote 8).
-type OrderedSVM struct {
-	// H is the ordered history length (paper baseline: 3).
-	H int
-	// StepInverse is the hinge margin as in OfflineISVM.
-	StepInverse int
-	weights     map[uint64]map[orderedFeature]int
-}
-
-type orderedFeature struct {
-	pos int
-	pc  uint64
-}
-
-// NewOrderedSVM builds the model; h=3 reproduces the paper baseline.
-func NewOrderedSVM(h, stepInverse int) *OrderedSVM {
-	if h <= 0 {
-		h = 3
-	}
-	if stepInverse <= 0 {
-		stepInverse = 1000
-	}
-	return &OrderedSVM{H: h, StepInverse: stepInverse, weights: make(map[uint64]map[orderedFeature]int)}
-}
-
-// Sum returns the margin for (pc, ordered history). history[0] is the most
-// recent PC.
-func (m *OrderedSVM) Sum(pc uint64, history []uint64) int {
-	w := m.weights[pc]
-	if w == nil {
-		return 0
-	}
-	s := 0
-	for i, h := range history {
-		if i >= m.H {
-			break
-		}
-		s += w[orderedFeature{i, h}]
-	}
-	return s
-}
-
-// Predict classifies the sample as cache-friendly.
-func (m *OrderedSVM) Predict(pc uint64, history []uint64) bool {
-	return m.Sum(pc, history) >= 0
-}
-
-// Train applies one hinge update.
-func (m *OrderedSVM) Train(pc uint64, history []uint64, friendly bool) {
-	y := 1
-	if !friendly {
-		y = -1
-	}
-	if y*m.Sum(pc, history) >= m.StepInverse {
-		return
-	}
-	w := m.weights[pc]
-	if w == nil {
-		w = make(map[orderedFeature]int, m.H*8)
-		m.weights[pc] = w
-	}
-	for i, h := range history {
-		if i >= m.H {
-			break
-		}
-		w[orderedFeature{i, h}] += y
-	}
-}
-
-// NumWeights returns the materialized weight count.
-func (m *OrderedSVM) NumWeights() int {
+func (m *HingeSVM) NumWeights() int {
 	n := 0
 	for _, w := range m.weights {
 		n += len(w)

@@ -6,64 +6,71 @@ import (
 	"testing/quick"
 )
 
+// unordered is the ISVM's feature set: every PC at Pos 0.
+func unordered(pcs ...uint64) []Feature {
+	out := make([]Feature, len(pcs))
+	for i, pc := range pcs {
+		out[i] = Feature{PC: pc}
+	}
+	return out
+}
+
+// ordered is the Perceptron's feature set: each PC at its history position.
+func ordered(pcs ...uint64) []Feature {
+	out := make([]Feature, len(pcs))
+	for i, pc := range pcs {
+		out[i] = Feature{Pos: i, PC: pc}
+	}
+	return out
+}
+
 func TestOfflineISVMLearnsContext(t *testing.T) {
 	// Target PC 100 is friendly when PC 1 is in history, averse when PC 2
 	// is — unlearnable from the PC alone, learnable from the unordered
 	// history.
-	m := NewOfflineISVM(5, 10)
+	m := NewHingeSVM(10)
 	for i := 0; i < 200; i++ {
-		m.Train(100, []uint64{1, 7, 8}, true)
-		m.Train(100, []uint64{2, 7, 8}, false)
+		m.Train(100, unordered(1, 7, 8), true)
+		m.Train(100, unordered(2, 7, 8), false)
 	}
-	if !m.Predict(100, []uint64{1, 7, 8}) {
+	if !m.Predict(100, unordered(1, 7, 8)) {
 		t.Fatal("ISVM failed to learn friendly context")
 	}
-	if m.Predict(100, []uint64{2, 7, 8}) {
+	if m.Predict(100, unordered(2, 7, 8)) {
 		t.Fatal("ISVM failed to learn averse context")
 	}
 }
 
 func TestOfflineISVMOrderInvariance(t *testing.T) {
-	m := NewOfflineISVM(3, 10)
+	m := NewHingeSVM(10)
 	for i := 0; i < 50; i++ {
-		m.Train(5, []uint64{1, 2, 3}, true)
+		m.Train(5, unordered(1, 2, 3), true)
 	}
-	if m.Sum(5, []uint64{1, 2, 3}) != m.Sum(5, []uint64{3, 1, 2}) {
+	if m.Sum(5, unordered(1, 2, 3)) != m.Sum(5, unordered(3, 1, 2)) {
 		t.Fatal("k-sparse feature is order sensitive")
 	}
 }
 
 func TestOfflineISVMHingeStopsUpdating(t *testing.T) {
-	m := NewOfflineISVM(2, 5)
+	m := NewHingeSVM(5)
 	for i := 0; i < 100; i++ {
-		m.Train(1, []uint64{9, 10}, true)
+		m.Train(1, unordered(9, 10), true)
 	}
 	// Margin is capped near StepInverse: weights stop growing once
 	// y·sum ≥ n.
-	if s := m.Sum(1, []uint64{9, 10}); s < 5 || s > 7 {
+	if s := m.Sum(1, unordered(9, 10)); s < 5 || s > 7 {
 		t.Fatalf("hinge margin not bounded: sum = %d", s)
 	}
 }
 
 func TestOrderedSVMIsOrderSensitive(t *testing.T) {
-	m := NewOrderedSVM(3, 10)
+	m := NewHingeSVM(10)
 	for i := 0; i < 100; i++ {
-		m.Train(5, []uint64{1, 2, 3}, true)
-		m.Train(5, []uint64{3, 2, 1}, false)
+		m.Train(5, ordered(1, 2, 3), true)
+		m.Train(5, ordered(3, 2, 1), false)
 	}
-	if !m.Predict(5, []uint64{1, 2, 3}) || m.Predict(5, []uint64{3, 2, 1}) {
-		t.Fatal("OrderedSVM failed to separate orderings (it must be order sensitive)")
-	}
-}
-
-func TestOrderedSVMTruncatesHistory(t *testing.T) {
-	m := NewOrderedSVM(2, 10)
-	for i := 0; i < 50; i++ {
-		m.Train(5, []uint64{1, 2, 3}, true)
-	}
-	// The third element is beyond H=2 and must not influence prediction.
-	if m.Sum(5, []uint64{1, 2, 3}) != m.Sum(5, []uint64{1, 2, 99}) {
-		t.Fatal("history beyond H influenced the sum")
+	if !m.Predict(5, ordered(1, 2, 3)) || m.Predict(5, ordered(3, 2, 1)) {
+		t.Fatal("SVM over ordered features failed to separate orderings (it must be order sensitive)")
 	}
 }
 
@@ -99,11 +106,15 @@ func TestISVMIntegerWeights(t *testing.T) {
 	// deterministic replay.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		m := NewOfflineISVM(4, 7)
-		shadow := map[[2]uint64]int{}
+		m := NewHingeSVM(7)
+		type key struct {
+			pc uint64
+			f  Feature
+		}
+		shadow := map[key]int{}
 		for i := 0; i < 300; i++ {
 			pc := uint64(r.Intn(4))
-			h := []uint64{uint64(r.Intn(6)), uint64(r.Intn(6))}
+			h := unordered(uint64(r.Intn(6)), uint64(r.Intn(6)))
 			y := r.Intn(2) == 0
 			sum := m.Sum(pc, h)
 			yi := 1
@@ -111,21 +122,21 @@ func TestISVMIntegerWeights(t *testing.T) {
 				yi = -1
 			}
 			if yi*sum < m.StepInverse {
-				for _, hp := range h {
-					shadow[[2]uint64{pc, hp}] += yi
+				for _, f := range h {
+					shadow[key{pc, f}] += yi
 				}
 			}
 			m.Train(pc, h, y)
 		}
 		for k, v := range shadow {
-			w := m.weights[k[0]]
+			w := m.weights[k.pc]
 			if w == nil {
 				if v != 0 {
 					return false
 				}
 				continue
 			}
-			if w[k[1]] != v {
+			if w[k.f] != v {
 				return false
 			}
 		}
@@ -137,15 +148,16 @@ func TestISVMIntegerWeights(t *testing.T) {
 }
 
 func TestNumWeightsCounts(t *testing.T) {
-	m := NewOfflineISVM(3, 5)
-	m.Train(1, []uint64{10, 11}, true)
-	m.Train(2, []uint64{10}, false)
+	m := NewHingeSVM(5)
+	m.Train(1, unordered(10, 11), true)
+	m.Train(2, unordered(10), false)
 	if got := m.NumWeights(); got != 3 {
 		t.Fatalf("NumWeights = %d, want 3", got)
 	}
-	o := NewOrderedSVM(3, 5)
-	o.Train(1, []uint64{10, 11}, true)
+	// The same PC at two positions is two weights.
+	o := NewHingeSVM(5)
+	o.Train(1, ordered(10, 10), true)
 	if got := o.NumWeights(); got != 2 {
-		t.Fatalf("OrderedSVM NumWeights = %d, want 2", got)
+		t.Fatalf("ordered NumWeights = %d, want 2", got)
 	}
 }

@@ -2,24 +2,6 @@ package ml
 
 import "math/rand"
 
-// KernelMode selects between the two numerically-equivalent (to rounding)
-// implementations of the sequence kernels.
-type KernelMode int
-
-const (
-	// KernelBatched (the default) runs the optimized path: the input
-	// projections of a whole sequence are computed as one MulABt, weight
-	// gradients accumulate through AddOuterBatch/MatMul, and every
-	// per-timestep activation lives in reused scratch matrices, so a
-	// trained model performs no per-step allocations in steady state.
-	KernelBatched KernelMode = iota
-	// KernelScalar runs the original one-timestep-at-a-time reference
-	// kernels. It exists so gradient checks and equivalence tests can
-	// cross-validate the batched path against a straightforward
-	// implementation.
-	KernelScalar
-)
-
 // LSTM is a single-layer Long Short-Term Memory network (Hochreiter &
 // Schmidhuber, 1997) with the standard gate formulation:
 //
@@ -33,9 +15,6 @@ const (
 type LSTM struct {
 	// In is the input width (embedding dim), Hidden the state width.
 	In, Hidden int
-	// Kernels selects the scalar or batched implementation (zero value:
-	// batched).
-	Kernels KernelMode
 
 	wx, wh *Mat
 	b      Vec
@@ -47,7 +26,7 @@ type LSTM struct {
 	scr lstmScratch
 }
 
-// lstmScratch holds the reused per-sequence buffers of the batched path.
+// lstmScratch holds the reused per-sequence buffers of Forward and Backward.
 // Buffers grow to the longest sequence seen and are then reused, so
 // steady-state training allocates nothing per step. Scratch is never shared:
 // each model (and each training shadow) owns its own.
@@ -135,7 +114,7 @@ func (l *LSTM) bindParams() {
 // gradient buffers and scratch, so concurrent workers can accumulate
 // gradients against frozen weights without data races.
 func (l *LSTM) shadow() *LSTM {
-	s := &LSTM{In: l.In, Hidden: l.Hidden, Kernels: l.Kernels, wx: l.wx, wh: l.wh, b: l.b}
+	s := &LSTM{In: l.In, Hidden: l.Hidden, wx: l.wx, wh: l.wh, b: l.b}
 	s.bindParams()
 	return s
 }
@@ -149,8 +128,8 @@ func (l *LSTM) NumWeights() int {
 }
 
 // LSTMState holds the per-timestep activations the backward pass needs.
-// On the batched path the vectors are views into scratch matrices owned by
-// the layer: they are valid until the next Forward call.
+// The vectors are views into scratch matrices owned by the layer: they are
+// valid until the next Forward call.
 type LSTMState struct {
 	X          Vec // input
 	I, F, G, O Vec // gate activations
@@ -159,29 +138,8 @@ type LSTMState struct {
 	HPrev      Vec // hidden state before the step
 }
 
-// Step runs one timestep from (hPrev, cPrev) on input x and returns the
-// recorded state. This is the scalar reference kernel; the batched path
-// fuses the input projections of the whole sequence instead.
-func (l *LSTM) Step(x, hPrev, cPrev Vec) *LSTMState {
-	H := l.Hidden
-	z := NewVec(4 * H)
-	l.wx.MulVec(x, z)
-	tmp := NewVec(4 * H)
-	l.wh.MulVec(hPrev, tmp)
-	for i := range z {
-		z[i] += tmp[i] + l.b[i]
-	}
-	st := &LSTMState{
-		X: x, CPrev: cPrev, HPrev: hPrev,
-		I: NewVec(H), F: NewVec(H), G: NewVec(H), O: NewVec(H),
-		C: NewVec(H), H: NewVec(H),
-	}
-	l.gates(st, z, cPrev)
-	return st
-}
-
 // gates computes the gate nonlinearities and the new cell/hidden state from
-// the pre-activations z (shared by both kernel paths).
+// the pre-activations z.
 func (l *LSTM) gates(st *LSTMState, z Vec, cPrev Vec) {
 	H := l.Hidden
 	for j := 0; j < H; j++ {
@@ -195,28 +153,13 @@ func (l *LSTM) gates(st *LSTMState, z Vec, cPrev Vec) {
 }
 
 // Forward runs the whole input sequence from zero state and returns the
-// per-step states (states[t].H is the hidden state after step t).
+// per-step states (states[t].H is the hidden state after step t). It
+// computes Z = X · Wxᵀ for the whole sequence with one MulABt call, then
+// runs the (inherently sequential) recurrence over scratch rows. Hidden
+// and cell histories live in (T+1)-row matrices whose row 0 is the zero
+// initial state, so the "previous state" sequence h'_0..h'_{T−1} is the
+// contiguous prefix the batched backward kernels consume directly.
 func (l *LSTM) Forward(inputs []Vec) []*LSTMState {
-	if l.Kernels == KernelScalar {
-		states := make([]*LSTMState, len(inputs))
-		h := NewVec(l.Hidden)
-		c := NewVec(l.Hidden)
-		for t, x := range inputs {
-			states[t] = l.Step(x, h, c)
-			h, c = states[t].H, states[t].C
-		}
-		return states
-	}
-	return l.forwardBatched(inputs)
-}
-
-// forwardBatched computes Z = X · Wxᵀ for the whole sequence with one
-// MulABt call, then runs the (inherently sequential) recurrence over
-// scratch rows. Hidden and cell histories live in (T+1)-row matrices whose
-// row 0 is the zero initial state, so the "previous state" sequence
-// h'_0..h'_{T−1} is the contiguous prefix the batched backward kernels
-// consume directly.
-func (l *LSTM) forwardBatched(inputs []Vec) []*LSTMState {
 	T := len(inputs)
 	H := l.Hidden
 	s := &l.scr
@@ -252,52 +195,8 @@ func (l *LSTM) forwardBatched(inputs []Vec) []*LSTMState {
 	return s.statePtrs[:T]
 }
 
-// Backward runs backpropagation through time. dH[t] is ∂L/∂h_t accumulated
-// from the layers above (attention/output); the returned slice holds
-// ∂L/∂x_t for the embedding layer. Gradients accumulate into the layer's
-// Params.
-func (l *LSTM) Backward(states []*LSTMState, dH []Vec) []Vec {
-	if l.Kernels == KernelScalar {
-		return l.backwardScalar(states, dH)
-	}
-	return l.backwardBatched(states, dH)
-}
-
-// backwardScalar is the reference BPTT kernel: per-timestep outer-product
-// accumulation in reverse time order.
-func (l *LSTM) backwardScalar(states []*LSTMState, dH []Vec) []Vec {
-	H := l.Hidden
-	dX := make([]Vec, len(states))
-	dhNext := NewVec(H)
-	dcNext := NewVec(H)
-	dz := NewVec(4 * H)
-
-	for t := len(states) - 1; t >= 0; t-- {
-		st := states[t]
-		dh := dH[t].Clone()
-		dh.Add(dhNext)
-
-		l.stepGrad(st, dh, dcNext, dz)
-
-		// Accumulate weight gradients: gWx += dz·xᵀ, gWh += dz·h'ᵀ, gB += dz.
-		l.gWx.AddOuter(dz, st.X)
-		l.gWh.AddOuter(dz, st.HPrev)
-		l.gB.Add(dz)
-
-		// Propagate to input and previous hidden state.
-		dx := NewVec(l.In)
-		l.wx.MulVecT(dz, dx)
-		dX[t] = dx
-
-		dhNext.Zero()
-		l.wh.MulVecT(dz, dhNext)
-	}
-	return dX
-}
-
 // stepGrad computes one timestep's pre-activation gradient dz from the
-// incoming hidden gradient dh, updating dcNext in place (shared by both
-// kernel paths).
+// incoming hidden gradient dh, updating dcNext in place.
 func (l *LSTM) stepGrad(st *LSTMState, dh, dcNext, dz Vec) {
 	H := l.Hidden
 	for j := 0; j < H; j++ {
@@ -318,13 +217,16 @@ func (l *LSTM) stepGrad(st *LSTMState, dh, dcNext, dz Vec) {
 	}
 }
 
-// backwardBatched records every timestep's dz into a scratch matrix during
-// the reverse sweep, then accumulates the three weight gradients with
-// batched kernels: gWx += DZᵀ·X and gWh += DZᵀ·H' via AddOuterBatch,
+// Backward runs backpropagation through time. dH[t] is ∂L/∂h_t accumulated
+// from the layers above (attention/output); the returned slice holds
+// ∂L/∂x_t for the embedding layer. Gradients accumulate into the layer's
+// Params. It records every timestep's dz into a scratch matrix during the
+// reverse sweep, then accumulates the three weight gradients with batched
+// kernels: gWx += DZᵀ·X and gWh += DZᵀ·H' via AddOuterBatch,
 // gB += Σ dz_t via SumRowsInto, and the input gradients DX = DZ·Wx via one
 // cache-blocked MatMul. It must be called after a Forward on the same
 // layer (it reuses the forward scratch).
-func (l *LSTM) backwardBatched(states []*LSTMState, dH []Vec) []Vec {
+func (l *LSTM) Backward(states []*LSTMState, dH []Vec) []Vec {
 	T := len(states)
 	H := l.Hidden
 	s := &l.scr

@@ -22,10 +22,6 @@ type AttentionLSTMConfig struct {
 	ClipNorm float64
 	// Seed makes initialization deterministic.
 	Seed int64
-	// Kernels selects the scalar reference kernels or the batched
-	// allocation-free kernels (default: batched). The two paths agree to
-	// floating-point rounding; gradient checks cover both.
-	Kernels KernelMode
 }
 
 // PaperConfig returns the exact Table 5 hyper-parameters for a vocabulary.
@@ -52,23 +48,22 @@ type AttentionLSTM struct {
 	lstm *LSTM
 	attn *Attention
 
-	wOut     *Mat // 2 × 2H (context ‖ hidden)
-	bOut     Vec
-	pWOut    *Param
-	pBOut    *Param
-	gWOut    *Mat
-	gBOut    Vec
-	opt      Optimizer
-	params   []*Param
-	seqCount int
+	wOut   *Mat // 2 × 2H (context ‖ hidden)
+	bOut   Vec
+	pWOut  *Param
+	pBOut  *Param
+	gWOut  *Mat
+	gBOut  Vec
+	opt    Optimizer
+	params []*Param
 
 	scr modelScratch
 }
 
-// modelScratch holds the reused buffers of the batched path so that
-// steady-state training performs no per-step allocations. Each model (and
-// each Shadow) owns its own scratch; none of it is shared across
-// goroutines.
+// modelScratch holds the reused buffers of forward and AccumulateSequence
+// so that steady-state training performs no per-step allocations. Each
+// model (and each Shadow) owns its own scratch; none of it is shared
+// across goroutines.
 type modelScratch struct {
 	inputs  []Vec // embedding row views, one per token
 	concat  Vec   // 2H classifier input
@@ -81,7 +76,6 @@ type modelScratch struct {
 	attnStates []AttentionState
 	attnPtrs   []*AttentionState
 	srcMats    []Mat // per-target source views into the LSTM hidden history
-	logitRows  []Vec
 	probRows   []Vec
 
 	weightsArena Vec // Σ_t t floats: attention weights per target
@@ -106,7 +100,6 @@ func (s *modelScratch) growForward(T, nPred, weightsLen, hidden int) {
 		s.attnStates = make([]AttentionState, nPred)
 		s.attnPtrs = make([]*AttentionState, nPred)
 		s.srcMats = make([]Mat, nPred)
-		s.logitRows = make([]Vec, nPred)
 		s.probRows = make([]Vec, nPred)
 	}
 	if cap(s.weightsArena) < weightsLen {
@@ -156,7 +149,6 @@ func NewAttentionLSTM(cfg AttentionLSTMConfig) (*AttentionLSTM, error) {
 		wOut: NewMat(2, 2*cfg.Hidden),
 		bOut: NewVec(2),
 	}
-	m.lstm.Kernels = cfg.Kernels
 	m.wOut.XavierInit(r)
 	m.pWOut = NewParam("out.w", m.wOut.Data)
 	m.pBOut = NewParam("out.b", m.bOut)
@@ -178,59 +170,21 @@ func (m *AttentionLSTM) NumWeights() int {
 	return m.emb.NumWeights() + m.lstm.NumWeights() + len(m.wOut.Data) + len(m.bOut)
 }
 
-// forward runs the shared part of training and inference: embeddings, the
-// LSTM, and per-target attention + logits. predictFrom is the first
-// timestep whose output is collected (the first half of each sequence is
-// warmup context, §4.1).
+// forwardPass is the output of forward that training and inference share.
 type forwardPass struct {
 	states []*LSTMState
 	attn   []*AttentionState // indexed by t−predictFrom
-	logits []Vec
 	probs  []Vec
 }
 
+// forward runs the shared part of training and inference: embeddings, the
+// LSTM, and per-target attention + logits. predictFrom is the first
+// timestep whose output is collected (the first half of each sequence is
+// warmup context, §4.1). One MulABt computes the LSTM input projections,
+// attention runs over contiguous hidden-state rows, and every intermediate
+// lives in reused arena storage. Results are valid until the next forward
+// on the same model.
 func (m *AttentionLSTM) forward(tokens []int, predictFrom int) *forwardPass {
-	if m.cfg.Kernels == KernelScalar {
-		return m.forwardScalar(tokens, predictFrom)
-	}
-	return m.forwardBatched(tokens, predictFrom)
-}
-
-// forwardScalar is the reference implementation: fresh buffers per step,
-// slice-of-vectors attention sources.
-func (m *AttentionLSTM) forwardScalar(tokens []int, predictFrom int) *forwardPass {
-	inputs := make([]Vec, len(tokens))
-	for t, tok := range tokens {
-		inputs[t] = m.emb.Forward(tok % m.cfg.Vocab)
-	}
-	states := m.lstm.Forward(inputs)
-	fp := &forwardPass{states: states}
-	concat := NewVec(2 * m.cfg.Hidden)
-	for t := predictFrom; t < len(tokens); t++ {
-		sources := make([]Vec, t)
-		for s := 0; s < t; s++ {
-			sources[s] = states[s].H
-		}
-		ast := m.attn.Forward(states[t].H, sources)
-		copy(concat[:m.cfg.Hidden], ast.Context)
-		copy(concat[m.cfg.Hidden:], states[t].H)
-		logits := NewVec(2)
-		m.wOut.MulVec(concat, logits)
-		logits.Add(m.bOut)
-		probs := NewVec(2)
-		Softmax(logits, probs)
-		fp.attn = append(fp.attn, ast)
-		fp.logits = append(fp.logits, logits)
-		fp.probs = append(fp.probs, probs)
-	}
-	return fp
-}
-
-// forwardBatched runs the optimized path: one MulABt for the LSTM input
-// projections, attention over contiguous hidden-state rows, and every
-// intermediate in reused arena storage. Results are valid until the next
-// forward on the same model.
-func (m *AttentionLSTM) forwardBatched(tokens []int, predictFrom int) *forwardPass {
 	T := len(tokens)
 	H := m.cfg.Hidden
 	nPred := T - predictFrom
@@ -275,11 +229,9 @@ func (m *AttentionLSTM) forwardBatched(tokens []int, predictFrom int) *forwardPa
 		m.wOut.MulVec(s.concat, logits)
 		logits.Add(m.bOut)
 		Softmax(logits, probs)
-		s.logitRows[i] = logits
 		s.probRows[i] = probs
 	}
 	fp.attn = s.attnPtrs[:nPred]
-	fp.logits = s.logitRows[:nPred]
 	fp.probs = s.probRows[:nPred]
 	return fp
 }
@@ -338,25 +290,11 @@ func (m *AttentionLSTM) AccumulateSequence(tokens []int, labels []bool, predictF
 
 	// Per-timestep hidden-state gradients, accumulated from attention
 	// targets, attention sources, and the classifier.
-	batched := m.cfg.Kernels != KernelScalar
-	var dH []Vec
-	if batched {
-		m.scr.growBackward(len(tokens), H)
-		dH = m.scr.dHRows[:len(tokens)]
-	} else {
-		dH = make([]Vec, len(tokens))
-		for t := range dH {
-			dH[t] = NewVec(H)
-		}
-	}
+	m.scr.growBackward(len(tokens), H)
+	dH := m.scr.dHRows[:len(tokens)]
 
 	loss := 0.0
-	var concat, dConcat, dLogits Vec
-	if batched {
-		concat, dConcat, dLogits = m.scr.concat, m.scr.dConcat, m.scr.dLogits
-	} else {
-		concat = NewVec(2 * H)
-	}
+	concat, dConcat, dLogits := m.scr.concat, m.scr.dConcat, m.scr.dLogits
 	for i := nPred - 1; i >= 0; i-- {
 		t := predictFrom + i
 		y := 0
@@ -367,9 +305,6 @@ func (m *AttentionLSTM) AccumulateSequence(tokens []int, labels []bool, predictF
 		loss += -logSafe(p[y])
 
 		// Softmax cross-entropy gradient.
-		if !batched {
-			dLogits = NewVec(2)
-		}
 		dLogits[0], dLogits[1] = p[0], p[1]
 		dLogits[y] -= 1
 
@@ -379,27 +314,13 @@ func (m *AttentionLSTM) AccumulateSequence(tokens []int, labels []bool, predictF
 		m.gWOut.AddOuter(dLogits, concat)
 		m.gBOut.Add(dLogits)
 
-		if !batched {
-			dConcat = NewVec(2 * H)
-		} else {
-			dConcat.Zero()
-		}
+		dConcat.Zero()
 		m.wOut.MulVecT(dLogits, dConcat)
 		dContext := dConcat[:H]
 		dHiddenT := dConcat[H:]
 
 		// Attention backward: sources are h_0..h_{t-1}.
-		if batched {
-			dSrc := view(m.scr.dH, t)
-			m.attn.BackwardMat(ast, dContext, dSrc, dH[t])
-		} else {
-			dSources := make([]Vec, t)
-			for s := 0; s < t; s++ {
-				dSources[s] = dH[s]
-			}
-			dTarget := m.attn.Backward(ast, dContext, dSources)
-			dH[t].Add(dTarget)
-		}
+		m.attn.BackwardMat(ast, dContext, view(m.scr.dH, t), dH[t])
 		dH[t].Add(dHiddenT)
 	}
 
@@ -407,7 +328,6 @@ func (m *AttentionLSTM) AccumulateSequence(tokens []int, labels []bool, predictF
 	for t, tok := range tokens {
 		m.emb.Backward(tok%m.cfg.Vocab, dX[t])
 	}
-	m.seqCount++
 	return loss / float64(nPred), nPred
 }
 

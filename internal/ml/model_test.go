@@ -106,18 +106,19 @@ func TestAttentionScaleSharpens(t *testing.T) {
 	// least the max weight under scale 1 for identical hidden states.
 	r := rand.New(rand.NewSource(7))
 	target := NewVec(8)
-	sources := make([]Vec, 6)
+	sources := NewMat(6, 8)
 	for i := range target {
 		target[i] = r.NormFloat64()
 	}
-	for s := range sources {
-		sources[s] = NewVec(8)
-		for i := range sources[s] {
-			sources[s][i] = r.NormFloat64()
-		}
+	for i := range sources.Data {
+		sources.Data[i] = r.NormFloat64()
 	}
-	low := (&Attention{Scale: 1}).Forward(target, sources)
-	high := (&Attention{Scale: 5}).Forward(target, sources)
+	attend := func(scale float64) AttentionState {
+		var st AttentionState
+		(&Attention{Scale: scale}).ForwardMat(target, sources, NewVec(6), NewVec(8), &st)
+		return st
+	}
+	low, high := attend(1), attend(5)
 	maxOf := func(v Vec) float64 {
 		m := v[0]
 		for _, x := range v[1:] {

@@ -32,42 +32,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	// LR is the learning rate.
-	LR float64
-	// Momentum is the classical momentum coefficient (0 disables it).
-	Momentum float64
-	velocity map[*Param][]float64
-}
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			for i := range p.W {
-				p.W[i] -= s.LR * p.G[i]
-			}
-		} else {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = make([]float64, len(p.W))
-				s.velocity[p] = v
-			}
-			for i := range p.W {
-				v[i] = s.Momentum*v[i] + p.G[i]
-				p.W[i] -= s.LR * v[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba, 2015) — the optimizer in the
 // paper's Table 5 with learning rate 0.001.
 type Adam struct {

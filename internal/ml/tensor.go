@@ -1,7 +1,7 @@
 // Package ml is a from-scratch, dependency-free machine-learning toolkit
 // sized for the paper's offline models: dense vector/matrix kernels, an
 // embedding layer, an LSTM cell, scaled dot-product attention, softmax and
-// hinge losses, and SGD/Adam optimizers. It exists because the paper's
+// hinge losses, and the Adam optimizer. It exists because the paper's
 // offline pipeline (attention-based LSTM trained with Adam on Belady
 // labels) is a system the reproduction must provide, and no external ML
 // framework is available.

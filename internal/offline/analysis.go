@@ -158,11 +158,9 @@ func AnchorStudy(d *Dataset, m *ml.AttentionLSTM, hk *ml.HawkeyeCounters, target
 		for i, pred := range preds {
 			t := s.PredictFrom + i
 			pc := d.Vocab[s.Tokens[t]]
-			r, ok := want[pc]
-			if !ok {
+			if _, ok := want[pc]; !ok {
 				continue
 			}
-			_ = r
 			label := s.Labels[t]
 			samples[pc]++
 			if pred == label {

@@ -13,8 +13,8 @@ import (
 
 	"glider/internal/cache"
 	"glider/internal/cpu"
+	"glider/internal/ml"
 	"glider/internal/opt"
-	"glider/internal/trace"
 	"glider/internal/workload"
 )
 
@@ -78,21 +78,7 @@ func BuildDataset(spec workload.Spec, accesses int, seed int64) (*Dataset, error
 	if err != nil {
 		return nil, err
 	}
-	return labelLLCStream(c.Trace().Name, c.LLCStream())
-}
-
-// BuildDatasetFromTrace labels an existing trace (see BuildDataset),
-// capturing it through fresh L1/L2 caches.
-func BuildDatasetFromTrace(t *trace.Trace) (*Dataset, error) {
-	c, err := cpu.NewCapture(context.Background(), t, 1)
-	if err != nil {
-		return nil, err
-	}
-	return labelLLCStream(t.Name, c.LLCStream())
-}
-
-// labelLLCStream labels the LLC demand stream of the trace called name.
-func labelLLCStream(name string, llcStream *trace.Trace) (*Dataset, error) {
+	name, llcStream := c.Trace().Name, c.LLCStream()
 	if llcStream.Len() == 0 {
 		return nil, fmt.Errorf("offline: trace %q produced no LLC accesses", name)
 	}
@@ -131,7 +117,8 @@ type Sequence struct {
 }
 
 // Sequences slices the train (train=true) or test region into overlapping
-// sequences of length 2n with stride n, as §4.1 prescribes.
+// sequences of length 2n with stride n, as §4.1 prescribes. n must be
+// positive.
 func (d *Dataset) Sequences(n int, train bool) []Sequence {
 	lo, hi := 0, d.TrainEnd
 	if !train {
@@ -149,14 +136,17 @@ func (d *Dataset) Sequences(n int, train bool) []Sequence {
 	return out
 }
 
-// UniqueHistories computes, for every access, the k-sparse unordered
-// feature: the last k unique PCs seen before the access (PCHR semantics).
-func (d *Dataset) UniqueHistories(k int) [][]uint64 {
-	out := make([][]uint64, len(d.PCs))
+// UniqueHistories computes, for every access, the ISVM's k-sparse
+// unordered feature: the last k unique PCs seen before the access (PCHR
+// semantics), each at Pos 0. k must be positive.
+func (d *Dataset) UniqueHistories(k int) [][]ml.Feature {
+	out := make([][]ml.Feature, len(d.PCs))
 	pchr := make([]uint64, 0, k)
 	for i, pc := range d.PCs {
-		snap := make([]uint64, len(pchr))
-		copy(snap, pchr)
+		snap := make([]ml.Feature, len(pchr))
+		for j, p := range pchr {
+			snap[j] = ml.Feature{PC: p}
+		}
 		out[i] = snap
 		// Update PCHR: move-to-back or append, evicting the LRU PC.
 		found := false
@@ -180,14 +170,15 @@ func (d *Dataset) UniqueHistories(k int) [][]uint64 {
 	return out
 }
 
-// OrderedHistories computes, for every access, the ordered feature: the
-// last h PCs before the access, most recent first (with repetition).
-func (d *Dataset) OrderedHistories(h int) [][]uint64 {
-	out := make([][]uint64, len(d.PCs))
+// OrderedHistories computes, for every access, the Perceptron's ordered
+// feature: the last h PCs before the access with repetition, the most
+// recent at Pos 0.
+func (d *Dataset) OrderedHistories(h int) [][]ml.Feature {
+	out := make([][]ml.Feature, len(d.PCs))
 	for i := range d.PCs {
-		hist := make([]uint64, 0, h)
+		hist := make([]ml.Feature, 0, h)
 		for j := i - 1; j >= 0 && len(hist) < h; j-- {
-			hist = append(hist, d.PCs[j])
+			hist = append(hist, ml.Feature{Pos: len(hist), PC: d.PCs[j]})
 		}
 		out[i] = hist
 	}

@@ -33,10 +33,10 @@ func (d *Dataset) MultiperspectiveFeatures(k int) [][]int {
 		var f []int
 		f = append(f, mlpHash(pc, 0x01))
 		for _, h := range unique[i] {
-			f = append(f, mlpHash(h, 0x02))
+			f = append(f, mlpHash(h.PC, 0x02))
 		}
-		for pos, h := range ordered[i] {
-			f = append(f, mlpHash(h*31+uint64(pos), 0x03))
+		for _, h := range ordered[i] {
+			f = append(f, mlpHash(h.PC*31+uint64(h.Pos), 0x03))
 		}
 		if i < len(d.Blocks) {
 			b := d.Blocks[i]
@@ -58,7 +58,7 @@ type MLPOptions struct {
 	Epochs int
 	// MaxTrainSamples caps samples per epoch (0 = all).
 	MaxTrainSamples int
-	// LR is the Adam learning rate.
+	// LR is the MLP's sparse SGD step size.
 	LR float64
 	// Seed controls initialization.
 	Seed int64
@@ -91,18 +91,7 @@ func TrainMLPOffline(d *Dataset, opts MLPOptions) (*ml.MLP, TrainResult, error) 
 		for i := e % stride; i < d.TrainEnd; i += stride {
 			m.TrainSample(features[i], d.Labels[i])
 		}
-		res.EpochAccuracy = append(res.EpochAccuracy, evalMLP(m, d, features))
+		res.EpochAccuracy = append(res.EpochAccuracy, testAccuracy(d, func(i int) bool { return m.Predict(features[i]) }))
 	}
 	return m, res, nil
-}
-
-func evalMLP(m *ml.MLP, d *Dataset, features [][]int) float64 {
-	correct, total := 0, 0
-	for i := d.TrainEnd; i < d.Len(); i++ {
-		if m.Predict(features[i]) == d.Labels[i] {
-			correct++
-		}
-		total++
-	}
-	return ratio(correct, total)
 }

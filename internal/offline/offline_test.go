@@ -55,11 +55,14 @@ func TestBuildDatasetFiltersL1L2(t *testing.T) {
 	// A trace that fits entirely in the L1 reaches the LLC only on its
 	// compulsory misses: the dataset must shrink to (at most) the 4
 	// distinct blocks, demonstrating the upper levels filter the stream.
-	tr := trace.New("tiny", 1000)
-	for i := 0; i < 1000; i++ {
-		tr.Append(trace.Access{PC: 1, Addr: uint64(i%4) << trace.BlockShift})
-	}
-	d, err := BuildDatasetFromTrace(tr)
+	spec := workload.Custom("offline-l1-resident", workload.Ingest, func(n int, seed int64) (*trace.Trace, error) {
+		tr := trace.New("offline-l1-resident", n)
+		for i := 0; i < n; i++ {
+			tr.Append(trace.Access{PC: 1, Addr: uint64(i%4) << trace.BlockShift})
+		}
+		return tr, nil
+	})
+	d, err := BuildDataset(spec, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +113,9 @@ func TestUniqueHistories(t *testing.T) {
 	if len(h[2]) != 2 {
 		t.Fatalf("h[2] = %v", h[2])
 	}
-	has := func(hist []uint64, pc uint64) bool {
-		for _, p := range hist {
-			if p == pc {
+	has := func(hist []ml.Feature, pc uint64) bool {
+		for _, f := range hist {
+			if f == (ml.Feature{PC: pc}) {
 				return true
 			}
 		}
@@ -129,8 +132,8 @@ func TestOrderedHistories(t *testing.T) {
 	if len(h[0]) != 0 || len(h[1]) != 1 {
 		t.Fatal("history lengths wrong at stream head")
 	}
-	if h[3][0] != 3 || h[3][1] != 2 {
-		t.Fatalf("h[3] = %v, want [3 2] (most recent first)", h[3])
+	if len(h[3]) != 2 || h[3][0] != (ml.Feature{Pos: 0, PC: 3}) || h[3][1] != (ml.Feature{Pos: 1, PC: 2}) {
+		t.Fatalf("h[3] = %v, want [{0 3} {1 2}] (most recent first, at most h)", h[3])
 	}
 }
 
@@ -189,6 +192,13 @@ func TestLSTMTrainsAndEvaluates(t *testing.T) {
 	}
 	if res.FinalAccuracy() < 0.5 {
 		t.Fatalf("LSTM accuracy %.3f is below coin flip", res.FinalAccuracy())
+	}
+}
+
+func TestTrainLSTMRejectsHistoryLenZero(t *testing.T) {
+	d := &Dataset{PCs: []uint64{1, 2}, Tokens: []int{0, 1}, Labels: make([]bool, 2), Vocab: []uint64{1, 2}, TrainEnd: 1}
+	if _, _, err := TrainLSTM(d, LSTMOptions{HistoryLen: 0, Epochs: 1}); err == nil {
+		t.Fatal("TrainLSTM accepted HistoryLen 0")
 	}
 }
 

@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"math/rand"
 	"runtime"
 	"strconv"
 	"testing"
@@ -170,11 +171,34 @@ func TestEvalIndicesGolden(t *testing.T) {
 }
 
 // TestBatchSizeOneMatchesLegacySerial pins the compatibility contract:
-// BatchSize 0 (legacy serial loop) and BatchSize 1 (minibatch machinery with
-// single-sequence batches) are the same algorithm and must agree bitwise.
+// TrainLSTM at BatchSize 1 runs one-sequence batches through the sharded
+// minibatch loop, and must reproduce, bit for bit, the classic per-sequence
+// loop — TrainSequence over the same seeded subsample, scored by the same
+// evaluation.
 func TestBatchSizeOneMatchesLegacySerial(t *testing.T) {
 	d := testDataset(t, "omnetpp", 80000)
-	accA, wA := trainOnce(t, d, parallelTestOpts(0, 1))
-	accB, wB := trainOnce(t, d, parallelTestOpts(1, 1))
-	assertIdenticalRuns(t, "batch=0 vs batch=1", accA, accB, wA, wB)
+	opts := parallelTestOpts(1, 1)
+	acc, w := trainOnce(t, d, opts)
+
+	cfg := opts.Config
+	cfg.Vocab = len(d.Vocab)
+	m, err := ml.NewAttentionLSTM(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainSeqs := d.Sequences(opts.HistoryLen, true)
+	testSeqs := d.Sequences(opts.HistoryLen, false)
+	if len(trainSeqs) <= opts.MaxTrainSequences {
+		t.Fatalf("%d training sequences do not exercise the %d-sequence subsample", len(trainSeqs), opts.MaxTrainSequences)
+	}
+	r := rand.New(rand.NewSource(opts.Seed))
+	var serialAcc []float64
+	for e := 0; e < opts.Epochs; e++ {
+		for _, i := range r.Perm(len(trainSeqs))[:opts.MaxTrainSequences] {
+			s := trainSeqs[i]
+			m.TrainSequence(s.Tokens, s.Labels, s.PredictFrom)
+		}
+		serialAcc = append(serialAcc, EvalLSTM(m, testSeqs, opts.MaxEvalSequences, opts.Seed))
+	}
+	assertIdenticalRuns(t, "batch=1 vs per-sequence loop", acc, serialAcc, w, m.WeightSnapshot())
 }

@@ -2,6 +2,7 @@ package offline
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -33,77 +34,57 @@ func (r TrainResult) FinalAccuracy() float64 {
 // for the given number of epochs, recording test accuracy per epoch.
 func TrainHawkeyeOffline(d *Dataset, epochs int) (*ml.HawkeyeCounters, TrainResult) {
 	m := ml.NewHawkeyeCounters()
-	res := TrainResult{Model: "hawkeye"}
-	for e := 0; e < epochs; e++ {
-		for i := 0; i < d.TrainEnd; i++ {
-			m.Train(d.PCs[i], d.Labels[i])
-		}
-		res.EpochAccuracy = append(res.EpochAccuracy, EvalHawkeyeOffline(m, d))
-	}
+	res := trainLinear(d, "hawkeye", epochs,
+		func(i int) { m.Train(d.PCs[i], d.Labels[i]) },
+		func(i int) bool { return m.Predict(d.PCs[i]) })
 	return m, res
 }
 
-// EvalHawkeyeOffline measures test-region accuracy.
-func EvalHawkeyeOffline(m *ml.HawkeyeCounters, d *Dataset) float64 {
-	correct, total := 0, 0
-	for i := d.TrainEnd; i < d.Len(); i++ {
-		if m.Predict(d.PCs[i]) == d.Labels[i] {
-			correct++
-		}
-		total++
-	}
-	return ratio(correct, total)
+// TrainISVMOffline trains the offline ISVM: the hinge SVM over the k
+// unique-PC history features.
+func TrainISVMOffline(d *Dataset, k, epochs int) (*ml.HingeSVM, TrainResult) {
+	return trainSVM(d, "offline-isvm", d.UniqueHistories(k), epochs)
 }
 
-// TrainISVMOffline trains the offline ISVM with k unique-history features.
-func TrainISVMOffline(d *Dataset, k, epochs int) (*ml.OfflineISVM, TrainResult) {
-	m := ml.NewOfflineISVM(k, 1000)
-	hists := d.UniqueHistories(k)
-	res := TrainResult{Model: "offline-isvm"}
-	for e := 0; e < epochs; e++ {
-		for i := 0; i < d.TrainEnd; i++ {
-			m.Train(d.PCs[i], hists[i], d.Labels[i])
-		}
-		res.EpochAccuracy = append(res.EpochAccuracy, evalISVM(m, d, hists))
-	}
+// TrainOrderedSVMOffline trains the Perceptron baseline: the hinge SVM over
+// the ordered history of h PCs.
+func TrainOrderedSVMOffline(d *Dataset, h, epochs int) (*ml.HingeSVM, TrainResult) {
+	return trainSVM(d, "perceptron", d.OrderedHistories(h), epochs)
+}
+
+// trainSVM trains a hinge SVM (Table 5's step size) on Belady labels over
+// the per-access features.
+func trainSVM(d *Dataset, model string, features [][]ml.Feature, epochs int) (*ml.HingeSVM, TrainResult) {
+	m := ml.NewHingeSVM(1000)
+	res := trainLinear(d, model, epochs,
+		func(i int) { m.Train(d.PCs[i], features[i], d.Labels[i]) },
+		func(i int) bool { return m.Predict(d.PCs[i], features[i]) })
 	return m, res
 }
 
-func evalISVM(m *ml.OfflineISVM, d *Dataset, hists [][]uint64) float64 {
-	correct, total := 0, 0
-	for i := d.TrainEnd; i < d.Len(); i++ {
-		if m.Predict(d.PCs[i], hists[i]) == d.Labels[i] {
-			correct++
-		}
-		total++
-	}
-	return ratio(correct, total)
-}
-
-// TrainOrderedSVMOffline trains the Perceptron baseline (ordered history of
-// h PCs) on Belady labels.
-func TrainOrderedSVMOffline(d *Dataset, h, epochs int) (*ml.OrderedSVM, TrainResult) {
-	m := ml.NewOrderedSVM(h, 1000)
-	hists := d.OrderedHistories(h)
-	res := TrainResult{Model: "perceptron"}
+// trainLinear runs epochs passes of train over the train region, in access
+// order, and scores predict on the test region after each.
+func trainLinear(d *Dataset, model string, epochs int, train func(i int), predict func(i int) bool) TrainResult {
+	res := TrainResult{Model: model}
 	for e := 0; e < epochs; e++ {
 		for i := 0; i < d.TrainEnd; i++ {
-			m.Train(d.PCs[i], hists[i], d.Labels[i])
+			train(i)
 		}
-		res.EpochAccuracy = append(res.EpochAccuracy, evalOrdered(m, d, hists))
+		res.EpochAccuracy = append(res.EpochAccuracy, testAccuracy(d, predict))
 	}
-	return m, res
+	return res
 }
 
-func evalOrdered(m *ml.OrderedSVM, d *Dataset, hists [][]uint64) float64 {
-	correct, total := 0, 0
+// testAccuracy is the fraction of test-region accesses whose prediction
+// matches the Belady label.
+func testAccuracy(d *Dataset, predict func(i int) bool) float64 {
+	correct := 0
 	for i := d.TrainEnd; i < d.Len(); i++ {
-		if m.Predict(d.PCs[i], hists[i]) == d.Labels[i] {
+		if predict(i) == d.Labels[i] {
 			correct++
 		}
-		total++
 	}
-	return ratio(correct, total)
+	return ratio(correct, d.Len()-d.TrainEnd)
 }
 
 // LSTMOptions controls LSTM training cost/quality trade-offs.
@@ -123,7 +104,8 @@ type LSTMOptions struct {
 	MaxEvalSequences int
 	// BatchSize is the number of sequences per optimizer step. 0 or 1
 	// reproduces classic per-sequence updates; larger values enable
-	// data-parallel gradient accumulation across Workers.
+	// data-parallel gradient accumulation across Workers. Every size runs
+	// through the same sharded loop: a one-sequence batch is one shard.
 	BatchSize int
 	// Workers bounds the goroutines that accumulate gradients within a
 	// minibatch (0 = one per available CPU). Training results are
@@ -165,12 +147,16 @@ func DefaultLSTMOptions() LSTMOptions {
 const trainShards = 8
 
 // TrainLSTM trains the attention LSTM on the dataset and returns the model
-// plus its per-epoch accuracy curve. With BatchSize > 1 each minibatch's
-// sequences are sharded across a bounded worker pool; gradients accumulate
-// into per-shard shadows of the parameters and reduce in fixed shard order
-// before a single optimizer step, so the trained weights are bit-identical
-// for any Workers value (asserted by TestTrainLSTMWorkerEquivalence).
+// plus its per-epoch accuracy curve. Each minibatch's sequences are sharded
+// across a bounded worker pool; gradients accumulate into per-shard shadows
+// of the parameters and reduce in fixed shard order before a single
+// optimizer step, so the trained weights are bit-identical for any Workers
+// value (asserted by TestTrainLSTMWorkerEquivalence). HistoryLen must be at
+// least 1.
 func TrainLSTM(d *Dataset, opts LSTMOptions) (*ml.AttentionLSTM, TrainResult, error) {
+	if opts.HistoryLen < 1 {
+		return nil, TrainResult{}, fmt.Errorf("offline: LSTM history length %d, want at least 1", opts.HistoryLen)
+	}
 	cfg := opts.Config
 	if cfg.Vocab == 0 {
 		cfg = ml.FastConfig(len(d.Vocab))
@@ -187,19 +173,10 @@ func TrainLSTM(d *Dataset, opts LSTMOptions) (*ml.AttentionLSTM, TrainResult, er
 	testSeqs := d.Sequences(opts.HistoryLen, false)
 	r := rand.New(rand.NewSource(opts.Seed))
 
-	batch := opts.BatchSize
-	if batch < 1 {
-		batch = 1
-	}
-	var shadows []*ml.AttentionLSTM
-	if batch > 1 {
-		n := trainShards
-		if batch < n {
-			n = batch
-		}
-		for i := 0; i < n; i++ {
-			shadows = append(shadows, m.Shadow())
-		}
+	batch := max(opts.BatchSize, 1)
+	shadows := make([]*ml.AttentionLSTM, min(batch, trainShards))
+	for i := range shadows {
+		shadows[i] = m.Shadow()
 	}
 
 	// Observability: per-epoch loss/accuracy/time. The nil fast paths make
@@ -222,17 +199,9 @@ func TrainLSTM(d *Dataset, opts LSTMOptions) (*ml.AttentionLSTM, TrainResult, er
 				seqs[i] = trainSeqs[perm[i]]
 			}
 		}
-		var lossSum float64
-		if batch <= 1 {
-			for _, s := range seqs {
-				lossSum += m.TrainSequence(s.Tokens, s.Labels, s.PredictFrom)
-			}
-		} else {
-			sum, err := trainEpochParallel(m, shadows, seqs, batch, opts.Workers)
-			if err != nil {
-				return nil, TrainResult{}, err
-			}
-			lossSum = sum
+		lossSum, err := trainEpochParallel(m, shadows, seqs, batch, opts.Workers)
+		if err != nil {
+			return nil, TrainResult{}, err
 		}
 		acc := EvalLSTM(m, testSeqs, opts.MaxEvalSequences, opts.Seed)
 		res.EpochAccuracy = append(res.EpochAccuracy, acc)
