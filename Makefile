@@ -29,8 +29,9 @@ race:
 # and both reuse-distance policies, frd and msa, plus an experiment run, then
 # aggregate the JSONL with obsreport); the ledger loop (anchor a real zoo
 # run to a disk ledger with cmd/experiments, audit the file with cmd/audit,
-# and re-simulate the anchored zoo bit for bit); and the offline models
-# trained by cmd/offline on a ChampSim file that cmd/tracegen writes.
+# and re-simulate the anchored zoo bit for bit); and a ChampSim file that
+# cmd/tracegen writes, replayed by cmd/glidersim and used by cmd/offline to
+# train the offline models.
 cli-smoke:
 	$(GO) run ./cmd/experiments -quick -accesses 20000 -zoo-spec 'zipf(objects=65536,skew=0.9)' -zoo-spec 'mix(rr,zipf(objects=49152,skew=1.1),mcf)' zoo
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
@@ -46,6 +47,7 @@ cli-smoke:
 	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger -artifact "$$($(GO) run ./cmd/audit list -ledger /tmp/glider-ledger-smoke.ledger | awk '$$2=="zoo"{print $$1}')" -resim
 	$(GO) run ./cmd/audit root -ledger /tmp/glider-ledger-smoke.ledger
 	$(GO) run ./cmd/tracegen -bench mcf -accesses 60000 -champsim -o /tmp/glider-mcf.champsim
+	$(GO) run ./cmd/glidersim -bench 'champsim(file=/tmp/glider-mcf.champsim)' -policy glider -accesses 60000
 	$(GO) run ./cmd/offline -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 60000 -models all -epochs 1 -lstm-epochs 1
 
 # bench runs the training/kernel benchmarks at full fidelity and records
@@ -82,7 +84,6 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^FuzzReadText$$' -fuzz '^FuzzReadText$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^FuzzReadAuto$$' -fuzz '^FuzzReadAuto$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^FuzzReadChampSim$$' -fuzz '^FuzzReadChampSim$$' -fuzztime 10s
-	$(GO) test ./internal/trace/ingest/ -run '^FuzzStreamVsOneShot$$' -fuzz '^FuzzStreamVsOneShot$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ingest/ -run '^FuzzParseSpec$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^FuzzJobSpecDecode$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^FuzzJobHash$$' -fuzz '^FuzzJobHash$$' -fuzztime 10s

@@ -7,12 +7,13 @@
 //	glidersim -bench omnetpp -policy glider -accesses 1000000 [-timing]
 //	glidersim -trace trace.bin -policy hawkeye
 //	glidersim -bench omnetpp -policy lru,hawkeye,glider -workers 4
-//	glidersim -champsim trace.gz -policy hawkeye
+//	glidersim -bench 'champsim(file=trace.gz)' -policy hawkeye -accesses 0
 //
 // Traces can come from a built-in synthetic benchmark or ingest spec string
-// (-bench, e.g. "zipf(objects=8192,skew=0.9)"), from a file written by
-// tracegen (-trace, binary or text format), or from a ChampSim trace
-// (-champsim). Giving -policy a comma-separated list runs the policies
+// (-bench, e.g. "zipf(objects=8192,skew=0.9)" or "champsim(file=PATH)" for a
+// ChampSim trace), or from a file written by tracegen (-trace, binary or
+// text format). -accesses 0 replays a ChampSim file whole, without
+// rewinding. Giving -policy a comma-separated list runs the policies
 // concurrently over the same trace and prints a side-by-side comparison.
 //
 // glidersim only simulates; the offline command trains the paper's offline
@@ -36,17 +37,16 @@ import (
 	"glider/internal/prof"
 	"glider/internal/simrunner"
 	"glider/internal/trace"
-	"glider/internal/trace/ingest"
+	// Register champsim/zipf/mix spec schemes so -bench accepts spec strings.
+	_ "glider/internal/trace/ingest"
 	"glider/internal/workload"
 )
 
 func main() {
-	bench := flag.String("bench", "", "built-in benchmark name (see -list)")
+	bench := flag.String("bench", "", "benchmark name or workload spec string, e.g. 'champsim(file=PATH)' (see -list)")
 	traceFile := flag.String("trace", "", "trace file to replay (binary, text, or gzip)")
-	champsim := flag.String("champsim", "", "ChampSim instruction trace to replay (raw or .gz)")
-	maxAccesses := flag.Int("max-accesses", 0, "with -champsim: cap the imported accesses (0 = all)")
 	policyName := flag.String("policy", "glider", "replacement policy, or a comma-separated list to compare")
-	accesses := flag.Int("accesses", 1_000_000, "synthetic trace length")
+	accesses := flag.Int("accesses", 1_000_000, "trace length (with champsim(file=...), 0 replays the whole file)")
 	seed := flag.Int64("seed", 42, "synthetic trace seed")
 	cores := flag.Int("cores", 1, "number of cores (multi-core shares an 8 MB LLC)")
 	timing := flag.Bool("timing", false, "run the full timing model and report IPC")
@@ -71,15 +71,11 @@ func main() {
 	if *list {
 		fmt.Println("benchmarks:", strings.Join(workload.Names(), " "))
 		fmt.Println("spec schemes:", strings.Join(workload.Schemes(), " "))
-		pols := make([]string, 0, len(policy.Registry))
-		for name := range policy.Registry {
-			pols = append(pols, name)
-		}
-		fmt.Println("policies:", strings.Join(pols, " "))
+		fmt.Println("policies:", strings.Join(policy.Names(), " "))
 		return
 	}
 
-	tr, err := loadTrace(*bench, *traceFile, *champsim, *accesses, *maxAccesses, *seed)
+	tr, err := loadTrace(*bench, *traceFile, *accesses, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -171,25 +167,10 @@ func main() {
 	fmt.Printf("evictions    %d (%d writebacks, %d bypasses)\n", res.LLC.Evictions, res.LLC.Writebacks, res.LLC.Bypasses)
 }
 
-func loadTrace(bench, file, champsim string, accesses, maxAccesses int, seed int64) (*trace.Trace, error) {
-	sources := 0
-	for _, s := range []string{bench, file, champsim} {
-		if s != "" {
-			sources++
-		}
-	}
+func loadTrace(bench, file string, accesses int, seed int64) (*trace.Trace, error) {
 	switch {
-	case sources > 1:
-		return nil, fmt.Errorf("glidersim: -bench, -trace and -champsim are mutually exclusive")
-	case champsim != "":
-		f, err := os.Open(champsim)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		// Streaming decode: bounded memory while reading, byte-identical to
-		// the one-shot readers, gzip auto-detected.
-		return ingest.ReadChampSimStream(f, champsim, maxAccesses)
+	case bench != "" && file != "":
+		return nil, fmt.Errorf("-bench and -trace are mutually exclusive")
 	case bench != "":
 		spec, err := workload.Resolve(bench)
 		if err != nil {
@@ -204,7 +185,7 @@ func loadTrace(bench, file, champsim string, accesses, maxAccesses int, seed int
 		defer f.Close()
 		return trace.ReadAuto(f)
 	default:
-		return nil, fmt.Errorf("glidersim: one of -bench, -trace or -champsim is required (see -list)")
+		return nil, fmt.Errorf("one of -bench or -trace is required (see -list)")
 	}
 }
 

@@ -93,11 +93,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report(stdout, "hawkeye (per-PC counters)", res)
 	}
 	if all || want["perceptron"] {
-		_, res := offline.TrainOrderedSVMOffline(d, *hist, *epochs)
+		_, res, err := offline.TrainOrderedSVMOffline(d, *hist, *epochs)
+		if err != nil {
+			fmt.Fprintln(stderr, "offline:", err)
+			return 1
+		}
 		report(stdout, fmt.Sprintf("perceptron (ordered history h=%d)", *hist), res)
 	}
 	if all || want["isvm"] {
-		_, res := offline.TrainISVMOffline(d, *k, *epochs)
+		_, res, err := offline.TrainISVMOffline(d, *k, *epochs)
+		if err != nil {
+			fmt.Fprintln(stderr, "offline:", err)
+			return 1
+		}
 		report(stdout, fmt.Sprintf("offline ISVM (unique PCs k=%d)", *k), res)
 	}
 	if all || want["lstm"] {

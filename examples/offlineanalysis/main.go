@@ -61,7 +61,8 @@ func main() {
 
 	fmt.Println("step 3: the simple model — integer SVM over unordered unique PCs")
 	for _, k := range []int{1, 3, 5, 8} {
-		_, res := offline.TrainISVMOffline(d, k, 2)
+		_, res, err := offline.TrainISVMOffline(d, k, 2)
+		check(err)
 		fmt.Printf("  ISVM k=%d: %.1f%%\n", k, res.FinalAccuracy()*100)
 	}
 	fmt.Println("\nThe k-sparse ISVM approaches the LSTM — that model, trained online,")

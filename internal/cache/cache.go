@@ -60,7 +60,7 @@ type Policy interface {
 	Update(set, way int, pc, block uint64, core uint8, hit bool, kind trace.Kind)
 }
 
-// Stats aggregates cache access counters, overall and per core.
+// Stats aggregates cache access counters.
 type Stats struct {
 	Accesses   uint64
 	Hits       uint64
@@ -68,9 +68,6 @@ type Stats struct {
 	Evictions  uint64
 	Writebacks uint64
 	Bypasses   uint64
-	PerCore    [8]struct {
-		Accesses, Hits, Misses uint64
-	}
 }
 
 // MissRate returns Misses/Accesses (0 for an unused cache).
@@ -194,16 +191,10 @@ func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResu
 	set := c.SetIndex(block)
 	lines := c.sets[set]
 	c.stats.Accesses++
-	if int(core) < len(c.stats.PerCore) {
-		c.stats.PerCore[core].Accesses++
-	}
 
 	for w := range lines {
 		if lines[w].Valid && lines[w].Tag == block {
 			c.stats.Hits++
-			if int(core) < len(c.stats.PerCore) {
-				c.stats.PerCore[core].Hits++
-			}
 			if kind == trace.Store || kind == trace.Writeback {
 				lines[w].Dirty = true
 			}
@@ -218,9 +209,6 @@ func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResu
 
 	// Miss.
 	c.stats.Misses++
-	if int(core) < len(c.stats.PerCore) {
-		c.stats.PerCore[core].Misses++
-	}
 	if c.obs != nil {
 		c.obs.onMiss(set, pc)
 	}

@@ -184,16 +184,6 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestPerCoreStats(t *testing.T) {
-	c := MustNew(Config{Name: "t", Sets: 1, Ways: 4}, newFIFO(4))
-	c.Access(1, 10, 2, trace.Load)
-	c.Access(1, 10, 2, trace.Load)
-	s := c.Stats()
-	if s.PerCore[2].Accesses != 2 || s.PerCore[2].Hits != 1 {
-		t.Fatalf("per-core stats %+v", s.PerCore[2])
-	}
-}
-
 func TestCacheNeverExceedsCapacityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

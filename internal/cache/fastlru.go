@@ -108,18 +108,12 @@ func (c *Cache) accessFast(pc, block uint64, core uint8, kind trace.Kind) Access
 	stamps := slab[ways : 2*ways]
 
 	c.stats.Accesses++
-	if int(core) < len(c.stats.PerCore) {
-		c.stats.PerCore[core].Accesses++
-	}
 	f.clock++
 
 	for w := range tags {
 		if tags[w] == block {
 			// Hit.
 			c.stats.Hits++
-			if int(core) < len(c.stats.PerCore) {
-				c.stats.PerCore[core].Hits++
-			}
 			if kind == trace.Store || kind == trace.Writeback {
 				slab[3*ways+w] |= fastMetaDirty
 			}
@@ -134,9 +128,6 @@ func (c *Cache) accessFast(pc, block uint64, core uint8, kind trace.Kind) Access
 
 	// Miss.
 	c.stats.Misses++
-	if int(core) < len(c.stats.PerCore) {
-		c.stats.PerCore[core].Misses++
-	}
 	if c.obs != nil {
 		c.obs.onMiss(set, pc)
 	}

@@ -104,8 +104,14 @@ func RunAblationOrderedVsUnordered(cfg Config) (Ablation, error) {
 	}
 	out := Ablation{Title: "unordered k-sparse vs ordered history feature (offline accuracy)"}
 	for _, k := range []int{3, 5, 8} {
-		_, unordered := offline.TrainISVMOffline(d, k, cfg.LinearEpochs)
-		_, ordered := offline.TrainOrderedSVMOffline(d, k, cfg.LinearEpochs)
+		_, unordered, err := offline.TrainISVMOffline(d, k, cfg.LinearEpochs)
+		if err != nil {
+			return Ablation{}, err
+		}
+		_, ordered, err := offline.TrainOrderedSVMOffline(d, k, cfg.LinearEpochs)
+		if err != nil {
+			return Ablation{}, err
+		}
 		out.Rows = append(out.Rows,
 			AblationRow{Name: fmt.Sprintf("unordered unique-PC feature, k=%d", k), Value: unordered.FinalAccuracy() * 100, Unit: "% accuracy"},
 			AblationRow{Name: fmt.Sprintf("ordered history feature,    h=%d", k), Value: ordered.FinalAccuracy() * 100, Unit: "% accuracy"},

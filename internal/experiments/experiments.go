@@ -436,8 +436,14 @@ func RunFig9(cfg Config) (Fig9, error) {
 					return Fig9Row{}, err
 				}
 				_, hk := offline.TrainHawkeyeOffline(d, cfg.LinearEpochs)
-				_, perc := offline.TrainOrderedSVMOffline(d, 3, cfg.LinearEpochs)
-				_, isvm := offline.TrainISVMOffline(d, 5, cfg.LinearEpochs)
+				_, perc, err := offline.TrainOrderedSVMOffline(d, 3, cfg.LinearEpochs)
+				if err != nil {
+					return Fig9Row{}, err
+				}
+				_, isvm, err := offline.TrainISVMOffline(d, 5, cfg.LinearEpochs)
+				if err != nil {
+					return Fig9Row{}, err
+				}
 				_, lstm, err := offline.TrainLSTM(d, cfg.LSTM)
 				if err != nil {
 					return Fig9Row{}, err

@@ -93,8 +93,14 @@ func RunFig15(cfg Config) (Fig15, error) {
 	}
 	epochs := cfg.ConvergenceEpochs
 	_, hk := offline.TrainHawkeyeOffline(d, epochs)
-	_, perc := offline.TrainOrderedSVMOffline(d, 3, epochs)
-	_, isvm := offline.TrainISVMOffline(d, 5, epochs)
+	_, perc, err := offline.TrainOrderedSVMOffline(d, 3, epochs)
+	if err != nil {
+		return Fig15{}, err
+	}
+	_, isvm, err := offline.TrainISVMOffline(d, 5, epochs)
+	if err != nil {
+		return Fig15{}, err
+	}
 	lstmOpts := cfg.LSTM
 	lstmOpts.Epochs = epochs
 	_, lstm, err := offline.TrainLSTM(d, lstmOpts)

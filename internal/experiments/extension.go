@@ -41,7 +41,10 @@ func RunExtensionMLP(cfg Config) (Extension, error) {
 			return out, err
 		}
 		_, hk := offline.TrainHawkeyeOffline(d, cfg.LinearEpochs)
-		_, isvm := offline.TrainISVMOffline(d, 5, cfg.LinearEpochs)
+		_, isvm, err := offline.TrainISVMOffline(d, 5, cfg.LinearEpochs)
+		if err != nil {
+			return out, err
+		}
 		opts := offline.DefaultMLPOptions()
 		opts.Epochs = cfg.LinearEpochs
 		m, mlp, err := offline.TrainMLPOffline(d, opts)

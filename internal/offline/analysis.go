@@ -239,11 +239,17 @@ func SweepHistoryLength(d *Dataset, lstmLens, linearKs []int, lstmOpts LSTMOptio
 		out.LSTMAcc = append(out.LSTMAcc, res.FinalAccuracy())
 	}
 	for _, k := range linearKs {
-		_, res := TrainISVMOffline(d, k, linearEpochs)
+		_, res, err := TrainISVMOffline(d, k, linearEpochs)
+		if err != nil {
+			return out, err
+		}
 		out.ISVMKs = append(out.ISVMKs, k)
 		out.ISVMAcc = append(out.ISVMAcc, res.FinalAccuracy())
 
-		_, pres := TrainOrderedSVMOffline(d, k, linearEpochs)
+		_, pres, err := TrainOrderedSVMOffline(d, k, linearEpochs)
+		if err != nil {
+			return out, err
+		}
 		out.Perceptron = append(out.Perceptron, k)
 		out.PercAcc = append(out.PercAcc, pres.FinalAccuracy())
 	}

@@ -70,10 +70,13 @@ func DefaultMLPOptions() MLPOptions {
 }
 
 // TrainMLPOffline trains the multiperspective MLP and records per-epoch
-// test accuracy.
+// test accuracy. opts.K must be at least 1.
 func TrainMLPOffline(d *Dataset, opts MLPOptions) (*ml.MLP, TrainResult, error) {
 	if opts.Hidden == 0 {
 		opts = DefaultMLPOptions()
+	}
+	if err := checkHistoryLen("multiperspective-mlp", opts.K); err != nil {
+		return nil, TrainResult{}, err
 	}
 	m, err := ml.NewMLP(mlpFeatureSpace, opts.Hidden, opts.LR, opts.Seed)
 	if err != nil {

@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"strings"
 	"testing"
 
 	"glider/internal/ml"
@@ -140,8 +141,14 @@ func TestOrderedHistories(t *testing.T) {
 func TestTrainLinearModelsImprove(t *testing.T) {
 	d := testDataset(t, "omnetpp", 120000)
 	_, hk := TrainHawkeyeOffline(d, 2)
-	_, isvm := TrainISVMOffline(d, 5, 2)
-	_, perc := TrainOrderedSVMOffline(d, 3, 2)
+	_, isvm, err := TrainISVMOffline(d, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, perc, err := TrainOrderedSVMOffline(d, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := d.FriendlyFraction()
 	if base > 0.5 {
 		base = 1 - base
@@ -167,7 +174,10 @@ func TestISVMBeatsHawkeyeOnContextBenchmark(t *testing.T) {
 	// cannot (the paper's Figure 9 claim).
 	d := testDataset(t, "omnetpp", 200000)
 	_, hk := TrainHawkeyeOffline(d, 2)
-	_, isvm := TrainISVMOffline(d, 5, 2)
+	_, isvm, err := TrainISVMOffline(d, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if isvm.FinalAccuracy() <= hk.FinalAccuracy() {
 		t.Fatalf("ISVM (%.3f) should beat Hawkeye (%.3f) on omnetpp", isvm.FinalAccuracy(), hk.FinalAccuracy())
 	}
@@ -199,6 +209,43 @@ func TestTrainLSTMRejectsHistoryLenZero(t *testing.T) {
 	d := &Dataset{PCs: []uint64{1, 2}, Tokens: []int{0, 1}, Labels: make([]bool, 2), Vocab: []uint64{1, 2}, TrainEnd: 1}
 	if _, _, err := TrainLSTM(d, LSTMOptions{HistoryLen: 0, Epochs: 1}); err == nil {
 		t.Fatal("TrainLSTM accepted HistoryLen 0")
+	}
+}
+
+// TestTrainersRejectShortHistory: every entry point that builds history
+// features refuses a length below 1 with an error instead of panicking in
+// the feature builder.
+func TestTrainersRejectShortHistory(t *testing.T) {
+	d := &Dataset{PCs: []uint64{1, 2}, Tokens: []int{0, 1}, Labels: make([]bool, 2), Vocab: []uint64{1, 2}, TrainEnd: 1}
+	for _, n := range []int{0, -1} {
+		for name, train := range map[string]func() error{
+			"TrainISVMOffline": func() error {
+				_, _, err := TrainISVMOffline(d, n, 1)
+				return err
+			},
+			"TrainOrderedSVMOffline": func() error {
+				_, _, err := TrainOrderedSVMOffline(d, n, 1)
+				return err
+			},
+			"TrainMLPOffline": func() error {
+				opts := DefaultMLPOptions()
+				opts.K = n
+				_, _, err := TrainMLPOffline(d, opts)
+				return err
+			},
+			"SweepHistoryLength/linear": func() error {
+				_, err := SweepHistoryLength(d, nil, []int{n}, LSTMOptions{Epochs: 1}, 1)
+				return err
+			},
+			"SweepHistoryLength/lstm": func() error {
+				_, err := SweepHistoryLength(d, []int{n}, nil, LSTMOptions{Epochs: 1}, 1)
+				return err
+			},
+		} {
+			if err := train(); err == nil || !strings.Contains(err.Error(), "history length") {
+				t.Errorf("%s with history length %d: err = %v, want a history length error", name, n, err)
+			}
+		}
 	}
 }
 

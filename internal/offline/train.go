@@ -41,25 +41,38 @@ func TrainHawkeyeOffline(d *Dataset, epochs int) (*ml.HawkeyeCounters, TrainResu
 }
 
 // TrainISVMOffline trains the offline ISVM: the hinge SVM over the k
-// unique-PC history features.
-func TrainISVMOffline(d *Dataset, k, epochs int) (*ml.HingeSVM, TrainResult) {
-	return trainSVM(d, "offline-isvm", d.UniqueHistories(k), epochs)
+// unique-PC history features. k must be at least 1.
+func TrainISVMOffline(d *Dataset, k, epochs int) (*ml.HingeSVM, TrainResult, error) {
+	return trainSVM(d, "offline-isvm", k, d.UniqueHistories, epochs)
 }
 
 // TrainOrderedSVMOffline trains the Perceptron baseline: the hinge SVM over
-// the ordered history of h PCs.
-func TrainOrderedSVMOffline(d *Dataset, h, epochs int) (*ml.HingeSVM, TrainResult) {
-	return trainSVM(d, "perceptron", d.OrderedHistories(h), epochs)
+// the ordered history of h PCs. h must be at least 1.
+func TrainOrderedSVMOffline(d *Dataset, h, epochs int) (*ml.HingeSVM, TrainResult, error) {
+	return trainSVM(d, "perceptron", h, d.OrderedHistories, epochs)
 }
 
 // trainSVM trains a hinge SVM (Table 5's step size) on Belady labels over
-// the per-access features.
-func trainSVM(d *Dataset, model string, features [][]ml.Feature, epochs int) (*ml.HingeSVM, TrainResult) {
+// the per-access features that histories builds from hist past PCs.
+func trainSVM(d *Dataset, model string, hist int, histories func(int) [][]ml.Feature, epochs int) (*ml.HingeSVM, TrainResult, error) {
+	if err := checkHistoryLen(model, hist); err != nil {
+		return nil, TrainResult{}, err
+	}
+	features := histories(hist)
 	m := ml.NewHingeSVM(1000)
 	res := trainLinear(d, model, epochs,
 		func(i int) { m.Train(d.PCs[i], features[i], d.Labels[i]) },
 		func(i int) bool { return m.Predict(d.PCs[i], features[i]) })
-	return m, res
+	return m, res, nil
+}
+
+// checkHistoryLen rejects a history length below 1: every model's features
+// look back at least one PC.
+func checkHistoryLen(model string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("offline: %s history length %d, want at least 1", model, n)
+	}
+	return nil
 }
 
 // trainLinear runs epochs passes of train over the train region, in access
@@ -154,8 +167,8 @@ const trainShards = 8
 // value (asserted by TestTrainLSTMWorkerEquivalence). HistoryLen must be at
 // least 1.
 func TrainLSTM(d *Dataset, opts LSTMOptions) (*ml.AttentionLSTM, TrainResult, error) {
-	if opts.HistoryLen < 1 {
-		return nil, TrainResult{}, fmt.Errorf("offline: LSTM history length %d, want at least 1", opts.HistoryLen)
+	if err := checkHistoryLen("LSTM", opts.HistoryLen); err != nil {
+		return nil, TrainResult{}, err
 	}
 	cfg := opts.Config
 	if cfg.Vocab == 0 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -30,80 +31,101 @@ import (
 // ChampSimRecordSize is the fixed record size in bytes.
 const ChampSimRecordSize = 64
 
-// ReadChampSim decodes a raw (uncompressed) ChampSim instruction trace.
-// maxAccesses bounds the output per the package-wide convention (see
-// CapReached): ≤ 0 means unlimited, and a positive bound is exact — decoding
+// champSimChunkBytes is ReadChampSim's read buffer: 4096 records. Besides
+// the returned trace (and a gzip decompressor's window), it is all the
+// decoder holds, whatever the file size.
+const champSimChunkBytes = 4096 * ChampSimRecordSize
+
+// ReadChampSim decodes a ChampSim instruction trace, raw or gzip-compressed
+// (sniffed from the leading bytes). An empty source is an empty trace, and an
+// xz-compressed one is refused: decoding it as raw records would silently
+// produce garbage accesses.
+//
+// maxAccesses ≤ 0 reads the whole trace. A positive bound is exact: decoding
 // stops at exactly maxAccesses accesses even when that lands mid-record, and
-// no input past the record that completes the bound is read or validated.
+// nothing past the record that completes the bound is read or validated, so
+// memory is bounded by maxAccesses rather than by the file. Records read
+// before a source error are decoded before the error is reported.
 func ReadChampSim(r io.Reader, name string, maxAccesses int) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	src, err := champSimSource(r)
+	if err != nil {
+		return nil, err
+	}
 	capHint := 1 << 16
 	if maxAccesses > 0 && maxAccesses < capHint {
 		capHint = maxAccesses
 	}
 	t := New(name, capHint)
-	var rec [ChampSimRecordSize]byte
-	for !CapReached(t.Len(), maxAccesses) {
-		_, err := io.ReadFull(br, rec[:])
-		if err == io.EOF {
-			break
-		}
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("trace: truncated ChampSim record at access %d", t.Len())
-		}
-		if err != nil {
-			return nil, err
-		}
-		var accs [ChampSimMaxAccesses]Access
-		for _, a := range DecodeChampSimRecord(rec, accs[:0]) {
-			if CapReached(t.Len(), maxAccesses) {
-				break
+	buf := make([]byte, champSimChunkBytes)
+	var pos, end int // buf[pos:end] holds the bytes not yet decoded
+	// srcErr holds the source's terminal error (io.EOF included) until the
+	// whole records buffered ahead of it are decoded.
+	var srcErr error
+	for {
+		for ; end-pos >= ChampSimRecordSize; pos += ChampSimRecordSize {
+			rec := buf[pos : pos+ChampSimRecordSize]
+			ip := binary.LittleEndian.Uint64(rec)
+			// Six memory slots from offset 16: two stores, then four loads.
+			for slot := 0; slot < 6; slot++ {
+				addr := binary.LittleEndian.Uint64(rec[16+8*slot:])
+				if addr == 0 {
+					continue
+				}
+				kind := Load
+				if slot < 2 {
+					kind = Store
+				}
+				t.Append(Access{PC: ip, Addr: addr, Kind: kind})
+				if capReached(t.Len(), maxAccesses) {
+					return t, nil
+				}
 			}
-			t.Append(a)
+		}
+		end = copy(buf, buf[pos:end])
+		pos = 0
+		for end < ChampSimRecordSize && srcErr == nil {
+			var n int
+			n, srcErr = src.Read(buf[end:])
+			end += n
+		}
+		if end < ChampSimRecordSize {
+			switch {
+			case srcErr == io.EOF && end == 0:
+				return t, nil
+			case srcErr == io.EOF:
+				return nil, fmt.Errorf("trace: truncated ChampSim record at access %d", t.Len())
+			default:
+				return nil, srcErr
+			}
 		}
 	}
-	return t, nil
 }
 
-// ChampSimMaxAccesses is the most accesses one ChampSim record can expand to
-// (2 store slots + 4 load slots).
-const ChampSimMaxAccesses = 6
-
-// DecodeChampSimRecord expands one 64-byte ChampSim record into its memory
-// accesses: up to 2 stores (destination_memory) then up to 4 loads
-// (source_memory), in slot order, skipping zero slots. Results are appended
-// to dst and the extended slice is returned; passing a slice with capacity
-// ChampSimMaxAccesses makes the call allocation-free.
-func DecodeChampSimRecord(rec [ChampSimRecordSize]byte, dst []Access) []Access {
-	ip := binary.LittleEndian.Uint64(rec[0:8])
-	// destination_memory at offset 16: two store addresses.
-	for i := 0; i < 2; i++ {
-		addr := binary.LittleEndian.Uint64(rec[16+8*i : 24+8*i])
-		if addr != 0 {
-			dst = append(dst, Access{PC: ip, Addr: addr, Kind: Store})
+// champSimSource sniffs r's leading bytes and returns the reader of its raw
+// records: r itself, or a gzip decompressor over it.
+func champSimSource(r io.Reader) (io.Reader, error) {
+	var head [2]byte
+	n, err := io.ReadFull(r, head[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	joined := io.MultiReader(bytes.NewReader(head[:n]), r)
+	if n == 2 && head[0] == 0xfd && head[1] == '7' {
+		return nil, fmt.Errorf("trace: xz-compressed ChampSim trace; decompress externally first (xz -d)")
+	}
+	if n == 2 && head[0] == 0x1f && head[1] == 0x8b {
+		gz, err := gzip.NewReader(joined)
+		if err != nil {
+			return nil, fmt.Errorf("trace: opening gzip ChampSim trace: %w", err)
 		}
+		return gz, nil
 	}
-	// source_memory at offset 32: four load addresses.
-	for i := 0; i < 4; i++ {
-		addr := binary.LittleEndian.Uint64(rec[32+8*i : 40+8*i])
-		if addr != 0 {
-			dst = append(dst, Access{PC: ip, Addr: addr, Kind: Load})
-		}
-	}
-	return dst
+	return joined, nil
 }
 
-// ReadChampSimGzip decodes a gzip-compressed ChampSim trace (the common
-// distribution format; xz-compressed traces must be decompressed
-// externally first).
-func ReadChampSimGzip(r io.Reader, name string, maxAccesses int) (*Trace, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: opening gzip ChampSim trace: %w", err)
-	}
-	defer gz.Close()
-	return ReadChampSim(gz, name, maxAccesses)
-}
+// capReached reports whether a decoder that has produced n accesses has hit
+// the maxAccesses bound (≤ 0 means unlimited).
+func capReached(n, maxAccesses int) bool { return maxAccesses > 0 && n >= maxAccesses }
 
 // WriteChampSim encodes the trace in ChampSim record format (one record per
 // access, memory slot chosen by kind) — primarily for tests and for

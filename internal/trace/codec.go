@@ -26,17 +26,6 @@ var binaryMagic = [8]byte{'G', 'L', 'T', 'R', 'A', 'C', 'E', '1'}
 // ErrBadFormat is returned when decoding input that is not a valid trace.
 var ErrBadFormat = errors.New("trace: bad format")
 
-// CapReached reports whether a decoder that has already produced n accesses
-// has hit the maxAccesses bound. This is the package-wide convention for
-// every maxAccesses parameter (ReadChampSim, ReadBinaryMax, ReadAutoMax, and
-// the streaming decoders in internal/trace/ingest): maxAccesses ≤ 0 means
-// unlimited, and a positive bound is exact — decoding stops at exactly
-// maxAccesses accesses, even mid-record, and no input beyond the record that
-// completes the bound is read or validated. Historically ReadChampSim could
-// overshoot the bound by up to 5 accesses (it checked only between records)
-// while ReadBinary had no bound at all; both now share these semantics.
-func CapReached(n, maxAccesses int) bool { return maxAccesses > 0 && n >= maxAccesses }
-
 // WriteBinary encodes the trace in the binary trace format.
 func WriteBinary(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
@@ -71,15 +60,6 @@ func WriteBinary(w io.Writer, t *Trace) error {
 
 // ReadBinary decodes a trace written by WriteBinary.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	return ReadBinaryMax(r, 0)
-}
-
-// ReadBinaryMax decodes a trace written by WriteBinary, bounding the output
-// per the package-wide maxAccesses convention (see CapReached): ≤ 0 means
-// unlimited, a positive bound stops decoding at exactly maxAccesses accesses.
-// When the bound fires before the declared record count is consumed, the
-// remaining records are not read or validated.
-func ReadBinaryMax(r io.Reader, maxAccesses int) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -110,15 +90,9 @@ func ReadBinaryMax(r io.Reader, maxAccesses int) (*Trace, error) {
 	if count < maxCapHint {
 		capHint = int(count)
 	}
-	if maxAccesses > 0 && maxAccesses < capHint {
-		capHint = maxAccesses
-	}
 	t := New(string(name), capHint)
 	var rec [18]byte
 	for i := uint64(0); i < count; i++ {
-		if CapReached(t.Len(), maxAccesses) {
-			break
-		}
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: reading access %d: %w", i, err)
 		}
@@ -152,18 +126,11 @@ func WriteText(w io.Writer, t *Trace) error {
 
 // ReadText decodes a trace written by WriteText.
 func ReadText(r io.Reader) (*Trace, error) {
-	return ReadTextMax(r, 0)
-}
-
-// ReadTextMax decodes a trace written by WriteText, bounding the output per
-// the package-wide maxAccesses convention (see CapReached). Lines beyond the
-// bound are not read or validated.
-func ReadTextMax(r io.Reader, maxAccesses int) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	t := New("", 0)
 	lineNo := 0
-	for !CapReached(t.Len(), maxAccesses) && sc.Scan() {
+	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

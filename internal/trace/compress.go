@@ -24,12 +24,6 @@ func WriteBinaryGzip(w io.Writer, t *Trace) error {
 // ReadAuto decodes a trace in any supported container: gzip-compressed
 // binary, raw binary, or text — detected by sniffing the leading bytes.
 func ReadAuto(r io.Reader) (*Trace, error) {
-	return ReadAutoMax(r, 0)
-}
-
-// ReadAutoMax is ReadAuto bounded per the package-wide maxAccesses
-// convention (see CapReached).
-func ReadAutoMax(r io.Reader, maxAccesses int) (*Trace, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(2)
 	if err != nil {
@@ -42,15 +36,11 @@ func ReadAutoMax(r io.Reader, maxAccesses int) (*Trace, error) {
 			return nil, err
 		}
 		defer gz.Close()
-		return ReadBinaryMax(gz, maxAccesses)
+		return ReadBinary(gz)
 	}
 	headMagic, err := br.Peek(len(binaryMagic))
 	if err == nil && bytes.Equal(headMagic, binaryMagic[:]) {
-		return ReadBinaryMax(br, maxAccesses)
+		return ReadBinary(br)
 	}
-	return ReadTextMax(br, maxAccesses)
+	return ReadText(br)
 }
-
-// newGzipWriter is a small indirection so tests can build compressed
-// fixtures without importing compress/gzip themselves.
-func newGzipWriter(w io.Writer) *gzip.Writer { return gzip.NewWriter(w) }

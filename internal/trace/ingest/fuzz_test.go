@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzStreamVsOneShot is the differential oracle as a fuzz target: for any
-// byte string and cap, the streaming decoder and trace.ReadChampSim must
-// produce identical traces or identical errors, and never panic.
+// file contents and length, the champsim scheme's streamed decode and
+// oneShot's decode of the whole buffer produce identical traces or
+// identical errors, and never panic.
 func FuzzStreamVsOneShot(f *testing.F) {
 	f.Add([]byte{}, 0)
 	f.Add(bytes.Repeat([]byte{0}, trace.ChampSimRecordSize), -1)
@@ -18,44 +19,11 @@ func FuzzStreamVsOneShot(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xa5}, trace.ChampSimRecordSize+17), 0) // truncated tail
 	f.Add([]byte{0x1f, 0x8b, 0x00}, 0)                                // gzip magic, corrupt body
 	f.Add([]byte{0xfd, '7', 'z'}, 0)                                  // xz magic
-	f.Fuzz(func(t *testing.T, data []byte, maxAccesses int) {
-		if maxAccesses > 1<<20 || maxAccesses < -1<<20 {
-			return // cap the materialized size, not the input space
+	f.Fuzz(func(t *testing.T, data []byte, n int) {
+		if n > 1<<16 || n < -1<<16 {
+			return // the scheme materializes exactly n accesses: cap that, not the input space
 		}
-		got, gotErr := ReadChampSimStream(bytes.NewReader(data), "f", maxAccesses)
-
-		// The one-shot comparison point depends on the sniffed container,
-		// mirroring NewScannerAuto: raw unless the gzip magic leads.
-		var want *trace.Trace
-		var wantErr error
-		if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-			want, wantErr = trace.ReadChampSimGzip(bytes.NewReader(data), "f", maxAccesses)
-		} else if len(data) >= 2 && data[0] == 0xfd && data[1] == '7' {
-			if gotErr == nil {
-				t.Fatal("xz input accepted")
-			}
-			return
-		} else {
-			want, wantErr = trace.ReadChampSim(bytes.NewReader(data), "f", maxAccesses)
-		}
-
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("stream err %v, one-shot err %v", gotErr, wantErr)
-		}
-		if gotErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("stream err %q, one-shot err %q", gotErr, wantErr)
-			}
-			return
-		}
-		if len(got.Accesses) != len(want.Accesses) {
-			t.Fatalf("stream %d accesses, one-shot %d", len(got.Accesses), len(want.Accesses))
-		}
-		for i := range got.Accesses {
-			if got.Accesses[i] != want.Accesses[i] {
-				t.Fatalf("access %d: %+v vs %+v", i, got.Accesses[i], want.Accesses[i])
-			}
-		}
+		diffOneShot(t, writeTraceFile(t, data), data, n)
 	})
 }
 
@@ -66,7 +34,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("zipf(skew=0.9,objects=4096,span=2,pcs=8,scan-every=1000,scan-len=64,churn-every=5000)")
 	f.Add("mix(rr,mcf,libquantum)")
 	f.Add("mix(poisson,zipf(objects=32,skew=1),mix(rr,mcf,mcf),p=0.25)")
-	f.Add("champsim(file=testdata/mini.champsim)")
+	f.Add("champsim(file=../testdata/mini.champsim)")
 	f.Add("zipf(objects=100,skew=1.2))(")
 	f.Add("mix(rr,mix(rr,mix(rr,mcf,mcf),mcf),mcf)")
 	f.Add("zipf(objects=-1,skew=1e309)")

@@ -1,12 +1,13 @@
 // Package ingest turns external trace sources into first-class workloads:
-// real ChampSim/CRC2 LLC traces streamed off disk with bounded memory, Zipf
-// web/CDN object streams, and deterministic multi-tenant interleavings of
-// any two workloads.
+// real ChampSim/CRC2 LLC traces read off disk, Zipf web/CDN object streams,
+// and deterministic multi-tenant interleavings of any two workloads.
+// ChampSim files decode through trace.ReadChampSim, which stops at the
+// requested access count, so memory is bounded by n, not by the file size.
 //
 // Each source is exposed two ways:
 //
-//   - A direct API (Scanner, ZipfConfig, MixConfig) for tools that consume
-//     accesses or traces themselves.
+//   - A direct API (trace.ReadChampSim, ZipfConfig, MixConfig) for tools
+//     that consume accesses or traces themselves.
 //   - A spec string — champsim(file=...), zipf(objects=...,skew=...),
 //     mix(rr|poisson,left,right) — parsed by Parse and registered with
 //     workload.RegisterScheme from this package's init, so every caller of

@@ -171,19 +171,19 @@ func parseChampSim(args []string) (workload.Spec, error) {
 	}), nil
 }
 
-// generateChampSim streams the file through a Scanner, materializing at most
-// n accesses (memory stays bounded by n plus the scanner's chunk buffer, not
-// by the file size). A file shorter than n is cycle-extended to exactly n —
-// the rewind the paper's multi-core methodology uses — so downstream warmup
-// fractions and per-cell access counts hold for every file length. The seed
-// is unused: the file's bytes are the workload's identity.
+// generateChampSim decodes at most n accesses of the file (n = 0 reads it
+// all), so memory is bounded by n rather than by the file size. A file
+// shorter than n is cycle-extended to exactly n — the rewind the paper's
+// multi-core methodology uses — so downstream warmup fractions and per-cell
+// access counts hold for every file length. The seed is unused: the file's
+// bytes are the workload's identity.
 func generateChampSim(name, path string, n int) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: champsim trace: %w", err)
 	}
 	defer f.Close()
-	t, err := ReadChampSimStream(f, name, n)
+	t, err := trace.ReadChampSim(f, name, n)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: champsim trace %s: %w", path, err)
 	}

@@ -33,6 +33,18 @@ func writeChampSimFile(t *testing.T, accesses int) string {
 	return path
 }
 
+func sameAccesses(t *testing.T, got, want []trace.Access) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d accesses, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("access %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestParseCanonicalization(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"zipf(objects=100,skew=1.2)", "zipf(objects=100,skew=1.2)"},
@@ -200,6 +212,53 @@ func TestParseChampSimEmptyFile(t *testing.T) {
 	}
 	if _, err := spec.GenerateE(100, 1); err == nil {
 		t.Fatal("empty trace file accepted")
+	}
+}
+
+// TestTruncatedErrorMessage: a file that ends mid-record fails the scheme
+// with the decoder's truncation error, naming the file.
+func TestTruncatedErrorMessage(t *testing.T) {
+	const path = "../testdata/truncated.champsim"
+	spec, err := Parse("champsim(file=" + path + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = spec.GenerateE(0, 1)
+	if err == nil || !strings.Contains(err.Error(), "truncated ChampSim record at access") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("err = %v, want the truncation error for %s", err, path)
+	}
+}
+
+// TestCapStopsReading: the scheme decodes no further than the n accesses it
+// is asked for, so a corrupt tail past them is never read; the whole-file
+// read (n = 0) reports it.
+func TestCapStopsReading(t *testing.T) {
+	path := writeChampSimFile(t, 10)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xDE, 0xAD}); err != nil { // partial record
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := Parse("champsim(file=" + path + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 5} {
+		tr, err := spec.GenerateE(n, 1)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if tr.Len() != n {
+			t.Fatalf("n=%d: got %d accesses", n, tr.Len())
+		}
+	}
+	if _, err := spec.GenerateE(0, 1); err == nil {
+		t.Fatal("whole-file read accepted the corrupt tail")
 	}
 }
 

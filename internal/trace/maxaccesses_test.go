@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// The package-wide maxAccesses convention: ≤ 0 reads everything, a positive
-// bound is exact — every reader stops at exactly maxAccesses accesses, even
-// mid-record, and reads no further input. These tests pin the convention
-// across all four formats after its unification (ReadChampSim historically
-// over-read by finishing the record that crossed the bound).
+// ReadChampSim's maxAccesses bound: ≤ 0 reads everything, a positive bound
+// is exact — decoding stops at exactly maxAccesses accesses, even
+// mid-record, and reads no further input.
 
 func capTestTrace(n int) *Trace {
 	t := New("cap", n)
@@ -34,8 +32,8 @@ func TestCapReached(t *testing.T) {
 		{99, 100, false}, {100, 100, true},
 	}
 	for _, c := range cases {
-		if got := CapReached(c.n, c.max); got != c.want {
-			t.Errorf("CapReached(%d, %d) = %v, want %v", c.n, c.max, got, c.want)
+		if got := capReached(c.n, c.max); got != c.want {
+			t.Errorf("capReached(%d, %d) = %v, want %v", c.n, c.max, got, c.want)
 		}
 	}
 }
@@ -43,47 +41,13 @@ func TestCapReached(t *testing.T) {
 func TestReadersHonorExactCap(t *testing.T) {
 	src := capTestTrace(40)
 
-	encode := map[string]func() []byte{
-		"binary": func() []byte {
-			var b bytes.Buffer
-			if err := WriteBinary(&b, src); err != nil {
-				t.Fatal(err)
-			}
-			return b.Bytes()
-		},
-		"text": func() []byte {
-			var b bytes.Buffer
-			if err := WriteText(&b, src); err != nil {
-				t.Fatal(err)
-			}
-			return b.Bytes()
-		},
-		"gzip": func() []byte {
-			var b bytes.Buffer
-			if err := WriteBinaryGzip(&b, src); err != nil {
-				t.Fatal(err)
-			}
-			return b.Bytes()
-		},
-		"champsim": func() []byte {
-			var b bytes.Buffer
-			if err := WriteChampSim(&b, src); err != nil {
-				t.Fatal(err)
-			}
-			return b.Bytes()
-		},
+	var raw bytes.Buffer
+	if err := WriteChampSim(&raw, src); err != nil {
+		t.Fatal(err)
 	}
-	decode := map[string]func([]byte, int) (*Trace, error){
-		"binary":   func(b []byte, max int) (*Trace, error) { return ReadBinaryMax(bytes.NewReader(b), max) },
-		"text":     func(b []byte, max int) (*Trace, error) { return ReadTextMax(bytes.NewReader(b), max) },
-		"gzip":     func(b []byte, max int) (*Trace, error) { return ReadAutoMax(bytes.NewReader(b), max) },
-		"champsim": func(b []byte, max int) (*Trace, error) { return ReadChampSim(bytes.NewReader(b), "cap", max) },
-	}
-
-	for format, enc := range encode {
-		data := enc()
+	for format, data := range map[string][]byte{"raw": raw.Bytes(), "gzip": gzipBytes(t, raw.Bytes())} {
 		for _, max := range []int{-1, 0, 1, 7, 39, 40, 1000} {
-			tr, err := decode[format](data, max)
+			tr, err := ReadChampSim(bytes.NewReader(data), "cap", max)
 			if err != nil {
 				t.Fatalf("%s max=%d: %v", format, max, err)
 			}
@@ -143,34 +107,19 @@ func TestChampSimCapMidRecord(t *testing.T) {
 }
 
 // TestCapSkipsTrailingGarbage: once the cap is reached no further input is
-// read, so garbage past the bound cannot fail the decode — uniformly across
-// formats.
+// read, so garbage past the bound cannot fail the decode.
 func TestCapSkipsTrailingGarbage(t *testing.T) {
-	src := capTestTrace(10)
-	var bin, txt, cs bytes.Buffer
-	if err := WriteBinary(&bin, src); err != nil {
+	var cs bytes.Buffer
+	if err := WriteChampSim(&cs, capTestTrace(10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteText(&txt, src); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteChampSim(&cs, src); err != nil {
-		t.Fatal(err)
-	}
-	txt.WriteString("not a valid line\n")
 	cs.Write([]byte{1, 2, 3}) // partial record
 
-	if _, err := ReadTextMax(bytes.NewReader(txt.Bytes()), 10); err != nil {
-		t.Fatalf("text: %v", err)
-	}
 	if _, err := ReadChampSim(bytes.NewReader(cs.Bytes()), "cap", 10); err != nil {
 		t.Fatalf("champsim: %v", err)
 	}
-	// And without a cap the garbage IS an error (the decoders still
-	// validate what they read).
-	if _, err := ReadTextMax(bytes.NewReader(txt.Bytes()), 0); err == nil {
-		t.Fatal("text garbage accepted")
-	}
+	// And without a cap the garbage IS an error (the decoder still
+	// validates what it reads).
 	if _, err := ReadChampSim(bytes.NewReader(cs.Bytes()), "cap", 0); err == nil {
 		t.Fatal("champsim truncated tail accepted")
 	}

@@ -71,8 +71,8 @@ func Custom(name string, suite Suite, gen func(n int, seed int64) (*trace.Trace,
 
 // Generate produces a deterministic trace of n accesses for the spec using
 // the given seed. The same (spec, n, seed) always yields the same trace.
-// For custom specs with fallible sources it panics on generation failure;
-// such callers should use GenerateE.
+// It panics where GenerateE fails (a negative n, or a custom spec's source
+// failing); such callers should use GenerateE.
 func (s Spec) Generate(n int, seed int64) *trace.Trace {
 	t, err := s.GenerateE(n, seed)
 	if err != nil {
@@ -81,9 +81,13 @@ func (s Spec) Generate(n int, seed int64) *trace.Trace {
 	return t
 }
 
-// GenerateE is Generate with error reporting: registry specs never fail, but
-// custom specs (ChampSim files, nested mixes) can.
+// GenerateE is Generate with error reporting: registry specs fail only on a
+// negative n, but custom specs (ChampSim files, nested mixes) can fail on
+// their sources too.
 func (s Spec) GenerateE(n int, seed int64) (*trace.Trace, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("workload: negative trace length %d", n)
+	}
 	if s.generate != nil {
 		return s.generate(n, seed)
 	}
