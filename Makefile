@@ -29,9 +29,10 @@ race:
 # and both reuse-distance policies, frd and msa, plus an experiment run, then
 # aggregate the JSONL with obsreport); the ledger loop (anchor a real zoo
 # run to a disk ledger with cmd/experiments, audit the file with cmd/audit,
-# and re-simulate the anchored zoo bit for bit); and a ChampSim file that
+# and re-simulate the anchored zoo bit for bit); a ChampSim file that
 # cmd/tracegen writes, replayed by cmd/glidersim and used by cmd/offline to
-# train the offline models.
+# train the offline models; and gliderd serving cmd/loadgen's traffic
+# without a failed request, then draining on SIGTERM to exit status 0.
 cli-smoke:
 	$(GO) run ./cmd/experiments -quick -accesses 20000 -zoo-spec 'zipf(objects=65536,skew=0.9)' -zoo-spec 'mix(rr,zipf(objects=49152,skew=1.1),mcf)' zoo
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
@@ -49,6 +50,12 @@ cli-smoke:
 	$(GO) run ./cmd/tracegen -bench mcf -accesses 60000 -champsim -o /tmp/glider-mcf.champsim
 	$(GO) run ./cmd/glidersim -bench 'champsim(file=/tmp/glider-mcf.champsim)' -policy glider -accesses 60000
 	$(GO) run ./cmd/offline -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 60000 -models all -epochs 1 -lstm-epochs 1
+	$(GO) build -o /tmp/glider-gliderd ./cmd/gliderd
+	$(GO) build -o /tmp/glider-loadgen ./cmd/loadgen
+	/tmp/glider-gliderd -addr 127.0.0.1:18099 -workers 2 & pid=$$!; \
+	for i in $$(seq 50); do curl -sf http://127.0.0.1:18099/healthz > /dev/null && break; sleep 0.2; done; \
+	/tmp/glider-loadgen -target http://127.0.0.1:18099 -duration 3s -rate 20 -accesses 20000 -slo-p99 30s -slo-error-rate 0 || { kill $$pid; exit 1; }; \
+	kill -TERM $$pid; wait $$pid
 
 # bench runs the training/kernel benchmarks at full fidelity and records
 # the results as JSON in BENCH_train.json (see cmd/benchjson). The raw

@@ -1,6 +1,6 @@
 // Command gliderd serves the repository's simulation engine over HTTP: a
-// batched, backpressured JSON API for simulation cells and prediction
-// queries (see internal/server and DESIGN.md §11).
+// backpressured JSON API for simulation cells and prediction queries, with
+// each worker running one at a time (see internal/server and DESIGN.md §11).
 //
 // Quickstart:
 //
@@ -33,8 +33,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	queueDepth := flag.Int("queue", 64, "bounded job queue depth (full queue answers 429)")
-	workers := flag.Int("workers", 0, "simulation pool workers (0 = one per CPU)")
-	batchMax := flag.Int("batch-max", 8, "max jobs dispatched to the pool per batch")
+	workers := flag.Int("workers", 0, "workers, each running one job at a time (0 = one per CPU)")
 	cacheEntries := flag.Int("cache", 256, "result cache entries")
 	defaultTimeout := flag.Duration("timeout", 60*time.Second, "default per-request deadline")
 	maxAccesses := flag.Int("max-accesses", 2_000_000, "max accesses one job may request")
@@ -66,7 +65,6 @@ func main() {
 	srv := server.New(server.Config{
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
-		BatchMax:       *batchMax,
 		CacheEntries:   *cacheEntries,
 		DefaultTimeout: *defaultTimeout,
 		Limits:         server.Limits{MaxAccesses: *maxAccesses},
@@ -78,7 +76,7 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	log.Printf("gliderd: listening on %s (queue=%d workers=%d batch-max=%d)", *addr, *queueDepth, *workers, *batchMax)
+	log.Printf("gliderd: listening on %s (queue=%d workers=%d)", *addr, *queueDepth, *workers)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

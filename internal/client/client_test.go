@@ -297,7 +297,7 @@ func TestClientAPIErrors(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c, _ := newClient(t, server.Config{QueueDepth: 1, BatchMax: 1, Workers: 1, Executor: blocking})
+	c, _ := newClient(t, server.Config{QueueDepth: 1, Workers: 1, Executor: blocking})
 	ctx := context.Background()
 
 	// Validation rejections: permanent 422.

@@ -310,8 +310,8 @@ func RunFig5(cfg Config) (Fig5, error) {
 	if len(seqs) == 0 {
 		return Fig5{}, fmt.Errorf("fig5: no test sequences")
 	}
-	// Model inference allocates per-call state, so the trained model is safe
-	// to share across the two heatmap-extraction jobs.
+	// Inference reuses the model's scratch buffers, so the two
+	// heatmap-extraction jobs share the trained model one after the other.
 	span := opts.HistoryLen
 	jobs := []simrunner.Job[offline.Heatmap]{
 		{Key: simrunner.Key("fig5", spec.Name, "wide"), Run: func(ctx context.Context) (offline.Heatmap, error) {
@@ -321,7 +321,9 @@ func RunFig5(cfg Config) (Fig5, error) {
 			return offline.AttentionHeatmap(m, seqs[0], 10, span), nil
 		}},
 	}
-	maps, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
+	serial := cfg.runnerOpts()
+	serial.Workers = 1
+	maps, err := simrunner.Values(simrunner.Run(context.Background(), serial, jobs))
 	if err != nil {
 		return Fig5{}, err
 	}

@@ -51,7 +51,7 @@ func TestDifferentialSimAllPoliciesAcrossWorkers(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Workers: workers, BatchMax: 4})
+			_, ts := newTestServer(t, Config{Workers: workers})
 			for _, pol := range names {
 				body := fmt.Sprintf(`{"workload":%q,"policy":%q,"accesses":%d,"seed":%d}`, bench, pol, accesses, seed)
 				status, _, data := postJSON(t, ts, "/v1/sim", body)
@@ -80,7 +80,7 @@ func TestDifferentialBatchMatchesDirect(t *testing.T) {
 		seed     = 7
 	)
 	names := registeredPolicies(t)
-	_, ts := newTestServer(t, Config{Workers: 4, BatchMax: 8, QueueDepth: 64})
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
 
 	var sb bytes.Buffer
 	sb.WriteString(`{"jobs":[`)

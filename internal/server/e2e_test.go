@@ -13,13 +13,14 @@ import (
 	"testing"
 	"time"
 
+	"glider/internal/estimate"
 	"glider/internal/experiments"
 	"glider/internal/policy"
 	"glider/internal/workload"
 )
 
 // newTestServer starts a Server plus an httptest front end and tears both
-// down (drain first, so no dispatcher goroutine outlives the test).
+// down (drain first, so no worker goroutine outlives the test).
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
@@ -160,6 +161,13 @@ func TestPredictHappyPath(t *testing.T) {
 // experiments.RunEstimateCell, and a repeat request hits the cache with the
 // header intact.
 func TestEstimateHappyPathAndAttribution(t *testing.T) {
+	// Train the process-wide default estimator before the server starts.
+	// The first /v1/estimate would otherwise train it inside the request's
+	// 60 s deadline: about 20 s under -race on an idle 2-CPU machine, and
+	// longer when other packages' suites share the CPUs.
+	if _, err := estimate.Default(); err != nil {
+		t.Fatal(err)
+	}
 	_, ts := newTestServer(t, Config{})
 
 	check := func(body, wantSource string) Envelope {
@@ -336,7 +344,6 @@ func TestQueueFull429(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{
 		QueueDepth: 1,
-		BatchMax:   1,
 		Workers:    1,
 		Executor:   blockingExecutor(started, release),
 	})
@@ -433,7 +440,6 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{
 		QueueDepth: 2,
-		BatchMax:   1,
 		Workers:    1,
 		Executor:   blockingExecutor(started, release),
 	})
@@ -488,6 +494,11 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+	// Every 503 is counted: the queued job and the request sent during the
+	// drain.
+	if got := s.Registry().Counter("server.rejected.draining").Value(); got != 2 {
+		t.Fatalf("server.rejected.draining = %d, want 2", got)
 	}
 }
 
@@ -608,7 +619,7 @@ func TestSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	s, ts := newTestServer(t, Config{QueueDepth: 32, BatchMax: 4})
+	s, ts := newTestServer(t, Config{QueueDepth: 32})
 
 	const clients = 4
 	const perClient = 12

@@ -19,9 +19,9 @@ import (
 )
 
 // Backend is what sits behind a Front: something that runs the jobs the
-// front's cache cannot answer and serves a ledger. gliderd's Server runs
-// them on a local queue and simulation pool; the gateway routes them
-// across a ring of gliderd nodes.
+// front's cache cannot answer and serves a ledger. gliderd's Server queues
+// them for its local workers; the gateway routes them across a ring of
+// gliderd nodes.
 type Backend interface {
 	// Submit starts f and returns at once; the backend reports the outcome
 	// later through f.Finish. The front calls it with its lock held, so it

@@ -56,7 +56,7 @@ func TestDifferentialSimIngestedScenarios(t *testing.T) {
 	}
 	names := registeredPolicies(t)
 
-	_, ts := newTestServer(t, Config{Workers: 4, BatchMax: 4})
+	_, ts := newTestServer(t, Config{Workers: 4})
 	for _, scen := range scenarios {
 		for _, pol := range names {
 			res, err := experiments.RunCell(context.Background(), scen, pol, accesses, seed)

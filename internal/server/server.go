@@ -1,13 +1,13 @@
-// Package server implements gliderd's HTTP API: a batched, backpressured
-// front end over the repository's simulation engine. Requests name a
-// (workload, policy, accesses, seed) cell; the server canonicalizes each
-// into a job hash, coalesces duplicates onto one execution, queues jobs
-// into a bounded buffer (rejecting with 429 + Retry-After when full),
-// drains the queue in batches onto a simrunner pool, and caches marshaled
-// results in an LRU keyed by the job hash. Per-request deadlines propagate
-// as context cancellation all the way into the simulation loops, and a
-// graceful drain lets in-flight work finish while queued and new work is
-// rejected with 503.
+// Package server implements gliderd's HTTP API: a backpressured front end
+// over the repository's simulation engine. Requests name a (workload,
+// policy, accesses, seed) cell; the server canonicalizes each into a job
+// hash, coalesces duplicates onto one execution, queues jobs into a bounded
+// buffer (rejecting with 429 + Retry-After when full), runs them on a fixed
+// set of workers that each take one job from the queue at a time, and
+// caches marshaled results in an LRU keyed by the job hash. Per-request
+// deadlines propagate as context cancellation all the way into the
+// simulation loops, and a graceful drain lets running jobs finish while
+// queued and new work is rejected with 503.
 //
 // Because results are produced by the same experiments entry points a
 // direct run uses (experiments.RunCell / RunPredictCell / RunEstimateCell)
@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -33,14 +34,12 @@ import (
 
 // Config sizes the server. Zero values select the documented defaults.
 type Config struct {
-	// QueueDepth bounds the number of accepted-but-not-dispatched jobs;
+	// QueueDepth bounds the number of accepted jobs no worker has started;
 	// beyond it requests are rejected with 429 (default 64).
 	QueueDepth int
-	// Workers bounds the simrunner pool a batch runs on (0 = one per CPU).
+	// Workers is the number of jobs that run at once, one per worker
+	// (default GOMAXPROCS). A node holds at most QueueDepth + Workers jobs.
 	Workers int
-	// BatchMax caps how many queued jobs the dispatcher hands to the pool
-	// at once (default 8).
-	BatchMax int
 	// CacheEntries bounds the result LRU (default 256).
 	CacheEntries int
 	// DefaultTimeout is the per-request deadline when the job does not set
@@ -72,8 +71,8 @@ func (c Config) defaulted() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 8
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
@@ -99,21 +98,21 @@ var (
 )
 
 // Server is the gliderd service: the shared request Front over a local
-// Backend — a bounded queue, a batch dispatcher onto a simrunner pool, and
-// an optional ledger. Create with New, mount Handler, stop with Drain.
+// Backend — a bounded queue, Config.Workers workers that each run one
+// flight at a time, and an optional ledger. Create with New, mount Handler,
+// stop with Drain.
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
 	front *Front
 	queue chan *Flight
 
-	stopCh         chan struct{}
-	dispatcherDone chan struct{}
-
-	// mu guards draining. Submit takes it inside the front's lock, so a
-	// flight is either queued before Drain flips the flag or rejected.
-	mu       sync.Mutex
-	draining bool
+	// stop is closed by Drain, under mu. Submit checks it under mu inside
+	// the front's lock, so every flight is refused, started by a worker
+	// before the close, or still queued at the close and answered 503.
+	mu          sync.Mutex
+	stop        chan struct{}
+	workersDone chan struct{}
 
 	queueDepth   *obs.Histogram
 	waitTimer    *obs.Timer
@@ -123,15 +122,15 @@ type Server struct {
 	appendErrors *obs.Counter
 }
 
-// New builds a server and starts its dispatcher.
+// New builds a server and starts its workers.
 func New(cfg Config) *Server {
 	cfg = cfg.defaulted()
 	s := &Server{
-		cfg:            cfg,
-		reg:            cfg.Obs,
-		queue:          make(chan *Flight, cfg.QueueDepth),
-		stopCh:         make(chan struct{}),
-		dispatcherDone: make(chan struct{}),
+		cfg:         cfg,
+		reg:         cfg.Obs,
+		queue:       make(chan *Flight, cfg.QueueDepth),
+		stop:        make(chan struct{}),
+		workersDone: make(chan struct{}),
 	}
 	s.front = NewFront(s, s.reg, "server", "", cfg.Limits, cfg.CacheEntries, cfg.DefaultTimeout)
 	s.queueDepth = s.reg.Histogram("server.queue.depth", obs.LinearBuckets(0, float64(max(cfg.QueueDepth/8, 1)), 9))
@@ -140,7 +139,18 @@ func New(cfg Config) *Server {
 	s.rejectedFul = s.reg.Counter("server.rejected.queue_full")
 	s.rejectedDrn = s.reg.Counter("server.rejected.draining")
 	s.appendErrors = s.reg.Counter("server.ledger.append_errors")
-	go s.dispatcher()
+	var wg sync.WaitGroup
+	wg.Add(cfg.Workers)
+	for range cfg.Workers {
+		go func() {
+			defer wg.Done()
+			s.work()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(s.workersDone)
+	}()
 	return s
 }
 
@@ -148,100 +158,84 @@ func New(cfg Config) *Server {
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Drain stops accepting work, rejects everything still queued with 503, and
-// waits — bounded by ctx — for the running batch to finish. Safe to call
+// waits — bounded by ctx — for the running flights to finish. Safe to call
 // more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.stopCh)
+	if !s.draining() {
+		close(s.stop)
 	}
 	s.mu.Unlock()
+	// Nothing joins the queue once stop is closed, so this empties it for
+	// good; a worker that took a flight in the meantime rejects it too.
+queued:
+	for {
+		select {
+		case f := <-s.queue:
+			s.reject(f)
+		default:
+			break queued
+		}
+	}
 	select {
-	case <-s.dispatcherDone:
+	case <-s.workersDone:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// ------------------------------------------------------------- dispatcher
+// draining reports whether Drain has begun.
+func (s *Server) draining() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
+}
 
-func (s *Server) dispatcher() {
-	defer close(s.dispatcherDone)
+// ---------------------------------------------------------------- workers
+
+// work runs queued flights one at a time until Drain.
+func (s *Server) work() {
 	for {
 		select {
-		case <-s.stopCh:
-			s.rejectQueued()
+		case <-s.stop:
 			return
 		case f := <-s.queue:
 			// A stop that raced the receive wins: once draining is
 			// observable, nothing queued may start.
-			select {
-			case <-s.stopCh:
-				f.Finish(nil, false, errDraining)
-				s.rejectQueued()
-				return
-			default:
+			if s.draining() {
+				s.reject(f)
+			} else {
+				s.run(f)
 			}
-			s.runBatch(s.fillBatch(f))
 		}
 	}
 }
 
-// fillBatch opportunistically drains up to BatchMax-1 more queued flights so
-// one pool invocation carries them all.
-func (s *Server) fillBatch(first *Flight) []*Flight {
-	batch := []*Flight{first}
-	for len(batch) < s.cfg.BatchMax {
-		select {
-		case f := <-s.queue:
-			batch = append(batch, f)
-		default:
-			return batch
-		}
-	}
-	return batch
+// run executes one flight under its own request context, so its deadline
+// cancels it mid-simulation and a drain does not. The one-job simrunner.Run
+// turns a panic into the flight's error and times the job.
+func (s *Server) run(f *Flight) {
+	s.waitTimer.Observe(time.Since(f.enqueued))
+	r := simrunner.Run(f.Ctx, simrunner.Options{Workers: 1, Obs: s.reg}, []simrunner.Job[json.RawMessage]{{
+		Key: f.Hash,
+		Run: func(ctx context.Context) (json.RawMessage, error) {
+			start := time.Now()
+			res, err := s.exec(ctx, f.Spec)
+			s.execTimer.Observe(time.Since(start))
+			return res, err
+		},
+	}})
+	f.Finish(r[0].Value, false, r[0].Err)
 }
 
-// runBatch executes the flights on the simrunner pool. The batch context is
-// Background — a drain lets running jobs finish — while each job observes
-// its own flight's request-derived context, so per-request deadlines cancel
-// mid-simulation without touching siblings.
-func (s *Server) runBatch(batch []*Flight) {
-	now := time.Now()
-	jobs := make([]simrunner.Job[json.RawMessage], len(batch))
-	for i, f := range batch {
-		s.waitTimer.Observe(now.Sub(f.enqueued))
-		jobs[i] = simrunner.Job[json.RawMessage]{
-			Key: f.Hash,
-			Run: func(ctx context.Context) (json.RawMessage, error) {
-				if err := f.Ctx.Err(); err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				res, err := s.exec(f.Ctx, f.Spec)
-				s.execTimer.Observe(time.Since(start))
-				return res, err
-			},
-		}
-	}
-	results := simrunner.Run(context.Background(), simrunner.Options{Workers: s.cfg.Workers, Obs: s.reg}, jobs)
-	for i, r := range results {
-		batch[i].Finish(r.Value, false, r.Err)
-	}
-}
-
-func (s *Server) rejectQueued() {
-	for {
-		select {
-		case f := <-s.queue:
-			s.rejectedDrn.Inc()
-			f.Finish(nil, false, errDraining)
-		default:
-			return
-		}
-	}
+// reject answers a queued flight 503 because the server is draining.
+func (s *Server) reject(f *Flight) {
+	s.rejectedDrn.Inc()
+	f.Finish(nil, false, errDraining)
 }
 
 // -------------------------------------------------------------- execution
@@ -309,12 +303,12 @@ func ArtifactKind(jobKind string) string {
 
 // ---------------------------------------------------------------- backend
 
-// Submit queues f for the dispatcher without blocking: a full queue
-// rejects it with 429 and a draining server with 503.
+// Submit queues f for the workers without blocking: a full queue rejects
+// it with 429 and a draining server with 503.
 func (s *Server) Submit(f *Flight) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.draining() {
 		s.rejectedDrn.Inc()
 		return errDraining
 	}
@@ -367,9 +361,9 @@ func (s *Server) LedgerProof(ctx context.Context, artifact string) (ledger.Proof
 const ShardHeader = "X-Gliderd-Shard"
 
 // Health is the /healthz payload: the coarse state string ("ok" or
-// "draining"), the shard identity, and queue occupancy, so a gateway can
-// both gate membership on Status and see saturation building before it
-// turns into 429s.
+// "draining"), the shard identity, and queue occupancy (flights accepted
+// but not yet started by a worker), so a gateway can both gate membership
+// on Status and see saturation building before it turns into 429s.
 type Health struct {
 	Status        string `json:"status"`
 	Shard         string `json:"shard,omitempty"`
@@ -396,9 +390,7 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("server.http.healthz").Inc()
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
+	draining := s.draining()
 	status := http.StatusOK
 	state := "ok"
 	if draining {
