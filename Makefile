@@ -30,9 +30,10 @@ race:
 # aggregate the JSONL with obsreport); the ledger loop (anchor a real zoo
 # run to a disk ledger with cmd/experiments, audit the file with cmd/audit,
 # and re-simulate the anchored zoo bit for bit); a ChampSim file that
-# cmd/tracegen writes, replayed by cmd/glidersim and used by cmd/offline to
-# train the offline models; and gliderd serving cmd/loadgen's traffic
-# without a failed request, then draining on SIGTERM to exit status 0.
+# cmd/tracegen writes and summarises, replayed by cmd/glidersim and used by
+# cmd/offline to train the offline models; and gliderd serving
+# cmd/loadgen's traffic without a failed request, then draining on SIGTERM
+# to exit status 0.
 cli-smoke:
 	$(GO) run ./cmd/experiments -quick -accesses 20000 -zoo-spec 'zipf(objects=65536,skew=0.9)' -zoo-spec 'mix(rr,zipf(objects=49152,skew=1.1),mcf)' zoo
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
@@ -47,7 +48,8 @@ cli-smoke:
 	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger
 	$(GO) run ./cmd/audit verify -ledger /tmp/glider-ledger-smoke.ledger -artifact "$$($(GO) run ./cmd/audit list -ledger /tmp/glider-ledger-smoke.ledger | awk '$$2=="zoo"{print $$1}')" -resim
 	$(GO) run ./cmd/audit root -ledger /tmp/glider-ledger-smoke.ledger
-	$(GO) run ./cmd/tracegen -bench mcf -accesses 60000 -champsim -o /tmp/glider-mcf.champsim
+	$(GO) run ./cmd/tracegen -bench mcf -accesses 60000 -o /tmp/glider-mcf.champsim
+	$(GO) run ./cmd/tracegen -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 0 -stats -reuse
 	$(GO) run ./cmd/glidersim -bench 'champsim(file=/tmp/glider-mcf.champsim)' -policy glider -accesses 60000
 	$(GO) run ./cmd/offline -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 60000 -models all -epochs 1 -lstm-epochs 1
 	$(GO) build -o /tmp/glider-gliderd ./cmd/gliderd
@@ -87,9 +89,6 @@ cover:
 # fuzz-smoke gives each fuzz target a short budget on top of the checked-in
 # seed corpus (which plain `go test` already replays).
 fuzz-smoke:
-	$(GO) test ./internal/trace/ -run '^FuzzReadBinary$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
-	$(GO) test ./internal/trace/ -run '^FuzzReadText$$' -fuzz '^FuzzReadText$$' -fuzztime 10s
-	$(GO) test ./internal/trace/ -run '^FuzzReadAuto$$' -fuzz '^FuzzReadAuto$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^FuzzReadChampSim$$' -fuzz '^FuzzReadChampSim$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ingest/ -run '^FuzzParseSpec$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^FuzzJobSpecDecode$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s

@@ -76,7 +76,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	log.Printf("gliderd: listening on %s (queue=%d workers=%d)", *addr, *queueDepth, *workers)
+	h := srv.Health()
+	log.Printf("gliderd: listening on %s (queue=%d workers=%d)", *addr, h.QueueCapacity, h.Workers)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

@@ -5,16 +5,15 @@
 // Usage:
 //
 //	glidersim -bench omnetpp -policy glider -accesses 1000000 [-timing]
-//	glidersim -trace trace.bin -policy hawkeye
 //	glidersim -bench omnetpp -policy lru,hawkeye,glider -workers 4
 //	glidersim -bench 'champsim(file=trace.gz)' -policy hawkeye -accesses 0
 //
-// Traces can come from a built-in synthetic benchmark or ingest spec string
-// (-bench, e.g. "zipf(objects=8192,skew=0.9)" or "champsim(file=PATH)" for a
-// ChampSim trace), or from a file written by tracegen (-trace, binary or
-// text format). -accesses 0 replays a ChampSim file whole, without
-// rewinding. Giving -policy a comma-separated list runs the policies
-// concurrently over the same trace and prints a side-by-side comparison.
+// -bench names the trace: a built-in synthetic benchmark or an ingest spec
+// string, e.g. "zipf(objects=8192,skew=0.9)", or "champsim(file=PATH)" for a
+// ChampSim trace such as the ones tracegen writes. -accesses 0 replays a
+// ChampSim file whole, without rewinding. Giving -policy a comma-separated
+// list runs the policies concurrently over the same trace and prints a
+// side-by-side comparison.
 //
 // glidersim only simulates; the offline command trains the paper's offline
 // models, and its -bench takes a ChampSim file as 'champsim(file=PATH)'.
@@ -44,7 +43,6 @@ import (
 
 func main() {
 	bench := flag.String("bench", "", "benchmark name or workload spec string, e.g. 'champsim(file=PATH)' (see -list)")
-	traceFile := flag.String("trace", "", "trace file to replay (binary, text, or gzip)")
 	policyName := flag.String("policy", "glider", "replacement policy, or a comma-separated list to compare")
 	accesses := flag.Int("accesses", 1_000_000, "trace length (with champsim(file=...), 0 replays the whole file)")
 	seed := flag.Int64("seed", 42, "synthetic trace seed")
@@ -75,7 +73,7 @@ func main() {
 		return
 	}
 
-	tr, err := loadTrace(*bench, *traceFile, *accesses, *seed)
+	tr, err := loadTrace(*bench, *accesses, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -167,26 +165,15 @@ func main() {
 	fmt.Printf("evictions    %d (%d writebacks, %d bypasses)\n", res.LLC.Evictions, res.LLC.Writebacks, res.LLC.Bypasses)
 }
 
-func loadTrace(bench, file string, accesses int, seed int64) (*trace.Trace, error) {
-	switch {
-	case bench != "" && file != "":
-		return nil, fmt.Errorf("-bench and -trace are mutually exclusive")
-	case bench != "":
-		spec, err := workload.Resolve(bench)
-		if err != nil {
-			return nil, err
-		}
-		return spec.GenerateE(accesses, seed)
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadAuto(f)
-	default:
-		return nil, fmt.Errorf("one of -bench or -trace is required (see -list)")
+func loadTrace(bench string, accesses int, seed int64) (*trace.Trace, error) {
+	if bench == "" {
+		return nil, fmt.Errorf("-bench is required (see -list)")
 	}
+	spec, err := workload.Resolve(bench)
+	if err != nil {
+		return nil, err
+	}
+	return spec.GenerateE(accesses, seed)
 }
 
 // splitPolicies parses the -policy flag into a list of policy names.

@@ -1,12 +1,19 @@
-// Command tracegen generates synthetic benchmark traces and inspects trace
-// files.
+// Command tracegen writes a workload's trace as a ChampSim file, or prints
+// its statistics.
 //
 // Usage:
 //
-//	tracegen -bench mcf -accesses 1000000 -o mcf.trace        # binary
-//	tracegen -bench mcf -accesses 1000 -text -o mcf.txt       # text
-//	tracegen -stats mcf.trace                                 # Table 2 row
+//	tracegen -bench mcf -accesses 1000000 -o mcf.champsim
+//	tracegen -bench mcf -accesses 1000000 | gzip > mcf.champsim.gz
+//	tracegen -bench mcf -accesses 1000000 -stats -reuse          # Table 2 row
+//	tracegen -bench 'champsim(file=mcf.champsim.gz)' -accesses 0 -stats
 //	tracegen -list
+//
+// -bench names the trace in both modes: a benchmark name or a workload spec
+// string, generated at -accesses and -seed; -accesses 0 reads a whole
+// ChampSim file. ChampSim is the only format tracegen writes. For a
+// compressed file, pipe the output through gzip: champsim(file=...) reads
+// gzip-compressed files as they are.
 package main
 
 import (
@@ -21,14 +28,11 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "", "benchmark name or workload spec string to generate")
-	accesses := flag.Int("accesses", 1_000_000, "trace length")
+	bench := flag.String("bench", "", "benchmark name or workload spec string, e.g. 'champsim(file=PATH)'")
+	accesses := flag.Int("accesses", 1_000_000, "trace length (with champsim(file=...), 0 reads the whole file)")
 	seed := flag.Int64("seed", 42, "generation seed")
-	out := flag.String("o", "", "output file (default stdout)")
-	text := flag.Bool("text", false, "write the text format instead of binary")
-	gz := flag.Bool("gzip", false, "gzip-compress the binary output")
-	champsim := flag.Bool("champsim", false, "write ChampSim instruction-record format")
-	statsFile := flag.String("stats", "", "print statistics for an existing trace file")
+	out := flag.String("o", "", "output ChampSim file (default stdout)")
+	stats := flag.Bool("stats", false, "print the trace's statistics instead of writing it")
 	reuse := flag.Bool("reuse", false, "with -stats: also print the reuse-distance profile")
 	list := flag.Bool("list", false, "list benchmark names, then exit")
 	flag.Parse()
@@ -38,60 +42,46 @@ func main() {
 		for _, s := range workload.All() {
 			fmt.Printf("%-16s %s\n", s.Name, s.Suite)
 		}
-	case *statsFile != "":
-		if err := printStats(*statsFile, *reuse); err != nil {
-			fatal(err)
-		}
-	case *bench != "":
-		if err := generate(*bench, *accesses, *seed, *out, *text, *gz, *champsim); err != nil {
-			fatal(err)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "usage: tracegen -bench <name> [-accesses N] [-seed N] [-text] [-o file] | -stats file | -list")
+		return
+	case *bench == "":
+		fmt.Fprintln(os.Stderr, "usage: tracegen -bench <name|spec> [-accesses N] [-seed N] [-o file | -stats [-reuse]] | -list")
 		os.Exit(2)
 	}
-}
 
-func generate(bench string, accesses int, seed int64, out string, text, gz, champsim bool) error {
-	spec, err := workload.Resolve(bench)
+	spec, err := workload.Resolve(*bench)
 	if err != nil {
-		return err
+		fatal(err)
 	}
-	tr, err := spec.GenerateE(accesses, seed)
+	tr, err := spec.GenerateE(*accesses, *seed)
 	if err != nil {
-		return err
+		fatal(err)
 	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *stats {
+		printStats(tr, *reuse)
+		return
 	}
-	switch {
-	case champsim:
-		return trace.WriteChampSim(w, tr)
-	case text:
-		return trace.WriteText(w, tr)
-	case gz:
-		return trace.WriteBinaryGzip(w, tr)
-	default:
-		return trace.WriteBinary(w, tr)
+	if err := write(tr, *out); err != nil {
+		fatal(err)
 	}
 }
 
-func printStats(file string, reuse bool) error {
-	f, err := os.Open(file)
+// write encodes tr as a ChampSim file at out, or on stdout when out is "".
+func write(tr *trace.Trace, out string) error {
+	if out == "" {
+		return trace.WriteChampSim(os.Stdout, tr)
+	}
+	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	tr, err := trace.ReadAuto(f)
-	if err != nil {
+	if err := trace.WriteChampSim(f, tr); err != nil {
+		f.Close()
 		return err
 	}
+	return f.Close()
+}
+
+func printStats(tr *trace.Trace, reuse bool) {
 	s := tr.Summarize()
 	fmt.Printf("%-12s accesses=%d PCs=%d addrs=%d acc/PC=%.1f acc/addr=%.1f\n",
 		s.Name, s.Accesses, s.PCs, s.Addrs, s.AccessesPerPC, s.AccessesPerAddr)
@@ -101,7 +91,6 @@ func printStats(file string, reuse bool) error {
 		fmt.Printf("  captured by L2 (4096 blocks):   %5.1f%%\n", p.CapturedBy(4096)*100)
 		fmt.Printf("  captured by LLC (32768 blocks): %5.1f%%\n", p.CapturedBy(32768)*100)
 	}
-	return nil
 }
 
 func fatal(err error) {

@@ -50,7 +50,7 @@ func RunCell(ctx context.Context, workloadName, policyName string, accesses int,
 	if err != nil {
 		return CellResult{}, err
 	}
-	if _, ok := policy.Registry[policyName]; !ok {
+	if !policy.Known(policyName) {
 		return CellResult{}, fmt.Errorf("experiments: unknown policy %q", policyName)
 	}
 	res, err := cpu.SingleCore(ctx, spec, policyName, accesses, seed)

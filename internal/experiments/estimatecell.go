@@ -59,7 +59,7 @@ func runEstimateCellWith(ctx context.Context, est *estimate.Estimator, workloadN
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	if _, ok := policy.Registry[policyName]; !ok {
+	if !policy.Known(policyName) {
 		return EstimateResult{}, fmt.Errorf("experiments: unknown policy %q", policyName)
 	}
 	t, err := workload.SharedE(spec, accesses, seed)

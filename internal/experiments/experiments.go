@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -103,8 +104,8 @@ func Quick() Config {
 	}
 }
 
-// PolicySet is the paper's online comparison set (Figures 11–13).
-var PolicySet = []string{"hawkeye", "mpppb", "ship++", "glider"}
+// policySet is the paper's online comparison set (Figures 11–13).
+var policySet = []string{"hawkeye", "mpppb", "ship++", "glider"}
 
 // ---------------------------------------------------------------- Table 1
 
@@ -608,7 +609,7 @@ type Fig11 struct {
 // (benchmark, policy) cell), then reduces the cells in grid order, so the
 // averages do not depend on the worker count.
 func RunFig11(cfg Config) (Fig11, error) {
-	out := Fig11{Policies: PolicySet, SuiteAverages: map[string]map[string][2]float64{}}
+	out := Fig11{Policies: slices.Clone(policySet), SuiteAverages: map[string]map[string][2]float64{}}
 	type suiteAcc struct {
 		miss, speed map[string]float64
 		n           int
@@ -624,7 +625,7 @@ func RunFig11(cfg Config) (Fig11, error) {
 	}
 
 	specs := workload.SingleCoreSet()
-	cells, err := runGrid(cfg, specs, append([]string{"lru"}, PolicySet...))
+	cells, err := runGrid(cfg, specs, append([]string{"lru"}, policySet...))
 	if err != nil {
 		return out, err
 	}
@@ -639,7 +640,7 @@ func RunFig11(cfg Config) (Fig11, error) {
 			MissReduction: map[string]float64{},
 			Speedup:       map[string]float64{},
 		}
-		for _, pol := range PolicySet {
+		for _, pol := range policySet {
 			res := cells[k]
 			k++
 			if base.LLCMissRate > 0 {
@@ -653,7 +654,7 @@ func RunFig11(cfg Config) (Fig11, error) {
 		for _, key := range []string{string(spec.Suite), "ALL"} {
 			s := accum(key)
 			s.n++
-			for _, pol := range PolicySet {
+			for _, pol := range policySet {
 				s.miss[pol] += row.MissReduction[pol]
 				s.speed[pol] += row.Speedup[pol]
 			}
@@ -661,7 +662,7 @@ func RunFig11(cfg Config) (Fig11, error) {
 	}
 	for key, s := range suites {
 		m := map[string][2]float64{}
-		for _, pol := range PolicySet {
+		for _, pol := range policySet {
 			m[pol] = [2]float64{s.miss[pol] / float64(s.n), s.speed[pol] / float64(s.n)}
 		}
 		out.SuiteAverages[key] = m
@@ -725,9 +726,9 @@ type Fig13 struct {
 // policy) across mixes; cpu.Weighted reduces each mix as
 // cpu.WeightedSpeedup does.
 func RunFig13(cfg Config) (Fig13, error) {
-	out := Fig13{Policies: PolicySet, Speedups: map[string][]float64{}, Averages: map[string]float64{}}
+	out := Fig13{Policies: slices.Clone(policySet), Speedups: map[string][]float64{}, Averages: map[string]float64{}}
 	mixes := workload.Mixes(cfg.Mixes, 4, cfg.Seed)
-	pols := append([]string{"lru"}, PolicySet...)
+	pols := append([]string{"lru"}, policySet...)
 	soloKey := func(spec workload.Spec, core int, pol string) string {
 		return simrunner.Key("fig13", "solo", spec.Name, "core="+strconv.Itoa(core), pol)
 	}
@@ -791,14 +792,14 @@ func RunFig13(cfg Config) (Fig13, error) {
 	for range mixes {
 		lru := weighted[k]
 		k++
-		for _, pol := range PolicySet {
+		for _, pol := range policySet {
 			ws := weighted[k]
 			k++
 			improvement := 100 * (ws - lru) / lru
 			out.Speedups[pol] = append(out.Speedups[pol], improvement)
 		}
 	}
-	for _, pol := range PolicySet {
+	for _, pol := range policySet {
 		sort.Float64s(out.Speedups[pol])
 		out.Averages[pol] = stats.Mean(out.Speedups[pol])
 	}

@@ -131,6 +131,9 @@ func TestFig11AndFig12(t *testing.T) {
 	if len(f.Rows) != 33 {
 		t.Fatalf("got %d rows, want 33", len(f.Rows))
 	}
+	if &f.Policies[0] == &policySet[0] {
+		t.Fatal("Fig11.Policies shares the package's policy set")
+	}
 	if _, ok := f.SuiteAverages["ALL"]; !ok {
 		t.Fatal("missing overall average")
 	}
@@ -154,6 +157,9 @@ func TestFig13(t *testing.T) {
 	f, err := quickFig13()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if &f.Policies[0] == &policySet[0] {
+		t.Fatal("Fig13.Policies shares the package's policy set")
 	}
 	for _, pol := range f.Policies {
 		if len(f.Speedups[pol]) != Quick().Mixes {

@@ -15,22 +15,22 @@ import (
 	"glider/internal/workload"
 )
 
-// LearnedPolicySet is the learned-replacement comparison set plus the LRU
+// learnedPolicySet is the learned-replacement comparison set plus the LRU
 // baseline, in render order.
-var LearnedPolicySet = []string{"lru", "hawkeye", "glider", "frd", "msa"}
+var learnedPolicySet = []string{"lru", "hawkeye", "glider", "frd", "msa"}
 
 // Learned is the learned-policy sweep: the Table 2 benchmarks in OfflineSet
-// order across LearnedPolicySet.
+// order across learnedPolicySet.
 type Learned struct{ Sweep }
 
-// RunLearned sweeps the Table 2 benchmark set across LearnedPolicySet on
+// RunLearned sweeps the Table 2 benchmark set across learnedPolicySet on
 // the parallel runner.
 func RunLearned(cfg Config) (Learned, error) {
 	var names []string
 	for _, spec := range workload.OfflineSet() {
 		names = append(names, spec.Name)
 	}
-	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: names, Policies: LearnedPolicySet})
+	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: names, Policies: learnedPolicySet})
 	return Learned{s}, err
 }
 

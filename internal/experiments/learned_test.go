@@ -45,11 +45,11 @@ func TestRunLearnedSweep(t *testing.T) {
 func TestZooIncludesReuseDistanceFamily(t *testing.T) {
 	t.Parallel()
 	want := map[string]bool{"frd": true, "msa": true, "lru": true, "glider": true}
-	for _, p := range ZooPolicySet {
+	for _, p := range zooPolicySet {
 		delete(want, p)
 	}
 	if len(want) != 0 {
-		t.Fatalf("ZooPolicySet %v missing %v", ZooPolicySet, want)
+		t.Fatalf("zooPolicySet %v missing %v", zooPolicySet, want)
 	}
 }
 

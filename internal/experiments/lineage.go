@@ -12,19 +12,19 @@ import (
 // (SDBP, SHiP++), perceptron-based reuse prediction (Perceptron, MPPPB),
 // to learning from the optimal solution (Hawkeye, Glider).
 
-// LineagePolicies is the ordering used in the study (roughly historical).
-var LineagePolicies = []string{
+// lineagePolicies is the ordering used in the study (roughly historical).
+var lineagePolicies = []string{
 	"lru", "lip", "dip", "lfu", "lrfu", "srrip", "drrip", "eaf",
 	"sdbp", "ship++", "perceptron", "mpppb", "hawkeye", "glider",
 }
 
 // Lineage is the full study: a representative benchmark triple
-// (pointer-chasing, context-dependent, graph) across LineagePolicies.
+// (pointer-chasing, context-dependent, graph) across lineagePolicies.
 type Lineage struct{ Sweep }
 
 // RunLineage measures every policy on the benchmark triple.
 func RunLineage(cfg Config) (Lineage, error) {
-	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: []string{"mcf", "omnetpp", "bfs"}, Policies: LineagePolicies})
+	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: []string{"mcf", "omnetpp", "bfs"}, Policies: lineagePolicies})
 	return Lineage{s}, err
 }
 

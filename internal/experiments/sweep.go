@@ -129,7 +129,7 @@ func resolveSweep(opts SweepOptions) ([]workload.Spec, []string, error) {
 		pols = policy.Names()
 	}
 	for _, p := range pols {
-		if _, ok := policy.Registry[p]; !ok {
+		if !policy.Known(p) {
 			return nil, nil, fmt.Errorf("sweep: unknown policy %q", p)
 		}
 	}

@@ -28,23 +28,23 @@ func DefaultZoo() []string {
 	}
 }
 
-// Zoo is the scenario-zoo sweep: every scenario across ZooPolicySet,
+// Zoo is the scenario-zoo sweep: every scenario across zooPolicySet,
 // scenarios in input order.
 type Zoo struct{ Sweep }
 
-// ZooPolicySet is the comparison set for the scenario zoo: the paper's four
+// zooPolicySet is the comparison set for the scenario zoo: the paper's four
 // policies, the LRU baseline the service deployments care about, and the
 // reuse-distance family (FRD regressor, MSA multi-step evictor).
-var ZooPolicySet = append(append([]string{"lru"}, PolicySet...), "frd", "msa")
+var zooPolicySet = append(append([]string{"lru"}, policySet...), "frd", "msa")
 
-// RunZoo sweeps every scenario spec across ZooPolicySet on the parallel
+// RunZoo sweeps every scenario spec across zooPolicySet on the parallel
 // runner. Specs resolve through workload.Resolve, so registry names and
 // ingest spec strings both work; results echo canonical names.
 func RunZoo(cfg Config, specs []string) (Zoo, error) {
 	if len(specs) == 0 {
 		specs = DefaultZoo()
 	}
-	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: specs, Policies: ZooPolicySet})
+	s, err := RunSweepExhaustive(cfg, SweepOptions{Workloads: specs, Policies: zooPolicySet})
 	return Zoo{s}, err
 }
 

@@ -76,7 +76,7 @@ func TestRunZooAcceptsCustomSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(z.Cells) != 4*len(ZooPolicySet) {
+	if len(z.Cells) != 4*len(zooPolicySet) {
 		t.Fatalf("got %d cells", len(z.Cells))
 	}
 

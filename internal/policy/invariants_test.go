@@ -22,11 +22,11 @@ import (
 //   - the stats ledger balances: hits + misses = accesses, and every miss is
 //     accounted for as a fill, an eviction-backed fill, or a bypass.
 //
-// Table-driven over the full Registry so a newly registered policy is
+// Table-driven over the full registry so a newly registered policy is
 // covered automatically.
 func TestPolicyInvariants(t *testing.T) {
-	names := make([]string, 0, len(Registry))
-	for name := range Registry {
+	names := make([]string, 0, len(registry))
+	for name := range registry {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -121,7 +121,7 @@ func TestPolicyInvariants(t *testing.T) {
 // a spread of sets and blocks.
 func TestPolicyVictimRange(t *testing.T) {
 	const sets, ways = 8, 4
-	for name := range Registry {
+	for name := range registry {
 		t.Run(name, func(t *testing.T) {
 			p, _ := New(name, sets, ways)
 			lines := make([]cache.Line, ways)
@@ -144,7 +144,7 @@ func TestPolicyVictimRange(t *testing.T) {
 // TestPolicyNames asserts the registry key matches the policy's self-reported
 // name, so reports and CLI flags can never disagree about identity.
 func TestPolicyNames(t *testing.T) {
-	for name := range Registry {
+	for name := range registry {
 		p, _ := New(name, 8, 4)
 		if got := p.Name(); got != name {
 			// A few families self-report a canonical family name; accept a

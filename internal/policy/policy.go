@@ -19,9 +19,10 @@ import (
 // that need per-set or per-line state size themselves from it.
 type Factory func(sets, ways int) cache.Policy
 
-// Registry maps policy names (as used in figures and on the command line)
-// to factories.
-var Registry = map[string]Factory{
+// registry maps policy names (as used in figures and on the command line)
+// to factories. Importers read it through Names, Known and New, so none can
+// change it.
+var registry = map[string]Factory{
 	"lru":        func(s, w int) cache.Policy { return NewLRU(s, w) },
 	"mru":        func(s, w int) cache.Policy { return NewMRU(s, w) },
 	"random":     func(s, w int) cache.Policy { return NewRandom(s, w, 1) },
@@ -47,8 +48,8 @@ var Registry = map[string]Factory{
 // catalogs iterate this instead of hard-coding lists so new policies are
 // covered automatically.
 func Names() []string {
-	names := make([]string, 0, len(Registry))
-	for name := range Registry {
+	names := make([]string, 0, len(registry))
+	for name := range registry {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -72,8 +73,8 @@ func PredictorCapable(name string) bool { return predictorCapable()[name] }
 // asks on every predict job, and building a learned policy allocates its
 // sampler slabs.
 var predictorCapable = sync.OnceValue(func() map[string]bool {
-	capable := make(map[string]bool, len(Registry))
-	for name, f := range Registry {
+	capable := make(map[string]bool, len(registry))
+	for name, f := range registry {
 		_, capable[name] = f(16, 16).(friendlyPredictor)
 	}
 	return capable
@@ -90,9 +91,15 @@ func PredictorNames() []string {
 	return names
 }
 
+// Known reports whether name is a registered policy.
+func Known(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // New looks up a registered policy by name.
 func New(name string, sets, ways int) (cache.Policy, bool) {
-	f, ok := Registry[name]
+	f, ok := registry[name]
 	if !ok {
 		return nil, false
 	}

@@ -36,7 +36,7 @@ func TestRegistryContainsPaperPolicies(t *testing.T) {
 	// Spot-check the names other layers rely on, then exercise every
 	// registered factory so new entries are covered automatically.
 	for _, name := range []string{"lru", "hawkeye", "glider", "frd", "msa"} {
-		if _, ok := Registry[name]; !ok {
+		if !Known(name) {
 			t.Fatalf("policy %q missing from registry", name)
 		}
 	}
@@ -53,8 +53,13 @@ func TestRegistryContainsPaperPolicies(t *testing.T) {
 			t.Fatalf("policy %q has empty name", name)
 		}
 	}
-	if _, ok := New("nonsense", 16, 4); ok {
+	if _, ok := New("nonsense", 16, 4); ok || Known("nonsense") {
 		t.Fatal("unknown policy accepted")
+	}
+	// Names hands out a copy: changing it changes no later answer.
+	names[0] = "nonsense"
+	if Known("nonsense") || Names()[0] == "nonsense" {
+		t.Fatal("Names shares its slice with the registry")
 	}
 }
 

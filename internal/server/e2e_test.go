@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -705,8 +706,12 @@ func TestShardIdentityAndHealthPayload(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(ShardHeader) != "shard-3" {
 		t.Fatalf("healthz: status %d shard %q", resp.StatusCode, resp.Header.Get(ShardHeader))
 	}
-	if h.Status != "ok" || h.Shard != "shard-3" || h.Draining || h.QueueCapacity != 7 || h.QueueDepth != 0 {
-		t.Fatalf("health payload %+v", h)
+	// Workers: 0 runs one worker per CPU, and /healthz says how many.
+	if h.Status != "ok" || h.Shard != "shard-3" || h.Draining || h.QueueCapacity != 7 || h.QueueDepth != 0 || h.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("health payload %+v (GOMAXPROCS %d)", h, runtime.GOMAXPROCS(0))
+	}
+	if h != s.Health() {
+		t.Fatalf("/healthz %+v, Server.Health %+v", h, s.Health())
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -725,10 +730,18 @@ func TestShardIdentityAndHealthPayload(t *testing.T) {
 		t.Fatalf("drained payload %+v", h)
 	}
 
-	// A server with no shard identity emits no header.
-	_, ts2 := newTestServer(t, Config{Executor: instant})
+	// A server with no shard identity emits no header, and it reports the
+	// workers it was given and the default queue.
+	_, ts2 := newTestServer(t, Config{Workers: 3, Executor: instant})
 	status, hdr, _ = postJSON(t, ts2, "/v1/sim", `{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":1}`)
 	if status != http.StatusOK || hdr.Get(ShardHeader) != "" {
 		t.Fatalf("anonymous server: status %d shard header %q", status, hdr.Get(ShardHeader))
+	}
+	_, data = getJSON(t, ts2, "/healthz")
+	if err := json.Unmarshal(data, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Workers != 3 || h.QueueCapacity != 64 {
+		t.Fatalf("anonymous server health %+v, want 3 workers and a queue of 64", h)
 	}
 }

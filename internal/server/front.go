@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -338,16 +337,12 @@ func (fr *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // door never advertises what it would reject.
 func (fr *Front) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	fr.count("catalog")
-	cat := Catalog{Workloads: workload.Names(), Schemes: workload.Schemes()}
-	for name := range policy.Registry {
-		cat.Policies = append(cat.Policies, name)
-		if predictorCapable(name) {
-			cat.Predictors = append(cat.Predictors, name)
-		}
-	}
-	sort.Strings(cat.Policies)
-	sort.Strings(cat.Predictors)
-	WriteJSON(w, http.StatusOK, cat)
+	WriteJSON(w, http.StatusOK, Catalog{
+		Workloads:  workload.Names(),
+		Schemes:    workload.Schemes(),
+		Policies:   policy.Names(),
+		Predictors: policy.PredictorNames(),
+	})
 }
 
 // handleLedgerRoot publishes the ledger chain head: batch/artifact counts

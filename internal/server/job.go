@@ -102,7 +102,7 @@ func (j *JobSpec) Validate(lim Limits) error {
 	// (and therefore one cache entry) and echoes the same payload a direct
 	// experiments.RunCell would produce.
 	j.Workload = spec.Name
-	if _, ok := policy.Registry[j.Policy]; !ok {
+	if !policy.Known(j.Policy) {
 		return &Error{Status: 422, Msg: fmt.Sprintf("unknown policy %q", j.Policy)}
 	}
 	if j.Accesses < 1 || j.Accesses > lim.MaxAccesses {
@@ -117,7 +117,7 @@ func (j *JobSpec) Validate(lim Limits) error {
 		// not apply, so zero them for a canonical hash.
 		j.TopPCs, j.ISVMRows = 0, 0
 	case KindPredict:
-		if !predictorCapable(j.Policy) {
+		if !policy.PredictorCapable(j.Policy) {
 			return &Error{Status: 422, Msg: fmt.Sprintf("policy %q does not expose a friendly/averse predictor", j.Policy)}
 		}
 		if j.TopPCs == 0 {
@@ -134,13 +134,6 @@ func (j *JobSpec) Validate(lim Limits) error {
 		}
 	}
 	return nil
-}
-
-// predictorCapable reports whether the named policy implements
-// cpu.FriendlyPredictor; the structural probe lives in the policy package
-// so the catalog, validation, and test suites all share one source of truth.
-func predictorCapable(name string) bool {
-	return policy.PredictorCapable(name)
 }
 
 // Hash returns the job's canonical identity: an FNV-1a hash over the

@@ -361,15 +361,35 @@ func (s *Server) LedgerProof(ctx context.Context, artifact string) (ledger.Proof
 const ShardHeader = "X-Gliderd-Shard"
 
 // Health is the /healthz payload: the coarse state string ("ok" or
-// "draining"), the shard identity, and queue occupancy (flights accepted
-// but not yet started by a worker), so a gateway can both gate membership
-// on Status and see saturation building before it turns into 429s.
+// "draining"), the shard identity, queue occupancy (flights accepted but
+// not yet started by a worker) and the capacity the node runs with, so a
+// gateway can both gate membership on Status and see saturation building
+// before it turns into 429s. A node holds at most QueueCapacity + Workers
+// flights.
 type Health struct {
 	Status        string `json:"status"`
 	Shard         string `json:"shard,omitempty"`
 	Draining      bool   `json:"draining"`
 	QueueDepth    int    `json:"queue_depth"`
 	QueueCapacity int    `json:"queue_capacity"`
+	Workers       int    `json:"workers"`
+}
+
+// Health reports the node's state as /healthz serves it, with the queue
+// capacity and worker count resolved from their defaults.
+func (s *Server) Health() Health {
+	h := Health{
+		Status:        "ok",
+		Shard:         s.cfg.ShardID,
+		Draining:      s.draining(),
+		QueueDepth:    len(s.queue),
+		QueueCapacity: cap(s.queue),
+		Workers:       s.cfg.Workers,
+	}
+	if h.Draining {
+		h.Status = "draining"
+	}
+	return h
 }
 
 // Handler mounts the API: the front's endpoints plus /healthz and
@@ -390,20 +410,12 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("server.http.healthz").Inc()
-	draining := s.draining()
+	h := s.Health()
 	status := http.StatusOK
-	state := "ok"
-	if draining {
+	if h.Draining {
 		status = http.StatusServiceUnavailable
-		state = "draining"
 	}
-	WriteJSON(w, status, Health{
-		Status:        state,
-		Shard:         s.cfg.ShardID,
-		Draining:      draining,
-		QueueDepth:    len(s.queue),
-		QueueCapacity: cap(s.queue),
-	})
+	WriteJSON(w, status, h)
 }
 
 // BatchRequest is the /v1/batch body.

@@ -128,9 +128,11 @@ func champSimSource(r io.Reader) (io.Reader, error) {
 func capReached(n, maxAccesses int) bool { return maxAccesses > 0 && n >= maxAccesses }
 
 // WriteChampSim encodes the trace in ChampSim record format (one record per
-// access, memory slot chosen by kind) — primarily for tests and for
-// exporting synthetic workloads to ChampSim-based simulators. Writebacks
-// are skipped (ChampSim derives them from cache state).
+// access, memory slot chosen by kind); it is the format tracegen writes.
+// A record has no core, so every access reads back on core 0. Writebacks
+// are skipped (ChampSim derives them from cache state), and an access to
+// address 0 does not survive ReadChampSim, which takes a zero slot for an
+// empty one. Generated workloads have none of the three.
 func WriteChampSim(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	var rec [ChampSimRecordSize]byte

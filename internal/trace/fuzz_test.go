@@ -6,60 +6,6 @@ import (
 	"testing"
 )
 
-// Native fuzz targets: the decoders must never panic on arbitrary input,
-// and valid traces must survive a decode/encode/decode round trip.
-
-func FuzzReadBinary(f *testing.F) {
-	var seedBuf bytes.Buffer
-	_ = WriteBinary(&seedBuf, sampleTraceF())
-	f.Add(seedBuf.Bytes())
-	f.Add([]byte("GLTRACE1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Re-encode and re-decode: must be stable.
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			t.Fatalf("re-encode of decoded trace failed: %v", err)
-		}
-		if _, err := ReadBinary(&buf); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-	})
-}
-
-func FuzzReadText(f *testing.F) {
-	f.Add("# trace x\n10 40 0 0\n")
-	f.Add("")
-	f.Add("zz")
-	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadText(bytes.NewReader([]byte(data)))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteText(&buf, tr); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		if _, err := ReadText(&buf); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-	})
-}
-
-func FuzzReadAuto(f *testing.F) {
-	var gz bytes.Buffer
-	_ = WriteBinaryGzip(&gz, sampleTraceF())
-	f.Add(gz.Bytes())
-	f.Add([]byte{0x1f, 0x8b})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadAuto(bytes.NewReader(data)) // must not panic
-	})
-}
-
 // FuzzReadChampSim checks the decoder against referenceChampSim on any
 // bytes and bound: the same accesses or the same error text, never a panic.
 func FuzzReadChampSim(f *testing.F) {
@@ -111,11 +57,4 @@ func FuzzReadChampSim(f *testing.F) {
 			}
 		}
 	})
-}
-
-func sampleTraceF() *Trace {
-	t := New("fuzz-seed", 2)
-	t.Append(Access{PC: 1, Addr: 64, Kind: Load})
-	t.Append(Access{PC: 2, Addr: 128, Core: 1, Kind: Store})
-	return t
 }

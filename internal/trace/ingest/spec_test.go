@@ -10,16 +10,19 @@ import (
 	"glider/internal/workload"
 )
 
-// writeChampSimFile materializes a small deterministic trace as a ChampSim
-// file and returns its path.
-func writeChampSimFile(t *testing.T, accesses int) string {
+// writeChampSimFile writes n accesses of the named workload (seed 42) as a
+// ChampSim file and returns its path and the trace it wrote.
+func writeChampSimFile(t *testing.T, name string, n int) (string, *trace.Trace) {
 	t.Helper()
-	spec, err := workload.Lookup("mcf")
+	spec, err := workload.Resolve(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := spec.Generate(accesses, 42)
-	path := filepath.Join(t.TempDir(), "mcf.champsim")
+	tr, err := spec.GenerateE(n, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.champsim")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +33,7 @@ func writeChampSimFile(t *testing.T, accesses int) string {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, tr
 }
 
 func sameAccesses(t *testing.T, got, want []trace.Access) {
@@ -156,14 +159,48 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseChampSim: every workload tracegen can write comes back through
+// WriteChampSim and champsim(file=…) with the same accesses. A ChampSim
+// record carries a PC, an address and a load or store slot, so this holds
+// only while generated traces keep to three facts, asserted first: every
+// access is on core 0, none is a writeback, and none has address 0 (the
+// reader takes a zero memory slot for an empty one and drops it). Then the
+// scheme materializes exactly the length asked for, whatever the seed, and
+// cycle-extends past the file's end.
 func TestParseChampSim(t *testing.T) {
-	path := writeChampSimFile(t, 200)
+	names := workload.Names()
+	names = append(names,
+		"zipf(objects=4096,skew=0.9,scan-every=1000)",
+		"mix(poisson,zipf(objects=512,skew=1.1),mix(rr,mcf,lbm),p=0.3)")
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			for _, n := range []int{1, 1000, 20_000} {
+				path, want := writeChampSimFile(t, name, n)
+				for i, a := range want.Accesses {
+					if a.Core != 0 || a.Kind == trace.Writeback || a.Addr == 0 {
+						t.Fatalf("n=%d: access %d = %+v: not representable as a ChampSim record", n, i, a)
+					}
+				}
+				spec, err := Parse("champsim(file=" + path + ")")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := "champsim(file=" + path + ")"; spec.Name != want {
+					t.Fatalf("Name = %q, want %q", spec.Name, want)
+				}
+				got, err := spec.GenerateE(0, 1)
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				sameAccesses(t, got.Accesses, want.Accesses)
+			}
+		})
+	}
+
+	path, _ := writeChampSimFile(t, "mcf", 200)
 	spec, err := Parse("champsim(file=" + path + ")")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if want := "champsim(file=" + path + ")"; spec.Name != want {
-		t.Fatalf("Name = %q, want %q", spec.Name, want)
 	}
 
 	// Exact-length materialization, deterministic across calls.
@@ -233,7 +270,7 @@ func TestTruncatedErrorMessage(t *testing.T) {
 // is asked for, so a corrupt tail past them is never read; the whole-file
 // read (n = 0) reports it.
 func TestCapStopsReading(t *testing.T) {
-	path := writeChampSimFile(t, 10)
+	path, _ := writeChampSimFile(t, "mcf", 10)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

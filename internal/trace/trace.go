@@ -4,8 +4,9 @@
 // of the load/store that issued it and the cache-block-aligned address it
 // touched.
 //
-// The package also provides binary and text codecs so traces can be stored on
-// disk and replayed, plus summary statistics matching Table 2 of the paper.
+// On disk a trace is a ChampSim instruction trace (ReadChampSim,
+// WriteChampSim), the format of the paper's CRC2 evaluation. The package
+// also computes summary statistics matching Table 2 of the paper.
 package trace
 
 import (

@@ -1,12 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func sampleTrace() *Trace {
@@ -34,88 +30,6 @@ func TestKindString(t *testing.T) {
 	}
 	if !strings.Contains(Kind(9).String(), "9") {
 		t.Fatal("unknown kind should include its value")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	orig := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || !reflect.DeepEqual(got.Accesses, orig.Accesses) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, orig)
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	orig := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteText(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || !reflect.DeepEqual(got.Accesses, orig.Accesses) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, orig)
-	}
-}
-
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		orig := New("prop", int(n))
-		for i := 0; i < int(n); i++ {
-			orig.Append(Access{
-				PC:   r.Uint64(),
-				Addr: r.Uint64(),
-				Core: uint8(r.Intn(8)),
-				Kind: Kind(r.Intn(3)),
-			})
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, orig); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(got.Accesses, orig.Accesses)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a trace file"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestReadTextRejectsBadLines(t *testing.T) {
-	for _, in := range []string{"one two\n", "zz 10 0 0\n", "10 zz 0 0\n", "10 10 999 0\n", "10 10 0 9\n"} {
-		if _, err := ReadText(strings.NewReader(in)); err == nil {
-			t.Fatalf("bad input %q accepted", in)
-		}
-	}
-}
-
-func TestReadTextSkipsCommentsAndBlank(t *testing.T) {
-	in := "# trace foo\n\n# comment\n10 40 0 0\n"
-	got, err := ReadText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "foo" || got.Len() != 1 {
-		t.Fatalf("got %+v", got)
 	}
 }
 
@@ -184,66 +98,5 @@ func TestInterleaveEmpty(t *testing.T) {
 	}
 	if got := Interleave("x", New("a", 0)).Len(); got != 0 {
 		t.Fatalf("interleave of empty trace len = %d", got)
-	}
-}
-
-func TestGzipRoundTrip(t *testing.T) {
-	orig := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteBinaryGzip(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAuto(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || !reflect.DeepEqual(got.Accesses, orig.Accesses) {
-		t.Fatal("gzip round trip mismatch")
-	}
-}
-
-func TestReadAutoDetectsAllFormats(t *testing.T) {
-	orig := sampleTrace()
-	var bin, txt, gz bytes.Buffer
-	if err := WriteBinary(&bin, orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteText(&txt, orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinaryGzip(&gz, orig); err != nil {
-		t.Fatal(err)
-	}
-	for name, buf := range map[string]*bytes.Buffer{"binary": &bin, "text": &txt, "gzip": &gz} {
-		got, err := ReadAuto(buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got.Accesses, orig.Accesses) {
-			t.Fatalf("%s: mismatch", name)
-		}
-	}
-}
-
-func TestReadAutoEmptyInput(t *testing.T) {
-	if _, err := ReadAuto(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestGzipActuallyCompresses(t *testing.T) {
-	tr := New("big", 10000)
-	for i := 0; i < 10000; i++ {
-		tr.Append(Access{PC: 5, Addr: uint64(i) << BlockShift})
-	}
-	var raw, gz bytes.Buffer
-	if err := WriteBinary(&raw, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinaryGzip(&gz, tr); err != nil {
-		t.Fatal(err)
-	}
-	if gz.Len() >= raw.Len()/2 {
-		t.Fatalf("gzip %d bytes vs raw %d: insufficient compression", gz.Len(), raw.Len())
 	}
 }

@@ -248,26 +248,24 @@ func (s *Store) Derive(ctx stdcontext.Context, spec Spec, n int, seed int64, id 
 	}
 }
 
-// evictOverLocked drops least-recently-used entries until the store is back
-// under its bound. keep is never evicted: the entry just finished generating
-// and is being handed to callers, so dropping it would only force an
-// immediate regeneration. Requires s.mu held.
+// evictOverLocked drops the other entries, least recently used first, until
+// the store is back under its bound. keep is never evicted: its bytes were
+// just added and it is being handed to callers, so dropping it would only
+// force an immediate regeneration. keep need not be the most recently used
+// entry (a slow generation or Derive build finishes behind entries added
+// while it ran), so the walk passes over it rather than stopping there. A
+// keep larger than the whole bound stays resident alone rather than
+// thrashing. Requires s.mu held.
 func (s *Store) evictOverLocked(keep StoreKey) {
 	if s.maxBytes <= 0 {
 		return
 	}
-	for s.bytes > s.maxBytes {
-		back := s.lru.Back()
-		if back == nil {
-			return
+	for el := s.lru.Back(); el != nil && s.bytes > s.maxBytes; {
+		prev := el.Prev()
+		if key := el.Value.(StoreKey); key != keep {
+			s.removeLocked(key)
 		}
-		key := back.Value.(StoreKey)
-		if key == keep {
-			// keep is the only entry left; an over-bound single trace stays
-			// resident rather than thrashing.
-			return
-		}
-		s.removeLocked(key)
+		el = prev
 	}
 }
 

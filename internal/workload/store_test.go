@@ -3,10 +3,13 @@ package workload
 import (
 	stdcontext "context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"glider/internal/trace"
 )
@@ -114,6 +117,188 @@ func TestStoreEviction(t *testing.T) {
 	big := s.Get(spec, 5000, 9)
 	if again := s.Get(spec, 5000, 9); again != big {
 		t.Fatal("over-bound trace was not retained")
+	}
+}
+
+// TestStoreBoundAfterSlowBuild: an entry whose generation or Derive build
+// started before other entries were added finishes behind them in the LRU
+// list. The bound still holds once its bytes land: the newer entries are
+// evicted, least recently used first, and the slow entry stays.
+func TestStoreBoundAfterSlowBuild(t *testing.T) {
+	t.Parallel()
+	mcf, err := Lookup("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbm, err := Lookup("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 2 * 1000 * accessBytes
+	// fillBehind runs slow in the background and, once it has started,
+	// gets mcf and then lbm: exactly the bound, so nothing is evicted
+	// before slow's bytes arrive.
+	fillBehind := func(t *testing.T, s *Store, started, release chan struct{}, slow func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			slow()
+		}()
+		<-started
+		s.Get(mcf, 1000, 42)
+		s.Get(lbm, 1000, 42)
+		if st := s.Stats(); st.Evictions != 0 || s.Bytes() != bound {
+			t.Fatalf("before the slow build: %+v, %d bytes", st, s.Bytes())
+		}
+		close(release)
+		<-done
+	}
+
+	t.Run("generate", func(t *testing.T) {
+		started, release := make(chan struct{}), make(chan struct{})
+		slow := Custom("slow(generate)", Ingest, func(n int, seed int64) (*trace.Trace, error) {
+			close(started)
+			<-release
+			return testSpecTrace("slow(generate)", n), nil
+		})
+		s := NewStore(bound)
+		fillBehind(t, s, started, release, func() { s.Get(slow, 1000, 42) })
+		if got := s.Bytes(); got != bound {
+			t.Fatalf("bytes = %d, want %d", got, bound)
+		}
+		if st := s.Stats(); st.Evictions != 1 {
+			t.Fatalf("evictions = %d, want 1 (mcf)", st.Evictions)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for name, want := range map[string]bool{"slow(generate)": true, "mcf": false, "lbm": true} {
+			if _, ok := s.entries[StoreKey{name, 1000, 42}]; ok != want {
+				t.Errorf("%s resident = %v, want %v: mcf, the least recently used, is the one to evict", name, ok, want)
+			}
+		}
+	})
+
+	t.Run("derive", func(t *testing.T) {
+		// mcf is generated, then its derived value builds while mcf is got
+		// again and lbm is added.
+		started, release := make(chan struct{}), make(chan struct{})
+		s := NewStore(bound)
+		fillBehind(t, s, started, release, func() {
+			build := func(stdcontext.Context, *trace.Trace) (Derived, error) {
+				close(started)
+				<-release
+				return sized(1000 * accessBytes), nil
+			}
+			if _, _, err := s.Derive(stdcontext.Background(), mcf, 1000, 42, "slow", build); err != nil {
+				t.Error(err)
+			}
+		})
+		if got := s.Bytes(); got != bound {
+			t.Fatalf("bytes = %d, want %d", got, bound)
+		}
+		if st := s.Stats(); st.Evictions != 1 {
+			t.Fatalf("evictions = %d, want 1 (lbm)", st.Evictions)
+		}
+	})
+}
+
+// TestStoreBoundUnderPressure drives a bounded store from many goroutines
+// with slow and fast generators and slow and fast Derive builds. While they
+// run, a watcher checks that whenever the store holds more than its bound,
+// at most one entry holds bytes. Once every call has returned, the store
+// holds no more than its bound unless a single entry is left, its byte
+// count is the sum of its entries', and every entry a miss created is
+// either resident or counted as an eviction.
+func TestStoreBoundUnderPressure(t *testing.T) {
+	t.Parallel()
+	const n = 500
+	fast, err := Lookup("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := Custom("slow(pressure)", Ingest, func(n int, seed int64) (*trace.Trace, error) {
+		time.Sleep(time.Duration(1+seed%3) * time.Millisecond)
+		return testSpecTrace("slow(pressure)", n), nil
+	})
+	specs := []Spec{fast, slow}
+	s := NewStore(4 * n * accessBytes)
+	ctx := stdcontext.Background()
+
+	stop := make(chan struct{})
+	watched := make(chan string, 1)
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.mu.Lock()
+			holders := 0
+			for _, e := range s.entries {
+				if e.bytes > 0 {
+					holders++
+				}
+			}
+			over := s.bytes > s.maxBytes && holders > 1
+			bytes := s.bytes
+			s.mu.Unlock()
+			if over {
+				watched <- fmt.Sprintf("%d entries hold %d bytes, over the bound of %d", holders, bytes, s.maxBytes)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 40; i++ {
+				spec, seed := specs[r.Intn(len(specs))], int64(r.Intn(8))
+				if r.Intn(2) == 0 {
+					if _, err := s.GetE(spec, n, seed); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				size := sized(r.Intn(2 * n * accessBytes))
+				pause := time.Duration(r.Intn(2)) * time.Millisecond
+				build := func(stdcontext.Context, *trace.Trace) (Derived, error) {
+					time.Sleep(pause)
+					return size, nil
+				}
+				if _, _, err := s.Derive(ctx, spec, n, seed, r.Intn(3), build); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	if msg, ok := <-watched; ok {
+		t.Fatalf("while the calls ran: %s", msg)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sum int64
+	for _, e := range s.entries {
+		sum += e.bytes
+	}
+	if sum != s.bytes {
+		t.Fatalf("store counts %d bytes, its entries hold %d", s.bytes, sum)
+	}
+	if len(s.entries) > 1 && s.bytes > s.maxBytes {
+		t.Fatalf("%d entries hold %d bytes, over the bound of %d", len(s.entries), s.bytes, s.maxBytes)
+	}
+	if st := s.stats; st.Evictions != st.Misses-uint64(len(s.entries)) {
+		t.Fatalf("%d misses created entries, %d are resident, but %d evictions were counted", st.Misses, len(s.entries), st.Evictions)
 	}
 }
 
