@@ -31,7 +31,9 @@ race:
 # run to a disk ledger with cmd/experiments, audit the file with cmd/audit,
 # and re-simulate the anchored zoo bit for bit); a ChampSim file that
 # cmd/tracegen writes and summarises, replayed by cmd/glidersim and used by
-# cmd/offline to train the offline models; and gliderd serving
+# cmd/offline to train the offline models; cmd/glidersim on four cores, one
+# policy and a comparison; cmd/glidersim and cmd/tracegen refusing the empty
+# trace that -accesses 0 gives a generated workload; and gliderd serving
 # cmd/loadgen's traffic without a failed request, then draining on SIGTERM
 # to exit status 0.
 cli-smoke:
@@ -52,6 +54,10 @@ cli-smoke:
 	$(GO) run ./cmd/tracegen -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 0 -stats -reuse
 	$(GO) run ./cmd/glidersim -bench 'champsim(file=/tmp/glider-mcf.champsim)' -policy glider -accesses 60000
 	$(GO) run ./cmd/offline -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 60000 -models all -epochs 1 -lstm-epochs 1
+	$(GO) run ./cmd/glidersim -bench mcf -cores 4 -timing -policy hawkeye -accesses 80000
+	$(GO) run ./cmd/glidersim -bench mcf -cores 4 -timing -policy lru,hawkeye -accesses 80000
+	! $(GO) run ./cmd/glidersim -bench mcf -accesses 0
+	! $(GO) run ./cmd/tracegen -bench mcf -accesses 0 -stats
 	$(GO) build -o /tmp/glider-gliderd ./cmd/gliderd
 	$(GO) build -o /tmp/glider-loadgen ./cmd/loadgen
 	/tmp/glider-gliderd -addr 127.0.0.1:18099 -workers 2 & pid=$$!; \

@@ -11,14 +11,17 @@
 // -bench names the trace: a built-in synthetic benchmark or an ingest spec
 // string, e.g. "zipf(objects=8192,skew=0.9)", or "champsim(file=PATH)" for a
 // ChampSim trace such as the ones tracegen writes. -accesses 0 replays a
-// ChampSim file whole, without rewinding. Giving -policy a comma-separated
-// list runs the policies concurrently over the same trace and prints a
-// side-by-side comparison.
+// ChampSim file whole, without rewinding; on any other workload it gives an
+// empty trace, which is an error. Giving -policy a comma-separated list runs
+// the policies concurrently over the same trace and prints a side-by-side
+// comparison.
+//
+// Each policy replays one capture of the trace's pass through the private
+// L1/L2 caches (cpu.NewCapture) on a fresh LLC of its own. With -metrics, a
+// single policy's LLC carries the LLC observer and the policy's telemetry.
 //
 // glidersim only simulates; the offline command trains the paper's offline
 // models, and its -bench takes a ChampSim file as 'champsim(file=PATH)'.
-// glidersim's former -offline mode existed only because offline could not
-// load ChampSim files.
 package main
 
 import (
@@ -108,38 +111,28 @@ func main() {
 	}
 
 	warmup := int(float64(tr.Len()) * *warmupFrac)
+	c, err := cpu.NewCapture(context.Background(), tr, *cores)
+	if err != nil {
+		fatal(err)
+	}
 
 	pols := splitPolicies(*policyName)
 	if len(pols) > 1 {
-		if err := comparePolicies(tr, pols, *cores, *timing, warmup, *workers, reg, sink); err != nil {
+		if err := comparePolicies(c, *cores, pols, *timing, warmup, *workers, reg, sink); err != nil {
 			fatal(err)
 		}
 		finishMetrics()
 		return
 	}
 
-	h, err := cpu.BuildHierarchyObs(*cores, *policyName, cpu.ObsOptions{
-		Registry: reg, Sink: sink, PerPC: reg != nil, SampleEvery: *evictSample,
-	})
+	res, err := simulate(context.Background(), c, *cores, *policyName, *timing, warmup, telemetry{reg, sink, *evictSample})
 	if err != nil {
 		fatal(err)
 	}
-
+	finishMetrics()
+	fmt.Printf("trace        %s (%d accesses, %d warmup)\n", tr.Name, tr.Len(), warmup)
+	fmt.Printf("policy       %s\n", *policyName)
 	if *timing {
-		dcfg := dram.SingleCoreConfig()
-		if *cores > 1 {
-			dcfg = dram.QuadCoreConfig()
-		}
-		d := dram.New(dcfg)
-		d.AttachObs(reg)
-		res, err := cpu.Run(context.Background(), tr, h, d, cpu.DefaultCoreConfig(), warmup)
-		if err != nil {
-			fatal(err)
-		}
-		cpu.FlushHierarchyObs(h)
-		defer finishMetrics()
-		fmt.Printf("trace        %s (%d accesses, %d warmup)\n", tr.Name, tr.Len(), warmup)
-		fmt.Printf("policy       %s\n", *policyName)
 		fmt.Printf("IPC          %.3f\n", res.IPC)
 		for c, ipc := range res.PerCoreIPC {
 			if len(res.PerCoreIPC) > 1 {
@@ -151,20 +144,13 @@ func main() {
 			res.DRAM.Reads, res.DRAM.Writes, res.DRAM.AverageReadLatency())
 		return
 	}
-
-	res, err := cpu.RunFunctional(context.Background(), tr, h, warmup, false)
-	if err != nil {
-		fatal(err)
-	}
-	cpu.FlushHierarchyObs(h)
-	finishMetrics()
-	fmt.Printf("trace        %s (%d accesses, %d warmup)\n", tr.Name, tr.Len(), warmup)
-	fmt.Printf("policy       %s\n", *policyName)
 	fmt.Printf("LLC          %d accesses, %d hits, %d misses (%.1f%% miss)\n",
 		res.LLC.Accesses, res.LLC.Hits, res.LLC.Misses, res.LLC.MissRate()*100)
 	fmt.Printf("evictions    %d (%d writebacks, %d bypasses)\n", res.LLC.Evictions, res.LLC.Writebacks, res.LLC.Bypasses)
 }
 
+// loadTrace resolves -bench and generates its trace of -accesses accesses.
+// An empty trace is an error: it would simulate nothing.
 func loadTrace(bench string, accesses int, seed int64) (*trace.Trace, error) {
 	if bench == "" {
 		return nil, fmt.Errorf("-bench is required (see -list)")
@@ -173,7 +159,14 @@ func loadTrace(bench string, accesses int, seed int64) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return spec.GenerateE(accesses, seed)
+	tr, err := spec.GenerateE(accesses, seed)
+	if err != nil {
+		return nil, err
+	}
+	if tr.Len() == 0 {
+		return nil, fmt.Errorf("%s: -accesses %d gives an empty trace (0 means the whole file only for champsim(file=...))", bench, accesses)
+	}
+	return tr, nil
 }
 
 // splitPolicies parses the -policy flag into a list of policy names.
@@ -187,50 +180,64 @@ func splitPolicies(s string) []string {
 	return out
 }
 
-// polStats is one policy's outcome in a comparison run.
-type polStats struct {
-	ipc  float64
-	llc  cache.Stats
-	dram dram.Stats
+// telemetry is where a single policy's LLC observer and the policy itself
+// publish metrics and events; the zero value publishes nothing.
+type telemetry struct {
+	reg        *obs.Registry
+	sink       obs.Sink
+	evictEvery uint64
 }
 
-// comparePolicies replays the same trace under each policy concurrently and
-// prints a side-by-side table. The trace goes through L1/L2 once; each job
+// simulate replays c on a fresh cores-core LLC running pol, with the timing
+// and DRAM model when timing is set, and publishes the LLC's telemetry to
+// tm. Without timing only the result's LLC statistics are set.
+func simulate(ctx context.Context, c *cpu.Capture, cores int, pol string, timing bool, warmup int, tm telemetry) (cpu.Result, error) {
+	llc, err := cpu.BuildLLC(cores, pol)
+	if err != nil {
+		return cpu.Result{}, err
+	}
+	if a, ok := llc.Policy().(obs.Attacher); ok && (tm.reg != nil || tm.sink != nil) {
+		a.AttachObs(tm.reg, tm.sink)
+	}
+	llc.AttachObserver(cache.NewObserver(tm.reg, tm.sink, llc.Config(), cache.ObserverOptions{PerPC: tm.reg != nil, SampleEvery: tm.evictEvery}))
+	var res cpu.Result
+	if timing {
+		dcfg := dram.SingleCoreConfig()
+		if cores > 1 {
+			dcfg = dram.QuadCoreConfig()
+		}
+		d := dram.New(dcfg)
+		d.AttachObs(tm.reg)
+		res, err = c.Run(ctx, llc, d, cpu.DefaultCoreConfig(), warmup)
+	} else {
+		var f cpu.FunctionalResult
+		f, err = c.RunFunctional(ctx, llc, warmup, false)
+		res.LLC = f.LLC
+	}
+	if err != nil {
+		return cpu.Result{}, fmt.Errorf("%s: %w", pol, err)
+	}
+	if f, ok := llc.Policy().(obs.Flusher); ok {
+		f.FlushObs()
+	}
+	return res, nil
+}
+
+// comparePolicies replays the capture c under each policy concurrently and
+// prints a side-by-side table. The trace went through L1/L2 once; each job
 // replays that capture on its own LLC and DRAM model, so the numbers match
 // len(pols) separate single-policy invocations.
-// Observability covers the runner (per-policy job latency); per-hierarchy
+// Observability covers the runner (per-policy job latency); per-LLC
 // metrics stay off because concurrent policies would collide on shared
 // metric names.
-func comparePolicies(tr *trace.Trace, pols []string, cores int, timing bool, warmup, workers int, reg *obs.Registry, sink obs.Sink) error {
-	c, err := cpu.NewCapture(context.Background(), tr, cores)
-	if err != nil {
-		return err
-	}
-	jobs := make([]simrunner.Job[polStats], len(pols))
+func comparePolicies(c *cpu.Capture, cores int, pols []string, timing bool, warmup, workers int, reg *obs.Registry, sink obs.Sink) error {
+	tr := c.Trace()
+	jobs := make([]simrunner.Job[cpu.Result], len(pols))
 	for i, pol := range pols {
-		jobs[i] = simrunner.Job[polStats]{
+		jobs[i] = simrunner.Job[cpu.Result]{
 			Key: simrunner.Key("glidersim", tr.Name, pol),
-			Run: func(ctx context.Context) (polStats, error) {
-				llc, err := cpu.BuildLLC(cores, pol)
-				if err != nil {
-					return polStats{}, err
-				}
-				if !timing {
-					res, err := c.RunFunctional(ctx, llc, warmup, false)
-					if err != nil {
-						return polStats{}, fmt.Errorf("%s: %w", pol, err)
-					}
-					return polStats{llc: res.LLC}, nil
-				}
-				dcfg := dram.SingleCoreConfig()
-				if cores > 1 {
-					dcfg = dram.QuadCoreConfig()
-				}
-				res, err := c.Run(ctx, llc, dram.New(dcfg), cpu.DefaultCoreConfig(), warmup)
-				if err != nil {
-					return polStats{}, fmt.Errorf("%s: %w", pol, err)
-				}
-				return polStats{ipc: res.IPC, llc: res.LLC, dram: res.DRAM}, nil
+			Run: func(ctx context.Context) (cpu.Result, error) {
+				return simulate(ctx, c, cores, pol, timing, warmup, telemetry{})
 			},
 		}
 	}
@@ -242,13 +249,13 @@ func comparePolicies(tr *trace.Trace, pols []string, cores int, timing bool, war
 	if timing {
 		fmt.Printf("%-12s %8s %10s %12s\n", "policy", "IPC", "LLC miss%", "DRAM reads")
 		for i, s := range stats {
-			fmt.Printf("%-12s %8.3f %10.1f %12d\n", pols[i], s.ipc, s.llc.MissRate()*100, s.dram.Reads)
+			fmt.Printf("%-12s %8.3f %10.1f %12d\n", pols[i], s.IPC, s.LLC.MissRate()*100, s.DRAM.Reads)
 		}
 		return nil
 	}
 	fmt.Printf("%-12s %10s %10s %10s %8s\n", "policy", "accesses", "misses", "evictions", "miss%")
 	for i, s := range stats {
-		fmt.Printf("%-12s %10d %10d %10d %8.1f\n", pols[i], s.llc.Accesses, s.llc.Misses, s.llc.Evictions, s.llc.MissRate()*100)
+		fmt.Printf("%-12s %10d %10d %10d %8.1f\n", pols[i], s.LLC.Accesses, s.LLC.Misses, s.LLC.Evictions, s.LLC.MissRate()*100)
 	}
 	return nil
 }

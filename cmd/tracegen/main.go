@@ -11,9 +11,10 @@
 //
 // -bench names the trace in both modes: a benchmark name or a workload spec
 // string, generated at -accesses and -seed; -accesses 0 reads a whole
-// ChampSim file. ChampSim is the only format tracegen writes. For a
-// compressed file, pipe the output through gzip: champsim(file=...) reads
-// gzip-compressed files as they are.
+// ChampSim file, and on any other workload gives an empty trace, which is an
+// error. ChampSim is the only format tracegen writes. For a compressed file,
+// pipe the output through gzip: champsim(file=...) reads gzip-compressed
+// files as they are.
 package main
 
 import (
@@ -55,6 +56,9 @@ func main() {
 	tr, err := spec.GenerateE(*accesses, *seed)
 	if err != nil {
 		fatal(err)
+	}
+	if tr.Len() == 0 {
+		fatal(fmt.Errorf("%s: -accesses %d gives an empty trace (0 means the whole file only for champsim(file=...))", *bench, *accesses))
 	}
 	if *stats {
 		printStats(tr, *reuse)

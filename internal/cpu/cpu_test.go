@@ -139,7 +139,11 @@ func TestSingleCoreHarness(t *testing.T) {
 
 func TestMultiCoreRun(t *testing.T) {
 	mix := workload.Mixes(1, 2, 5)[0]
-	res, err := MultiCore(context.Background(), mix, "lru", 10000, 1)
+	c, err := MixCapture(context.Background(), mix, 10000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MultiCore(context.Background(), c, "lru")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,11 @@ func TestMultiCorePerCorePCHR(t *testing.T) {
 	// the contexts separate (a shared PCHR would interleave PCs from both
 	// cores into one history).
 	mix := workload.Mixes(1, 2, 11)[0]
-	res, err := MultiCore(context.Background(), mix, "glider", 30000, 3)
+	c, err := MixCapture(context.Background(), mix, 30000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MultiCore(context.Background(), c, "glider")
 	if err != nil {
 		t.Fatal(err)
 	}

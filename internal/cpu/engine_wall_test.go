@@ -192,16 +192,21 @@ func TestEngineMatchesReferenceMultiCore(t *testing.T) {
 				perTrace[i] = tr
 			}
 			merged := trace.Interleave(fmt.Sprintf("mix%d", mix.ID), perTrace...)
+			// One capture of the mix, replayed by every policy.
+			c, err := cpu.MixCapture(ctx, mix, perCore, wallSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, pol := range policy.Names() {
 				quad := func() *cache.Hierarchy { return mustHierarchy(t, cores, pol) }
 				want := checkRun(t, merged, quad, dram.QuadCoreConfig())
 				checkFunctional(t, merged, quad)
-				got, err := cpu.MultiCore(ctx, mix, pol, perCore, wallSeed)
+				got, err := cpu.MultiCore(ctx, c, pol)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: MultiCore diverged from the reference", pol)
+					t.Fatalf("%s: MultiCore's replay of the mix capture diverged from the reference", pol)
 				}
 
 				// The first member alone on the shared configuration, from

@@ -132,7 +132,11 @@ func TestFastUpperEquivalenceMultiCore(t *testing.T) {
 		mix := mix
 		t.Run(fmt.Sprintf("mix%d", mix.ID), func(t *testing.T) {
 			t.Parallel()
-			got, err := MultiCore(context.Background(), mix, "hawkeye", 8_000, 42)
+			c, err := MixCapture(context.Background(), mix, 8_000, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MultiCore(context.Background(), c, "hawkeye")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 
 	"glider/internal/cache"
 	"glider/internal/dram"
-	"glider/internal/obs"
 	"glider/internal/policy"
 	"glider/internal/trace"
 	"glider/internal/workload"
@@ -16,47 +15,15 @@ import (
 // replacement policy (upper levels always use LRU). For cores > 1 the LLC
 // is the shared 8 MB configuration.
 func BuildHierarchy(cores int, policyName string) (*cache.Hierarchy, error) {
-	return BuildHierarchyObs(cores, policyName, ObsOptions{})
-}
-
-// ObsOptions selects what telemetry an instrumented hierarchy publishes.
-// The zero value disables everything, which is exactly BuildHierarchy.
-type ObsOptions struct {
-	// Registry receives LLC and policy metrics when non-nil.
-	Registry *obs.Registry
-	// Sink receives per-event telemetry (sampled evictions, end-of-run
-	// policy snapshots) when non-nil.
-	Sink obs.Sink
-	// PerPC enables the LLC observer's per-PC reuse outcome table.
-	PerPC bool
-	// SampleEvery emits every Nth LLC eviction to Sink (0 = none).
-	SampleEvery uint64
-}
-
-// BuildHierarchyObs is BuildHierarchy plus observability: it attaches an
-// LLC observer and, for policies that implement obs.Attacher (Hawkeye,
-// Glider), their predictor telemetry. With a zero ObsOptions the hierarchy
-// is indistinguishable from an uninstrumented one.
-func BuildHierarchyObs(cores int, policyName string, oo ObsOptions) (*cache.Hierarchy, error) {
 	llcCfg, p, err := llcPolicy(cores, policyName)
 	if err != nil {
 		return nil, err
-	}
-	if a, ok := p.(obs.Attacher); ok && (oo.Registry != nil || oo.Sink != nil) {
-		a.AttachObs(oo.Registry, oo.Sink)
 	}
 	// nil upper factory selects the specialized fast LRU path for L1/L2 —
 	// bit-identical to policy.NewLRU (see cache/fastlru.go and the
 	// equivalence suite in equivalence_test.go) without per-access policy
 	// dispatch.
-	h, err := cache.NewHierarchy(cores, llcCfg, p, nil)
-	if err != nil {
-		return nil, err
-	}
-	if o := cache.NewObserver(oo.Registry, oo.Sink, llcCfg, cache.ObserverOptions{PerPC: oo.PerPC, SampleEvery: oo.SampleEvery}); o != nil {
-		h.LLC().AttachObserver(o)
-	}
-	return h, nil
+	return cache.NewHierarchy(cores, llcCfg, p, nil)
 }
 
 // BuildLLC builds the LLC alone, exactly as BuildHierarchy would: the
@@ -112,14 +79,6 @@ func storeCapture(ctx context.Context, store *workload.Store, spec workload.Spec
 	return v.(*Capture), nil
 }
 
-// FlushHierarchyObs emits end-of-run telemetry for policies that buffer it
-// (e.g. Glider's ISVM weight snapshot). Call once after the run completes.
-func FlushHierarchyObs(h *cache.Hierarchy) {
-	if f, ok := h.LLC().Policy().(obs.Flusher); ok {
-		f.FlushObs()
-	}
-}
-
 // SingleCore runs one benchmark with one policy and full timing, warming up
 // on the first fifth of the trace (mirroring the paper's 200M-of-1B warmup).
 // It replays the trace's shared capture (SharedCapture) on a fresh LLC, so
@@ -136,38 +95,48 @@ func replayShared(ctx context.Context, spec workload.Spec, cores int, policyName
 	if err != nil {
 		return Result{}, err
 	}
-	llc, err := BuildLLC(cores, policyName)
+	return replay(ctx, c, policyName, dcfg, accesses/5)
+}
+
+// replay replays c with full timing on a fresh LLC for c's core count,
+// running the named policy, and a fresh DRAM model.
+func replay(ctx context.Context, c *Capture, policyName string, dcfg dram.Config, warmup int) (Result, error) {
+	llc, err := BuildLLC(c.cores, policyName)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.Run(ctx, llc, dram.New(dcfg), DefaultCoreConfig(), accesses/5)
+	return c.Run(ctx, llc, dram.New(dcfg), DefaultCoreConfig(), warmup)
 }
 
-// CoreSeed is the seed of core's trace in a mix run seeded seed. MultiCore
-// runs core i on it, and core i's solo baseline must replay that same trace.
+// CoreSeed is the seed of core's trace in a mix run seeded seed. Core i of
+// a mix runs on it, and core i's solo baseline must replay that same trace.
 func CoreSeed(seed int64, core int) int64 {
 	return seed + int64(core)
 }
 
-// MultiCore runs a workload mix on a shared LLC with full timing and
-// returns the per-core IPCs.
-func MultiCore(ctx context.Context, mix workload.Mix, policyName string, accessesPerCore int, seed int64) (Result, error) {
-	cores := len(mix.Members)
-	perCore := make([]*trace.Trace, cores)
+// MixCapture interleaves the stored traces of mix's members, core i's
+// seeded CoreSeed(seed, i), and captures the merged trace through one
+// private L1/L2 pair per member. MultiCore replays it for every policy.
+// Unlike SharedCapture, it is not kept in the trace store: the caller holds
+// it for as long as its policies replay it.
+func MixCapture(ctx context.Context, mix workload.Mix, accessesPerCore int, seed int64) (*Capture, error) {
+	perCore := make([]*trace.Trace, len(mix.Members))
 	for i, spec := range mix.Members {
 		t, err := workload.SharedE(spec, accessesPerCore, CoreSeed(seed, i))
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		perCore[i] = t
 	}
-	merged := trace.Interleave(fmt.Sprintf("mix%d", mix.ID), perCore...)
-	h, err := BuildHierarchy(cores, policyName)
-	if err != nil {
-		return Result{}, err
-	}
-	d := dram.New(dram.QuadCoreConfig())
-	return Run(ctx, merged, h, d, DefaultCoreConfig(), merged.Len()/5)
+	return NewCapture(ctx, trace.Interleave(fmt.Sprintf("mix%d", mix.ID), perCore...), len(mix.Members))
+}
+
+// MultiCore replays a mix's capture (MixCapture) on a fresh shared LLC
+// running the named policy, with the 4-core DRAM model and full timing,
+// warming up on the first fifth of the merged trace, and returns the
+// per-core IPCs.
+func MultiCore(ctx context.Context, c *Capture, policyName string) (Result, error) {
+	return replay(ctx, c, policyName, dram.QuadCoreConfig(), c.Trace().Len()/5)
 }
 
 // SoloOnShared runs one benchmark alone on the multi-core configuration
@@ -182,7 +151,11 @@ func SoloOnShared(ctx context.Context, spec workload.Spec, cores int, policyName
 // policy: Σ_i IPCshared_i / IPCsingle_i, where IPCsingle_i is benchmark i
 // running alone on the same shared cache with the same policy.
 func WeightedSpeedup(ctx context.Context, mix workload.Mix, policyName string, accessesPerCore int, seed int64) (float64, error) {
-	shared, err := MultiCore(ctx, mix, policyName, accessesPerCore, seed)
+	c, err := MixCapture(ctx, mix, accessesPerCore, seed)
+	if err != nil {
+		return 0, err
+	}
+	shared, err := MultiCore(ctx, c, policyName)
 	if err != nil {
 		return 0, err
 	}

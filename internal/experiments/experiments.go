@@ -763,24 +763,34 @@ func RunFig13(cfg Config) (Fig13, error) {
 		return out, err
 	}
 
-	// Phase 2: shared runs, one job per (mix, policy).
-	jobs := make([]simrunner.Job[float64], 0, len(mixes)*len(pols))
-	for _, mix := range mixes {
-		for _, pol := range pols {
-			jobs = append(jobs, simrunner.Job[float64]{
-				Key: simrunner.Key("fig13", "mix"+strconv.Itoa(mix.ID), pol),
-				Run: func(ctx context.Context) (float64, error) {
-					shared, err := cpu.MultiCore(ctx, mix, pol, cfg.MixAccessesPerCore, cfg.Seed)
+	// Phase 2: shared runs, one job per mix, which captures the mix once and
+	// replays the capture under LRU and each studied policy in turn. No other
+	// job replays it, so it stays in the job, not in the trace store.
+	jobs := make([]simrunner.Job[[]float64], len(mixes))
+	for m, mix := range mixes {
+		jobs[m] = simrunner.Job[[]float64]{
+			Key: simrunner.Key("fig13", "mix"+strconv.Itoa(mix.ID)),
+			Run: func(ctx context.Context) ([]float64, error) {
+				c, err := cpu.MixCapture(ctx, mix, cfg.MixAccessesPerCore, cfg.Seed)
+				if err != nil {
+					return nil, err
+				}
+				ws := make([]float64, len(pols))
+				for p, pol := range pols {
+					shared, err := cpu.MultiCore(ctx, c, pol)
 					if err != nil {
-						return 0, err
+						return nil, err
 					}
 					solo := make([]float64, len(mix.Members))
 					for i, spec := range mix.Members {
 						solo[i] = soloIPCs[soloIdx[soloKey(spec, i, pol)]]
 					}
-					return cpu.Weighted(mix, shared, solo)
-				},
-			})
+					if ws[p], err = cpu.Weighted(mix, shared, solo); err != nil {
+						return nil, err
+					}
+				}
+				return ws, nil
+			},
 		}
 	}
 	weighted, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
@@ -788,15 +798,10 @@ func RunFig13(cfg Config) (Fig13, error) {
 		return out, err
 	}
 
-	k := 0
-	for range mixes {
-		lru := weighted[k]
-		k++
-		for _, pol := range policySet {
-			ws := weighted[k]
-			k++
-			improvement := 100 * (ws - lru) / lru
-			out.Speedups[pol] = append(out.Speedups[pol], improvement)
+	for _, ws := range weighted {
+		lru := ws[0]
+		for p, pol := range policySet {
+			out.Speedups[pol] = append(out.Speedups[pol], 100*(ws[p+1]-lru)/lru)
 		}
 	}
 	for _, pol := range policySet {

@@ -1,17 +1,21 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"glider/internal/client"
+	"glider/internal/experiments"
 	"glider/internal/policy"
 	"glider/internal/server"
 )
@@ -168,6 +172,93 @@ func TestGatewayTranslatesFailures(t *testing.T) {
 			}
 			if got := g.saturated.Value() - before; got != tc.saturated {
 				t.Fatalf("gateway.rejected.saturated +%d, want +%d", got, tc.saturated)
+			}
+		})
+	}
+}
+
+// TestRequestSizeBoundUnderLoad drives the request front's 1 MiB body
+// bound on both doors that share it, a gliderd node and the gateway. Many
+// goroutines send /v1/sim requests padded with whitespace to one byte over
+// the bound, alongside the same requests padded to exactly the bound: every
+// oversized body is a 400 that says so and is counted in
+// <prefix>.http.sim.errors, and every request at the bound answers 200 with
+// the bytes of a direct experiments.RunCell.
+func TestRequestSizeBoundUnderLoad(t *testing.T) {
+	const (
+		senders  = 16
+		rounds   = 4
+		accesses = 20_000
+	)
+	pols := []string{"lru", "hawkeye", "glider"}
+	direct := make(map[string][]byte, len(pols))
+	for _, pol := range pols {
+		res, err := experiments.RunCell(context.Background(), "omnetpp", pol, accesses, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct[pol], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// body is pol's sim request, padded after its opening brace to n bytes.
+	body := func(pol string, n int) string {
+		req := fmt.Sprintf(`"workload":"omnetpp","policy":%q,"accesses":%d,"seed":42}`, pol, accesses)
+		return "{" + strings.Repeat(" ", n-1-len(req)) + req
+	}
+
+	c := newCluster(t, 2, realCellExec, nil)
+	node := c.nodes[0]
+	for _, door := range []struct {
+		name   string
+		url    string
+		errors func() uint64
+	}{
+		{"gliderd", node.ts.URL, func() uint64 { return node.srv.Registry().Counter("server.http.sim.errors").Value() }},
+		{"gateway", c.ts.URL, func() uint64 { return c.counter("gateway.http.sim.errors") }},
+	} {
+		t.Run(door.name, func(t *testing.T) {
+			post := func(body string) (int, []byte, error) {
+				resp, err := http.Post(door.url+"/v1/sim", "application/json", strings.NewReader(body))
+				if err != nil {
+					return 0, nil, err
+				}
+				defer resp.Body.Close()
+				data, err := io.ReadAll(resp.Body)
+				return resp.StatusCode, data, err
+			}
+			before := door.errors()
+			var wg sync.WaitGroup
+			for g := range senders {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range rounds {
+						pol := pols[(g+i)%len(pols)]
+						status, data, err := post(body(pol, 1<<20+1))
+						switch {
+						case err != nil:
+							t.Errorf("oversized request: %v", err)
+						case status != http.StatusBadRequest || !strings.Contains(string(data), "request body too large"):
+							t.Errorf("oversized request: status %d, body %.200s; want 400 saying the request body is too large", status, data)
+						}
+						status, data, err = post(body(pol, 1<<20))
+						if err != nil || status != http.StatusOK {
+							t.Errorf("%s: status %d, error %v, body %s", pol, status, err, data)
+							continue
+						}
+						var env server.Envelope
+						if err := json.Unmarshal(data, &env); err != nil {
+							t.Errorf("%s: %v", pol, err)
+						} else if !bytes.Equal(env.Result, direct[pol]) {
+							t.Errorf("%s: served bytes diverge from a direct run\n served: %s\n direct: %s", pol, env.Result, direct[pol])
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := door.errors() - before; got != senders*rounds {
+				t.Errorf("%s.http.sim.errors rose by %d, but %d requests were refused", door.name, got, senders*rounds)
 			}
 		})
 	}

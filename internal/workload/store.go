@@ -253,16 +253,18 @@ func (s *Store) Derive(ctx stdcontext.Context, spec Spec, n int, seed int64, id 
 // just added and it is being handed to callers, so dropping it would only
 // force an immediate regeneration. keep need not be the most recently used
 // entry (a slow generation or Derive build finishes behind entries added
-// while it ran), so the walk passes over it rather than stopping there. A
-// keep larger than the whole bound stays resident alone rather than
-// thrashing. Requires s.mu held.
+// while it ran), so the walk passes over it rather than stopping there. It
+// passes over entries still generating too: they hold no bytes, so dropping
+// one frees nothing and only hands its trace out uncached. A keep larger
+// than the whole bound stays resident alone rather than thrashing. Requires
+// s.mu held.
 func (s *Store) evictOverLocked(keep StoreKey) {
 	if s.maxBytes <= 0 {
 		return
 	}
 	for el := s.lru.Back(); el != nil && s.bytes > s.maxBytes; {
 		prev := el.Prev()
-		if key := el.Value.(StoreKey); key != keep {
+		if key := el.Value.(StoreKey); key != keep && s.entries[key].tr != nil {
 			s.removeLocked(key)
 		}
 		el = prev

@@ -203,6 +203,57 @@ func TestStoreBoundAfterSlowBuild(t *testing.T) {
 	})
 }
 
+// TestStoreKeepsGeneratingEntry: an entry whose trace is still generating
+// holds no bytes, so eviction passes over it: dropping it would free
+// nothing, and its trace would be handed out uncached. Once the trace lands
+// the bound is restored by evicting a finished entry, and the next GetE for
+// the slow key is a hit.
+func TestStoreKeepsGeneratingEntry(t *testing.T) {
+	t.Parallel()
+	mcf, err := Lookup("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbm, err := Lookup("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 2 * 1000 * accessBytes
+	started, release := make(chan struct{}), make(chan struct{})
+	slow := Custom("slow(generating)", Ingest, func(n int, seed int64) (*trace.Trace, error) {
+		close(started)
+		<-release
+		return testSpecTrace("slow(generating)", n), nil
+	})
+	s := NewStore(bound)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.GetE(slow, 1000, 42)
+		done <- err
+	}()
+	<-started
+	s.Get(mcf, 1000, 42)
+	s.Get(lbm, 1000, 42)
+	s.Get(mcf, 1000, 43) // over the bound: mcf seed 42 goes, not the generating entry
+	if st := s.Stats(); st.Evictions != 1 || s.Bytes() != bound {
+		t.Fatalf("while generating: %+v, %d bytes; want 1 eviction (mcf seed 42) and %d bytes", st, s.Bytes(), bound)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Evictions != 2 || s.Bytes() != bound {
+		t.Fatalf("after generating: %+v, %d bytes; want 2 evictions (mcf seed 42, lbm) and %d bytes", st, s.Bytes(), bound)
+	}
+	before := s.Stats()
+	if _, err := s.GetE(slow, 1000, 42); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Stats(); after.Misses != before.Misses || after.Hits != before.Hits+1 {
+		t.Fatalf("GetE of the generated trace: %+v before, %+v after; want a hit", before, after)
+	}
+}
+
 // TestStoreBoundUnderPressure drives a bounded store from many goroutines
 // with slow and fast generators and slow and fast Derive builds. While they
 // run, a watcher checks that whenever the store holds more than its bound,
