@@ -19,23 +19,37 @@ test:
 # gliderd's TestSoak load run is included. The experiment harness fans
 # simulations out across goroutines (internal/simrunner), the server and
 # gateway share one mutex-coordinated request front, and most tests run with
-# t.Parallel(), so this exercises the concurrent paths for real. Expect it to
-# take several times longer than `make test`.
+# t.Parallel(), so this exercises the concurrent paths for real: the
+# simrunner pool and parallel training, the trace store and its consumers,
+# the oracle walls, the server's front, queue and drain, the gateway's
+# routing, chaos and cluster-differential suites, the workload spec schemes,
+# the surrogate and sweep pruning walls, and the ledger with its recording
+# suites. Expect it to take several times longer than `make test`.
 race:
 	$(GO) test -race -count 1 ./...
 
-# cli-smoke drives the CLIs end to end: a scenario-zoo sweep over workload
-# spec strings; the observability pipeline (simulate with -metrics for glider
-# and both reuse-distance policies, frd and msa, plus an experiment run, then
-# aggregate the JSONL with obsreport); the ledger loop (anchor a real zoo
-# run to a disk ledger with cmd/experiments, audit the file with cmd/audit,
-# and re-simulate the anchored zoo bit for bit); a ChampSim file that
-# cmd/tracegen writes and summarises, replayed by cmd/glidersim and used by
-# cmd/offline to train the offline models; cmd/glidersim on four cores, one
-# policy and a comparison; cmd/glidersim and cmd/tracegen refusing the empty
-# trace that -accesses 0 gives a generated workload; and gliderd serving
-# cmd/loadgen's traffic without a failed request, then draining on SIGTERM
-# to exit status 0.
+# cli-smoke drives the CLIs end to end, in this order:
+#   - a scenario-zoo sweep over workload spec strings;
+#   - the observability pipeline: glidersim with -metrics for glider and
+#     both reuse-distance policies, frd and msa, whose obs hooks live in one
+#     shared core, plus an experiment run, each emitting JSONL that
+#     obsreport must aggregate;
+#   - the ledger loop: anchor a real zoo run to a disk ledger with
+#     cmd/experiments, then audit the file with a process that never trusted
+#     the writer and re-simulate the anchored zoo bit for bit;
+#   - a ChampSim file that cmd/tracegen writes from a workload spec and
+#     summarises back through champsim(file=...), replayed by cmd/glidersim
+#     and used by cmd/offline to train every offline model;
+#   - cmd/glidersim on four cores, one policy and then a comparison, both
+#     replaying one capture of the trace. The one-policy run's output goes to
+#     a file first, so a failing glidersim cannot hide behind a pipe, and no
+#     IPC it prints may be zero;
+#   - cmd/glidersim and cmd/tracegen refusing the empty trace that
+#     -accesses 0 gives a generated workload (0 means the whole file only for
+#     champsim(file=...));
+#   - gliderd as a process: loadgen sends it real simulation traffic and
+#     exits 1 on any failed request, then SIGTERM must drain it to exit
+#     status 0. gliderd starts as a bare command, so $! is its PID.
 cli-smoke:
 	$(GO) run ./cmd/experiments -quick -accesses 20000 -zoo-spec 'zipf(objects=65536,skew=0.9)' -zoo-spec 'mix(rr,zipf(objects=49152,skew=1.1),mcf)' zoo
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy glider -accesses 100000 -metrics /tmp/glider-metrics.jsonl -metrics-summary
@@ -54,7 +68,9 @@ cli-smoke:
 	$(GO) run ./cmd/tracegen -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 0 -stats -reuse
 	$(GO) run ./cmd/glidersim -bench 'champsim(file=/tmp/glider-mcf.champsim)' -policy glider -accesses 60000
 	$(GO) run ./cmd/offline -bench 'champsim(file=/tmp/glider-mcf.champsim)' -accesses 60000 -models all -epochs 1 -lstm-epochs 1
-	$(GO) run ./cmd/glidersim -bench mcf -cores 4 -timing -policy hawkeye -accesses 80000
+	$(GO) run ./cmd/glidersim -bench mcf -cores 4 -timing -policy hawkeye -accesses 80000 > /tmp/glider-4core.txt
+	cat /tmp/glider-4core.txt
+	! grep -E 'IPC +0\.000' /tmp/glider-4core.txt
 	$(GO) run ./cmd/glidersim -bench mcf -cores 4 -timing -policy lru,hawkeye -accesses 80000
 	! $(GO) run ./cmd/glidersim -bench mcf -accesses 0
 	! $(GO) run ./cmd/tracegen -bench mcf -accesses 0 -stats
@@ -80,14 +96,16 @@ bench-sim:
 	$(GO) test -run XXX -bench 'BenchmarkFRDAccess|BenchmarkMSAAccess|BenchmarkHawkeyeAccess|BenchmarkGliderAccess|BenchmarkLLCPolicy' -benchmem ./internal/policy/ > /tmp/bench_sim_policy.txt
 	cat /tmp/bench_sim_root.txt /tmp/bench_sim_policy.txt | $(GO) run ./cmd/benchjson -o BENCH_sim.json
 
-# bench-smoke compiles and runs every benchmark exactly once — a fast CI
-# check that the benchmarks themselves still work, with no timing claims.
+# bench-smoke compiles and runs every benchmark exactly once — a fast check
+# that the benchmark code compiles and executes, with no timing claims, so
+# BENCH_train.json and BENCH_sim.json stay producible on every commit.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-# cover runs the per-package coverage ratchet: every package must stay at or
-# above its floor in coverage.txt. Raise floors with `go run ./cmd/covcheck
-# -profile cover.out -update` after an intentional coverage change.
+# cover runs the per-package coverage ratchet: any package falling below its
+# floor in coverage.txt, or a new package with no floor, fails. Raise floors
+# with `go run ./cmd/covcheck -profile cover.out -update` after an
+# intentional coverage change.
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covcheck -profile cover.out -floors coverage.txt
@@ -96,7 +114,7 @@ cover:
 # seed corpus (which plain `go test` already replays).
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^FuzzReadChampSim$$' -fuzz '^FuzzReadChampSim$$' -fuzztime 10s
-	$(GO) test ./internal/trace/ingest/ -run '^FuzzParseSpec$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s
+	$(GO) test ./internal/workload/ -run '^FuzzParseSpec$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^FuzzJobSpecDecode$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^FuzzJobHash$$' -fuzz '^FuzzJobHash$$' -fuzztime 10s
 	$(GO) test ./internal/gateway/ -run '^FuzzRingChurn$$' -fuzz '^FuzzRingChurn$$' -fuzztime 10s

@@ -8,13 +8,18 @@
 //	glidersim -bench omnetpp -policy lru,hawkeye,glider -workers 4
 //	glidersim -bench 'champsim(file=trace.gz)' -policy hawkeye -accesses 0
 //
-// -bench names the trace: a built-in synthetic benchmark or an ingest spec
+// -bench names the trace: a built-in synthetic benchmark or a workload spec
 // string, e.g. "zipf(objects=8192,skew=0.9)", or "champsim(file=PATH)" for a
 // ChampSim trace such as the ones tracegen writes. -accesses 0 replays a
 // ChampSim file whole, without rewinding; on any other workload it gives an
 // empty trace, which is an error. Giving -policy a comma-separated list runs
 // the policies concurrently over the same trace and prints a side-by-side
 // comparison.
+//
+// The trace always runs on core 0. -cores N > 1 runs it alone on the shared
+// 8 MB LLC with the 4-core DRAM model, the setting of cpu.SoloOnShared (the
+// IPCsingle baseline of the paper's multi-core study); experiments fig13
+// runs the multi-programmed mixes.
 //
 // Each policy replays one capture of the trace's pass through the private
 // L1/L2 caches (cpu.NewCapture) on a fresh LLC of its own. With -metrics, a
@@ -39,8 +44,6 @@ import (
 	"glider/internal/prof"
 	"glider/internal/simrunner"
 	"glider/internal/trace"
-	// Register champsim/zipf/mix spec schemes so -bench accepts spec strings.
-	_ "glider/internal/trace/ingest"
 	"glider/internal/workload"
 )
 
@@ -49,7 +52,7 @@ func main() {
 	policyName := flag.String("policy", "glider", "replacement policy, or a comma-separated list to compare")
 	accesses := flag.Int("accesses", 1_000_000, "trace length (with champsim(file=...), 0 replays the whole file)")
 	seed := flag.Int64("seed", 42, "synthetic trace seed")
-	cores := flag.Int("cores", 1, "number of cores (multi-core shares an 8 MB LLC)")
+	cores := flag.Int("cores", 1, "number of cores; above 1 the trace runs alone on the shared 8 MB LLC with the 4-core DRAM model")
 	timing := flag.Bool("timing", false, "run the full timing model and report IPC")
 	warmupFrac := flag.Float64("warmup", 0.2, "fraction of the trace used for warmup")
 	workers := flag.Int("workers", 0, "concurrent policy runs when comparing (0 = one per CPU)")
@@ -134,11 +137,6 @@ func main() {
 	fmt.Printf("policy       %s\n", *policyName)
 	if *timing {
 		fmt.Printf("IPC          %.3f\n", res.IPC)
-		for c, ipc := range res.PerCoreIPC {
-			if len(res.PerCoreIPC) > 1 {
-				fmt.Printf("  core %d IPC %.3f\n", c, ipc)
-			}
-		}
 		fmt.Printf("LLC          %d accesses, %.1f%% miss\n", res.LLC.Accesses, res.LLC.MissRate()*100)
 		fmt.Printf("DRAM         %d reads, %d writes, avg read latency %.0f cycles\n",
 			res.DRAM.Reads, res.DRAM.Writes, res.DRAM.AverageReadLatency())

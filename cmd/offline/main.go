@@ -20,8 +20,6 @@ import (
 	"time"
 
 	"glider/internal/offline"
-	// Register champsim/zipf/mix spec schemes so -bench accepts spec strings.
-	_ "glider/internal/trace/ingest"
 	"glider/internal/workload"
 )
 

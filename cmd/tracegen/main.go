@@ -23,8 +23,6 @@ import (
 	"os"
 
 	"glider/internal/trace"
-	// Register champsim/zipf/mix spec schemes so -bench accepts spec strings.
-	_ "glider/internal/trace/ingest"
 	"glider/internal/workload"
 )
 

@@ -7,9 +7,6 @@ import (
 
 	"glider/internal/cpu"
 	"glider/internal/policy"
-	// Register the champsim/zipf/mix workload-spec schemes so every cell
-	// (and therefore gliderd and the gateway) accepts ingested workloads.
-	_ "glider/internal/trace/ingest"
 	"glider/internal/workload"
 )
 
@@ -21,7 +18,7 @@ import (
 // server bug, not a modeling question.
 //
 // The workload argument is anything workload.Resolve accepts: a registry
-// benchmark name or an ingest spec string (champsim/zipf/mix). Results echo
+// benchmark name or a workload spec string (champsim/zipf/mix). Results echo
 // the canonical spec (spec.Name), so every spelling of a workload produces
 // byte-identical payloads.
 

@@ -168,13 +168,11 @@ func RunTable2(cfg Config) (Table2, error) {
 				if err != nil {
 					return Table2Row{}, fmt.Errorf("table2 %s: %w", spec.Name, err)
 				}
+				// Addresses are counted over the labeled LLC stream the
+				// accesses and PCs come from, not over the raw trace.
 				addrs := make(map[uint64]struct{})
-				// The dataset carries PCs; recover address counts from the
-				// raw trace's LLC stream statistics instead. The store hands
-				// back the trace the dataset build just generated.
-				tr := workload.Shared(spec, cfg.OfflineAccesses, cfg.Seed)
-				for _, a := range tr.Accesses {
-					addrs[a.Block()] = struct{}{}
+				for _, b := range d.Blocks {
+					addrs[b] = struct{}{}
 				}
 				row := Table2Row{
 					Name:     spec.Name,

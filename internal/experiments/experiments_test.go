@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"glider/internal/cpu"
+	"glider/internal/offline"
 	"glider/internal/workload"
 )
 
@@ -47,6 +48,35 @@ func TestTable2(t *testing.T) {
 	tab.Render(&buf)
 	if !strings.Contains(buf.String(), "omnetpp") {
 		t.Fatal("render missing benchmark names")
+	}
+}
+
+// TestTable2CountsDatasetAddresses: every Table 2 column describes the one
+// labeled LLC stream offline.BuildDataset returns, so addrs is the number of
+// distinct blocks in that stream, not in the raw trace it was filtered from.
+func TestTable2CountsDatasetAddresses(t *testing.T) {
+	t.Parallel()
+	cfg := Quick()
+	tab, err := RunTable2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range workload.OfflineSet() {
+		d, err := offline.BuildDataset(spec, cfg.OfflineAccesses, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := make(map[uint64]bool)
+		for _, b := range d.Blocks {
+			blocks[b] = true
+		}
+		r := tab.Rows[i]
+		if r.Name != spec.Name || r.Accesses != d.Len() || r.PCs != len(d.Vocab) || r.Addrs != len(blocks) {
+			t.Fatalf("row %+v, want %s with %d accesses, %d PCs and %d addrs", r, spec.Name, d.Len(), len(d.Vocab), len(blocks))
+		}
+		if want := float64(r.Accesses) / float64(r.Addrs); r.AccessesPerAddr != want {
+			t.Fatalf("%s: acc/addr %v, want %v", r.Name, r.AccessesPerAddr, want)
+		}
 	}
 }
 

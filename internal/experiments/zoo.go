@@ -39,7 +39,7 @@ var zooPolicySet = append(append([]string{"lru"}, policySet...), "frd", "msa")
 
 // RunZoo sweeps every scenario spec across zooPolicySet on the parallel
 // runner. Specs resolve through workload.Resolve, so registry names and
-// ingest spec strings both work; results echo canonical names.
+// workload spec strings both work; results echo canonical names.
 func RunZoo(cfg Config, specs []string) (Zoo, error) {
 	if len(specs) == 0 {
 		specs = DefaultZoo()

@@ -46,7 +46,7 @@ func TestRunZooDefaultScenarios(t *testing.T) {
 	}
 }
 
-// TestRunZooAcceptsCustomSpecs covers the three ingest scheme families in
+// TestRunZooAcceptsCustomSpecs covers the three spec scheme families in
 // one sweep, including a file-backed champsim scenario.
 func TestRunZooAcceptsCustomSpecs(t *testing.T) {
 	spec, err := workload.Lookup("mcf")

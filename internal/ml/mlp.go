@@ -108,12 +108,6 @@ func (m *MLP) Predict(active []int) bool {
 	return p[1] >= p[0]
 }
 
-// Confidence returns P(cache-friendly).
-func (m *MLP) Confidence(active []int) float64 {
-	_, _, p := m.forward(active)
-	return p[1]
-}
-
 // TrainSample performs one SGD step on a labeled sample and returns the
 // cross-entropy loss.
 func (m *MLP) TrainSample(active []int, friendly bool) float64 {

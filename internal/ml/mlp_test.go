@@ -102,14 +102,6 @@ func TestMLPGradients(t *testing.T) {
 	}
 }
 
-func TestMLPConfidenceRange(t *testing.T) {
-	m, _ := NewMLP(4, 4, 0.01, 1)
-	c := m.Confidence([]int{0})
-	if c < 0 || c > 1 {
-		t.Fatalf("confidence %v out of range", c)
-	}
-}
-
 func TestMLPFeatureIndexWrapping(t *testing.T) {
 	m, _ := NewMLP(4, 4, 0.01, 1)
 	// Out-of-range and negative indices must be folded, not panic.

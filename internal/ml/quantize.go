@@ -79,17 +79,3 @@ func QuantizeAttentionLSTM(m *AttentionLSTM) QuantReport {
 	}
 	return rep
 }
-
-// QuantizeMLP quantizes an MLP in place (see QuantizeAttentionLSTM).
-func QuantizeMLP(m *MLP) QuantReport {
-	rep := QuantReport{}
-	for _, p := range m.params {
-		rep.Params += len(p.W)
-		rep.OriginalBytes += 8 * len(p.W)
-		rep.QuantizedBytes += len(p.W) + 4
-		if e := quantizeTensor(p.W); e > rep.MaxAbsError {
-			rep.MaxAbsError = e
-		}
-	}
-	return rep
-}

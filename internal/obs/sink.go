@@ -125,16 +125,6 @@ func (s *RingSink) Events() []Event {
 // Close implements Sink (no-op).
 func (s *RingSink) Close() error { return nil }
 
-// NullSink discards everything; useful to measure the cost of event
-// construction without I/O.
-type NullSink struct{}
-
-// Emit implements Sink.
-func (NullSink) Emit(string, string, map[string]any) {}
-
-// Close implements Sink.
-func (NullSink) Close() error { return nil }
-
 // ReadEvents decodes a JSONL event stream. Blank lines are skipped;
 // malformed lines abort with an error naming the line number.
 func ReadEvents(r io.Reader) ([]Event, error) {

@@ -157,7 +157,11 @@ func TestEmitSnapshotAndAggregate(t *testing.T) {
 func TestEmitSnapshotNilSafe(t *testing.T) {
 	t.Parallel()
 	EmitSnapshot(nil, NewRegistry())
-	EmitSnapshot(NullSink{}, nil)
+	ring := NewRingSink(4)
+	EmitSnapshot(ring, nil)
+	if n := len(ring.Events()); n != 0 {
+		t.Fatalf("a nil registry emitted %d events", n)
+	}
 	var s Sink
 	if s != nil {
 		t.Fatal("zero Sink must be nil")

@@ -12,8 +12,6 @@ import (
 
 	"glider/internal/cache"
 	"glider/internal/workload"
-
-	_ "glider/internal/trace/ingest" // register zipf/mix workload schemes
 )
 
 // qualityGeometry is deliberately smaller than the real LLC so the models

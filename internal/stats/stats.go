@@ -1,13 +1,12 @@
 // Package stats provides the small statistical and text-charting toolkit
-// the experiment harness uses to report paper figures: means, geometric
-// means, CDFs, histograms, and fixed-width ASCII bar/heat charts.
+// the experiment harness uses to report paper figures: means, extremes,
+// percentiles, CDFs, histograms, and the density characters of text
+// heatmaps.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -20,22 +19,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive values (0 if any value is
-// non-positive or the input is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Min returns the minimum (0 for empty input).
@@ -114,19 +97,6 @@ func Histogram(xs []float64, lo, hi float64, n int) []int {
 	return out
 }
 
-// Bar renders a horizontal ASCII bar proportional to value/max, width chars
-// wide.
-func Bar(value, max float64, width int) string {
-	if max <= 0 || value < 0 {
-		return ""
-	}
-	n := int(value / max * float64(width))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n)
-}
-
 // HeatRune maps an intensity in [0,1] to a density character for text
 // heatmaps (Figure 5).
 func HeatRune(v float64) rune {
@@ -140,6 +110,3 @@ func HeatRune(v float64) rune {
 	}
 	return scale[i]
 }
-
-// FormatPct renders a fraction as a fixed-width percentage.
-func FormatPct(f float64) string { return fmt.Sprintf("%6.1f%%", f*100) }

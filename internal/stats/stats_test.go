@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -13,18 +12,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("mean = %v", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean = %v", got)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("non-positive input should return 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean")
 	}
 }
 
@@ -102,29 +89,11 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); got != strings.Repeat("#", 5) {
-		t.Fatalf("bar = %q", got)
-	}
-	if Bar(20, 10, 10) != strings.Repeat("#", 10) {
-		t.Fatal("bar should clamp")
-	}
-	if Bar(1, 0, 10) != "" || Bar(-1, 10, 10) != "" {
-		t.Fatal("degenerate bars")
-	}
-}
-
 func TestHeatRune(t *testing.T) {
 	if HeatRune(0) != ' ' || HeatRune(1) != '@' {
 		t.Fatal("heat rune extremes")
 	}
 	if HeatRune(-5) != ' ' || HeatRune(5) != '@' {
 		t.Fatal("heat rune clamp")
-	}
-}
-
-func TestFormatPct(t *testing.T) {
-	if got := FormatPct(0.123); got != "  12.3%" {
-		t.Fatalf("FormatPct = %q", got)
 	}
 }

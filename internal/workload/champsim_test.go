@@ -1,4 +1,4 @@
-package ingest
+package workload
 
 import (
 	"bufio"
@@ -23,7 +23,7 @@ import (
 // readFixture loads one of the trace package's ChampSim fixtures.
 func readFixture(t *testing.T, name string) []byte {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("..", "testdata", name))
+	b, err := os.ReadFile(filepath.Join("..", "trace", "testdata", name))
 	if err != nil {
 		t.Fatalf("fixture %s: %v", name, err)
 	}
@@ -111,10 +111,10 @@ func writeTraceFile(t testing.TB, data []byte) string {
 	return path
 }
 
-// stream decodes n accesses of the file at path through the champsim scheme.
-func stream(t testing.TB, path string, n int) (*trace.Trace, error) {
+// streamFile decodes n accesses of the file at path through the champsim scheme.
+func streamFile(t testing.TB, path string, n int) (*trace.Trace, error) {
 	t.Helper()
-	spec, err := Parse("champsim(file=" + path + ")")
+	spec, err := parse("champsim(file=" + path + ")")
 	if err != nil {
 		t.Fatal(err) // parse-time only stats the file
 	}
@@ -149,7 +149,7 @@ func oneShot(path string, data []byte, n int) (*trace.Trace, error) {
 // which holds data, to equal oneShot's trace or error text.
 func diffOneShot(t testing.TB, path string, data []byte, n int) {
 	t.Helper()
-	got, gotErr := stream(t, path, n)
+	got, gotErr := streamFile(t, path, n)
 	want, wantErr := oneShot(path, data, n)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("n=%d: stream err %v, one-shot err %v", n, gotErr, wantErr)
@@ -181,8 +181,8 @@ func TestScannerGoldenFixture(t *testing.T) {
 		t.Fatalf("golden fixture has %d accesses, want 15", len(want))
 	}
 	for _, fixture := range []string{"mini.champsim", "mini.champsim.gz"} {
-		path := filepath.Join("..", "testdata", fixture)
-		tr, err := stream(t, path, 0)
+		path := filepath.Join("..", "trace", "testdata", fixture)
+		tr, err := streamFile(t, path, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", fixture, err)
 		}
@@ -216,7 +216,7 @@ func TestStreamVsOneShotDifferential(t *testing.T) {
 
 func TestStreamVsOneShotGoldenFixtures(t *testing.T) {
 	fixture := func(name string) (string, []byte) {
-		return filepath.Join("..", "testdata", name), readFixture(t, name)
+		return filepath.Join("..", "trace", "testdata", name), readFixture(t, name)
 	}
 	for _, name := range []string{"mini.champsim", "mini.champsim.gz"} {
 		path, data := fixture(name)
@@ -239,7 +239,7 @@ func TestStreamVsOneShotGoldenFixtures(t *testing.T) {
 func TestScannerAutoEmpty(t *testing.T) {
 	for _, data := range [][]byte{nil, gzipBytes(t, nil)} {
 		path := writeTraceFile(t, data)
-		_, err := stream(t, path, 0)
+		_, err := streamFile(t, path, 0)
 		if want := "ingest: champsim trace " + path + " contains no memory accesses"; err == nil || err.Error() != want {
 			t.Fatalf("%d-byte file: err = %v, want %q", len(data), err, want)
 		}
@@ -248,7 +248,7 @@ func TestScannerAutoEmpty(t *testing.T) {
 
 func TestScannerAutoRejectsXZ(t *testing.T) {
 	path := writeTraceFile(t, []byte{0xfd, '7', 'z', 'X', 'Z', 0x00})
-	_, err := stream(t, path, 0)
+	_, err := streamFile(t, path, 0)
 	want := "ingest: champsim trace " + path + ": trace: xz-compressed ChampSim trace; decompress externally first (xz -d)"
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
@@ -260,7 +260,7 @@ func TestScannerAutoRejectsXZ(t *testing.T) {
 func TestScannerGzipRejectsRaw(t *testing.T) {
 	data := append([]byte{0x1f, 0x8b}, readFixture(t, "mini.champsim")...)
 	path := writeTraceFile(t, data)
-	_, err := stream(t, path, 0)
+	_, err := streamFile(t, path, 0)
 	if err == nil || !strings.HasPrefix(err.Error(), "ingest: champsim trace "+path+": trace: opening gzip ChampSim trace: ") {
 		t.Fatalf("err = %v, want the gzip opening error", err)
 	}
@@ -277,19 +277,19 @@ func TestCollectRespectsCapConvention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := stream(t, path, 0)
+	full, err := streamFile(t, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameAccesses(t, full.Accesses, want.Accesses)
 	for _, n := range []int{-3, -1} {
-		if _, err := stream(t, path, n); err == nil {
+		if _, err := streamFile(t, path, n); err == nil {
 			t.Fatalf("n=%d accepted", n)
 		}
 	}
 	l := len(full.Accesses)
 	for _, n := range []int{1, 2, 3, 7, l - 1, l, l + 1, 2*l + 3} {
-		tr, err := stream(t, path, n)
+		tr, err := streamFile(t, path, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 //go:build unix
 
-package ingest
+package workload
 
 import (
 	"encoding/binary"
@@ -64,7 +64,7 @@ func TestChampSimSchemeMemoryBoundedByN(t *testing.T) {
 	if err := syscall.Mkfifo(path, 0o600); err != nil {
 		t.Skipf("no named pipes here: %v", err)
 	}
-	spec, err := Parse("champsim(file=" + path + ")")
+	spec, err := parse("champsim(file=" + path + ")")
 	if err != nil {
 		t.Fatal(err)
 	}

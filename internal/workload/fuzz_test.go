@@ -1,11 +1,10 @@
-package ingest
+package workload
 
 import (
 	"bytes"
 	"testing"
 
 	"glider/internal/trace"
-	"glider/internal/workload"
 )
 
 // FuzzStreamVsOneShot is the differential oracle as a fuzz target: for any
@@ -34,16 +33,16 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("zipf(skew=0.9,objects=4096,span=2,pcs=8,scan-every=1000,scan-len=64,churn-every=5000)")
 	f.Add("mix(rr,mcf,libquantum)")
 	f.Add("mix(poisson,zipf(objects=32,skew=1),mix(rr,mcf,mcf),p=0.25)")
-	f.Add("champsim(file=../testdata/mini.champsim)")
+	f.Add("champsim(file=../trace/testdata/mini.champsim)")
 	f.Add("zipf(objects=100,skew=1.2))(")
 	f.Add("mix(rr,mix(rr,mix(rr,mcf,mcf),mcf),mcf)")
 	f.Add("zipf(objects=-1,skew=1e309)")
 	f.Fuzz(func(t *testing.T, s string) {
-		spec, err := Parse(s)
+		spec, err := parse(s)
 		if err != nil {
 			return
 		}
-		again, err := Parse(spec.Name)
+		again, err := parse(spec.Name)
 		if err != nil {
 			t.Fatalf("canonical %q from %q does not reparse: %v", spec.Name, s, err)
 		}
@@ -51,12 +50,12 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("canonicalization not a fixpoint: %q → %q → %q", s, spec.Name, again.Name)
 		}
 		// The resolver must agree with direct parsing.
-		resolved, err := workload.Resolve(s)
+		resolved, err := Resolve(s)
 		if err != nil {
-			t.Fatalf("Parse accepted %q but Resolve rejected it: %v", s, err)
+			t.Fatalf("parse accepted %q but Resolve rejected it: %v", s, err)
 		}
 		if resolved.Name != spec.Name {
-			t.Fatalf("Resolve(%q).Name = %q, Parse = %q", s, resolved.Name, spec.Name)
+			t.Fatalf("Resolve(%q).Name = %q, parse = %q", s, resolved.Name, spec.Name)
 		}
 	})
 }

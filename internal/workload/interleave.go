@@ -1,17 +1,16 @@
-package ingest
+package workload
 
 import (
 	"fmt"
 	"math/rand"
 
 	"glider/internal/trace"
-	"glider/internal/workload"
 )
 
 // Multi-tenant interleaving.
 //
 // A shared cache tier serves several tenants whose streams interleave at the
-// front end. MixConfig merges two member workloads into one stream under a
+// front end. mixConfig merges two member workloads into one stream under a
 // deterministic arrival discipline, tagging each tenant into a disjoint
 // address (and PC) space so tenants never share blocks or predictor entries
 // — contention is for capacity, exactly as in a shared LLC or CDN node.
@@ -29,8 +28,8 @@ import (
 
 // Mix modes.
 const (
-	MixRR      = "rr"
-	MixPoisson = "poisson"
+	mixRR      = "rr"
+	mixPoisson = "poisson"
 )
 
 // tenantShift/tenantMask carve the tag field out of the top address and PC
@@ -41,13 +40,13 @@ const (
 	tenantMask  = uint64(1)<<tenantShift - 1
 )
 
-// MixConfig parameterizes one two-tenant interleaved workload.
-type MixConfig struct {
-	// Mode is MixRR or MixPoisson.
+// mixConfig parameterizes one two-tenant interleaved workload.
+type mixConfig struct {
+	// Mode is mixRR or mixPoisson.
 	Mode string
 	// A and B are the member workloads (any resolvable spec, including
-	// nested ingest specs).
-	A, B workload.Spec
+	// nested spec strings).
+	A, B Spec
 	// P is the probability a slot belongs to tenant A in poisson mode
 	// (default 0.5; ignored for rr).
 	P float64
@@ -57,7 +56,7 @@ type MixConfig struct {
 // name, fully determined by (config, n, seed). Member traces are generated
 // at exactly the lengths the arrival sequence assigns them, with seeds
 // derived per tenant so identical members still produce distinct streams.
-func (m MixConfig) Generate(name string, n int, seed int64) (*trace.Trace, error) {
+func (m mixConfig) Generate(name string, n int, seed int64) (*trace.Trace, error) {
 	p := m.P
 	if p == 0 {
 		p = 0.5
@@ -66,13 +65,13 @@ func (m MixConfig) Generate(name string, n int, seed int64) (*trace.Trace, error
 	fromA := make([]bool, n)
 	countA := 0
 	switch m.Mode {
-	case MixRR:
+	case mixRR:
 		for i := range fromA {
 			fromA[i] = i%2 == 0
 		}
 		countA = (n + 1) / 2
-	case MixPoisson:
-		r := rand.New(rand.NewSource(seed ^ int64(hashString(name))))
+	case mixPoisson:
+		r := rand.New(rand.NewSource(seed ^ int64(hashName(name))))
 		for i := range fromA {
 			if r.Float64() < p {
 				fromA[i] = true

@@ -1,4 +1,4 @@
-package ingest
+package workload
 
 import (
 	"math"
@@ -6,16 +6,15 @@ import (
 	"testing"
 
 	"glider/internal/trace"
-	"glider/internal/workload"
 )
 
-func mixMembers(t *testing.T) (a, b workload.Spec) {
+func mixMembers(t *testing.T) (a, b Spec) {
 	t.Helper()
-	a, err := workload.Lookup("mcf")
+	a, err := Lookup("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = workload.Lookup("libquantum")
+	b, err = Lookup("libquantum")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func untag(a trace.Access) (trace.Access, uint64) {
 // every access carries a valid tenant tag, each tenant's subsequence equals
 // its member trace in order (order preservation), and together they use up
 // exactly the member traces (the merge is a permutation of the inputs).
-func checkMix(t *testing.T, m MixConfig, n int, seed int64) *trace.Trace {
+func checkMix(t *testing.T, m mixConfig, n int, seed int64) *trace.Trace {
 	t.Helper()
 	tr, err := m.Generate("m", n, seed)
 	if err != nil {
@@ -53,7 +52,7 @@ func checkMix(t *testing.T, m MixConfig, n int, seed int64) *trace.Trace {
 		sub[tenant-1] = append(sub[tenant-1], plain)
 	}
 
-	for tenant, spec := range []workload.Spec{m.A, m.B} {
+	for tenant, spec := range []Spec{m.A, m.B} {
 		want, err := spec.GenerateE(len(sub[tenant]), tenantSeed(seed, int64(tenant)))
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +68,7 @@ func checkMix(t *testing.T, m MixConfig, n int, seed int64) *trace.Trace {
 func TestMixRRInvariants(t *testing.T) {
 	a, b := mixMembers(t)
 	for _, n := range []int{0, 1, 7, 5000} {
-		tr := checkMix(t, MixConfig{Mode: MixRR, A: a, B: b}, n, 42)
+		tr := checkMix(t, mixConfig{Mode: mixRR, A: a, B: b}, n, 42)
 		// Strict alternation, tenant 1 (member A) on even slots.
 		for i, acc := range tr.Accesses {
 			if _, tenant := untag(acc); tenant != uint64(i%2)+1 {
@@ -83,7 +82,7 @@ func TestMixPoissonInvariants(t *testing.T) {
 	a, b := mixMembers(t)
 	const n = 20_000
 	for _, p := range []float64{0.3, 0.5, 0.7} {
-		m := MixConfig{Mode: MixPoisson, A: a, B: b, P: p}
+		m := mixConfig{Mode: mixPoisson, A: a, B: b, P: p}
 		tr := checkMix(t, m, n, 42)
 
 		countA := 0
@@ -128,7 +127,7 @@ func TestMixPoissonInvariants(t *testing.T) {
 func TestMixPermutation(t *testing.T) {
 	a, b := mixMembers(t)
 	const n = 4001 // odd: member lengths differ
-	tr := checkMix(t, MixConfig{Mode: MixRR, A: a, B: b}, n, 7)
+	tr := checkMix(t, mixConfig{Mode: mixRR, A: a, B: b}, n, 7)
 
 	countA := (n + 1) / 2
 	trA, err := a.GenerateE(countA, tenantSeed(7, 0))
@@ -165,7 +164,7 @@ func TestMixPermutation(t *testing.T) {
 
 func TestMixTenantSpacesDisjoint(t *testing.T) {
 	a, b := mixMembers(t)
-	tr := checkMix(t, MixConfig{Mode: MixRR, A: a, B: a}, 2000, 3) // same member twice
+	tr := checkMix(t, mixConfig{Mode: mixRR, A: a, B: a}, 2000, 3) // same member twice
 	blocks := [3]map[uint64]bool{nil, {}, {}}
 	for _, acc := range tr.Accesses {
 		_, tenant := untag(acc)
@@ -181,7 +180,7 @@ func TestMixTenantSpacesDisjoint(t *testing.T) {
 
 func TestMixUnknownMode(t *testing.T) {
 	a, b := mixMembers(t)
-	if _, err := (MixConfig{Mode: "fifo", A: a, B: b}).Generate("m", 10, 1); err == nil {
+	if _, err := (mixConfig{Mode: "fifo", A: a, B: b}).Generate("m", 10, 1); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -189,7 +188,7 @@ func TestMixUnknownMode(t *testing.T) {
 // TestMixWrapsShortMembers pins the rewind semantics for members that
 // produce fewer accesses than their slots (file-backed traces).
 func TestMixWrapsShortMembers(t *testing.T) {
-	short := workload.Custom("short3", workload.Ingest, func(n int, seed int64) (*trace.Trace, error) {
+	short := Custom("short3", Ingest, func(n int, seed int64) (*trace.Trace, error) {
 		tr := trace.New("short3", 3)
 		for i := 0; i < 3; i++ { // ignores n: always 3 accesses
 			tr.Append(trace.Access{PC: uint64(100 + i), Addr: uint64(0x1000 * (i + 1)), Kind: trace.Load})
@@ -197,7 +196,7 @@ func TestMixWrapsShortMembers(t *testing.T) {
 		return tr, nil
 	})
 	b, _ := mixMembers(t)
-	tr, err := (MixConfig{Mode: MixRR, A: short, B: b}).Generate("m", 12, 1)
+	tr, err := (mixConfig{Mode: mixRR, A: short, B: b}).Generate("m", 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package workload_test
 import (
 	"testing"
 
-	// Registers the zipf scheme for the spec-string case.
-	_ "glider/internal/trace/ingest"
 	"glider/internal/workload"
 )
 

@@ -1,62 +1,30 @@
 package workload
 
-// Workload-spec resolution.
+// Workload-name resolution.
 //
 // The static registry names the paper's 33 synthetic benchmarks. Everything
 // else — ChampSim trace files, Zipf object streams, multi-tenant mixes —
-// arrives as a spec string of the form scheme(args...), parsed by a scheme
-// resolver registered here (internal/trace/ingest registers "champsim",
-// "zipf", and "mix" from its init). Keeping the registry here and the
-// parsers there avoids an import cycle: ingest imports workload, never the
-// other way around.
+// arrives as a spec string of the form scheme(args...), which parse
+// (spec.go) turns into a Spec named by the spec's canonical rendering.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
-// Resolver parses one spec string of its scheme into a Spec. The returned
-// Spec's Name must be the canonical rendering of the spec, so that every
-// spelling of the same workload shares one Store cache entry.
-type Resolver func(spec string) (Spec, error)
+// schemes are the spec-string schemes parse understands, in sorted order.
+var schemes = []string{"champsim", "mix", "zipf"}
 
-var (
-	schemeMu sync.RWMutex
-	schemes  = map[string]Resolver{}
-)
-
-// RegisterScheme installs the resolver for spec strings of the form
-// "scheme(...)". Registering a scheme twice panics — schemes are wired at
-// init time and a silent overwrite would make resolution order-dependent.
-func RegisterScheme(scheme string, r Resolver) {
-	schemeMu.Lock()
-	defer schemeMu.Unlock()
-	if _, dup := schemes[scheme]; dup {
-		panic(fmt.Sprintf("workload: scheme %q registered twice", scheme))
-	}
-	schemes[scheme] = r
-}
-
-// Schemes returns the registered scheme names in sorted order (for the
+// Schemes returns the spec-string scheme names in sorted order (for the
 // gliderd catalog).
-func Schemes() []string {
-	schemeMu.RLock()
-	defer schemeMu.RUnlock()
-	out := make([]string, 0, len(schemes))
-	for s := range schemes {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
+func Schemes() []string { return slices.Clone(schemes) }
 
 // Resolve turns a workload name or spec string into a Spec: registry names
-// resolve as Lookup does; strings of the form "scheme(args)" dispatch to the
-// registered scheme resolver. The error for a malformed or unknown spec is
-// always an error value, never a panic, whatever bytes arrive (the spec
-// parser is fuzzed on this contract).
+// resolve as Lookup does; strings of the form "scheme(args)" are parsed as
+// spec strings. The error for a malformed or unknown spec is always an
+// error value, never a panic, whatever bytes arrive (the spec parser is
+// fuzzed on this contract).
 func Resolve(name string) (Spec, error) {
 	if s, err := Lookup(name); err == nil {
 		return s, nil
@@ -65,12 +33,8 @@ func Resolve(name string) (Spec, error) {
 	if open <= 0 || !strings.HasSuffix(name, ")") {
 		return Spec{}, ErrUnknown{name}
 	}
-	scheme := name[:open]
-	schemeMu.RLock()
-	r, ok := schemes[scheme]
-	schemeMu.RUnlock()
-	if !ok {
+	if scheme := name[:open]; !slices.Contains(schemes, scheme) {
 		return Spec{}, fmt.Errorf("workload: unknown spec scheme %q in %q", scheme, name)
 	}
-	return r(name)
+	return parse(name)
 }

@@ -2,7 +2,7 @@ package workload
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,51 +18,33 @@ func testSpecTrace(name string, n int) *trace.Trace {
 	return t
 }
 
-func TestRegisterSchemeAndResolve(t *testing.T) {
-	RegisterScheme("resolvetest", func(spec string) (Spec, error) {
-		if spec != "resolvetest(ok)" {
-			return Spec{}, fmt.Errorf("bad spec %q", spec)
+// TestSchemesResolve: Schemes lists exactly the three spec schemes, and a
+// spec of each resolves to an ingest workload under its canonical name.
+func TestSchemesResolve(t *testing.T) {
+	got := Schemes()
+	if want := []string{"champsim", "mix", "zipf"}; !slices.Equal(got, want) {
+		t.Fatalf("Schemes() = %v, want %v", got, want)
+	}
+	got[0] = "changed"
+	if Schemes()[0] != "champsim" {
+		t.Fatal("Schemes() returned the package's own slice")
+	}
+	for _, c := range []struct{ in, want string }{
+		{"champsim(file=../trace/testdata/mini.champsim)", "champsim(file=../trace/testdata/mini.champsim)"},
+		{"mix(poisson,mcf,lbm)", "mix(poisson,mcf,lbm,p=0.5)"},
+		{"zipf(skew=1.0,objects=64)", "zipf(objects=64,skew=1)"},
+	} {
+		spec, err := Resolve(c.in)
+		if err != nil {
+			t.Fatalf("Resolve(%q): %v", c.in, err)
 		}
-		return Custom("resolvetest(ok)", Ingest, func(n int, seed int64) (*trace.Trace, error) {
-			return testSpecTrace("resolvetest(ok)", n), nil
-		}), nil
-	})
-
-	spec, err := Resolve("resolvetest(ok)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Name != "resolvetest(ok)" || spec.Suite != Ingest {
-		t.Fatalf("spec = %+v", spec)
-	}
-	tr, err := spec.GenerateE(10, 1)
-	if err != nil || tr.Len() != 10 {
-		t.Fatalf("GenerateE: %v, len %d", err, tr.Len())
-	}
-
-	if _, err := Resolve("resolvetest(bad)"); err == nil {
-		t.Fatal("resolver error swallowed")
-	}
-
-	found := false
-	for _, s := range Schemes() {
-		if s == "resolvetest" {
-			found = true
+		if spec.Name != c.want || spec.Suite != Ingest {
+			t.Fatalf("Resolve(%q) = %q (%s), want %q (%s)", c.in, spec.Name, spec.Suite, c.want, Ingest)
+		}
+		if tr, err := spec.GenerateE(100, 1); err != nil || tr.Len() != 100 {
+			t.Fatalf("%s: GenerateE(100) = %v", c.in, err)
 		}
 	}
-	if !found {
-		t.Fatalf("Schemes() = %v missing resolvetest", Schemes())
-	}
-}
-
-func TestRegisterSchemeDuplicatePanics(t *testing.T) {
-	RegisterScheme("resolvetest-dup", func(string) (Spec, error) { return Spec{}, nil })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterScheme("resolvetest-dup", func(string) (Spec, error) { return Spec{}, nil })
 }
 
 func TestResolveRegistryNameWins(t *testing.T) {

@@ -1,4 +1,4 @@
-package ingest
+package workload
 
 import (
 	"fmt"
@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"glider/internal/trace"
-	"glider/internal/workload"
 )
 
 // Workload spec strings.
@@ -24,34 +23,35 @@ import (
 //	mix(poisson,LEFT,RIGHT[,p=F])       seeded-Bernoulli interleave
 //
 // LEFT/RIGHT are registry benchmark names or nested specs (champsim, zipf,
-// or mix up to depth 3). Parse canonicalizes: the returned Spec's Name is
+// or mix up to depth 3). parse canonicalizes: the returned Spec's Name is
 // the unique rendering of the workload (defaults elided, fixed key order,
 // shortest float form), so zipf(skew=1.20,objects=100) and
 // zipf(objects=100,skew=1.2) share one cache identity everywhere.
 //
-// Parse returns an error — never panics — on malformed input; FuzzParseSpec
-// enforces this and the canonicalization fixpoint Parse(Parse(s).Name).Name
-// == Parse(s).Name.
+// parse returns an error — never panics — on malformed input; FuzzParseSpec
+// enforces this and the canonicalization fixpoint parse(parse(s).Name).Name
+// == parse(s).Name. Its refusals start "ingest:", the text gliderd has
+// always returned in its 422 bodies for a malformed spec.
 
-// Parse limits: a spec arriving over HTTP is untrusted input, so every
+// Spec limits: a spec arriving over HTTP is untrusted input, so every
 // numeric parameter is bounded and nesting is capped.
 const (
 	maxSpecLen  = 4096
 	maxMixDepth = 3
 )
 
-// Parse turns a spec string into a workload.Spec with a canonical Name.
-func Parse(s string) (workload.Spec, error) {
+// parse turns a spec string into a Spec with a canonical Name.
+func parse(s string) (Spec, error) {
 	return parseSpec(s, 0)
 }
 
-func parseSpec(s string, depth int) (workload.Spec, error) {
+func parseSpec(s string, depth int) (Spec, error) {
 	if len(s) > maxSpecLen {
-		return workload.Spec{}, fmt.Errorf("ingest: spec longer than %d bytes", maxSpecLen)
+		return Spec{}, fmt.Errorf("ingest: spec longer than %d bytes", maxSpecLen)
 	}
 	scheme, args, err := splitSpec(s)
 	if err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	switch scheme {
 	case "champsim":
@@ -61,7 +61,7 @@ func parseSpec(s string, depth int) (workload.Spec, error) {
 	case "mix":
 		return parseMix(args, depth)
 	default:
-		return workload.Spec{}, fmt.Errorf("ingest: unknown spec scheme %q", scheme)
+		return Spec{}, fmt.Errorf("ingest: unknown spec scheme %q", scheme)
 	}
 }
 
@@ -149,24 +149,24 @@ func intArg(kv map[string]string, key string, def, min, max int) (int, error) {
 
 // ---------------------------------------------------------------- champsim
 
-func parseChampSim(args []string) (workload.Spec, error) {
+func parseChampSim(args []string) (Spec, error) {
 	kv, err := keyValues(args, "file")
 	if err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	path, ok := kv["file"]
 	if !ok {
-		return workload.Spec{}, fmt.Errorf("ingest: champsim spec requires file=PATH")
+		return Spec{}, fmt.Errorf("ingest: champsim spec requires file=PATH")
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
-		return workload.Spec{}, fmt.Errorf("ingest: champsim trace: %w", err)
+		return Spec{}, fmt.Errorf("ingest: champsim trace: %w", err)
 	}
 	if fi.IsDir() {
-		return workload.Spec{}, fmt.Errorf("ingest: champsim trace %q is a directory", path)
+		return Spec{}, fmt.Errorf("ingest: champsim trace %q is a directory", path)
 	}
 	name := fmt.Sprintf("champsim(file=%s)", path)
-	return workload.Custom(name, workload.Ingest, func(n int, seed int64) (*trace.Trace, error) {
+	return Custom(name, Ingest, func(n int, seed int64) (*trace.Trace, error) {
 		return generateChampSim(name, path, n)
 	}), nil
 }
@@ -198,46 +198,46 @@ func generateChampSim(name, path string, n int) (*trace.Trace, error) {
 
 // ---------------------------------------------------------------- zipf
 
-func parseZipf(args []string) (workload.Spec, error) {
+func parseZipf(args []string) (Spec, error) {
 	kv, err := keyValues(args, "objects", "skew", "span", "pcs", "scan-every", "scan-len", "churn-every")
 	if err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	if _, ok := kv["objects"]; !ok {
-		return workload.Spec{}, fmt.Errorf("ingest: zipf spec requires objects=N")
+		return Spec{}, fmt.Errorf("ingest: zipf spec requires objects=N")
 	}
 	if _, ok := kv["skew"]; !ok {
-		return workload.Spec{}, fmt.Errorf("ingest: zipf spec requires skew=F")
+		return Spec{}, fmt.Errorf("ingest: zipf spec requires skew=F")
 	}
-	var c ZipfConfig
+	var c zipfConfig
 	if c.Objects, err = intArg(kv, "objects", 0, 1, zipfMaxObjects); err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	skew, err := strconv.ParseFloat(kv["skew"], 64)
 	if err != nil || skew != skew { // reject NaN
-		return workload.Spec{}, fmt.Errorf("ingest: skew=%q is not a number", kv["skew"])
+		return Spec{}, fmt.Errorf("ingest: skew=%q is not a number", kv["skew"])
 	}
 	if skew < 0 || skew > zipfMaxSkew {
-		return workload.Spec{}, fmt.Errorf("ingest: skew=%v out of range [0, %v]", skew, zipfMaxSkew)
+		return Spec{}, fmt.Errorf("ingest: skew=%v out of range [0, %v]", skew, zipfMaxSkew)
 	}
 	c.Skew = skew
 	if c.Span, err = intArg(kv, "span", zipfDefaultSpan, 1, zipfMaxSpan); err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	if c.PCs, err = intArg(kv, "pcs", zipfDefaultPCs, 1, zipfMaxPCs); err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	if c.ScanEvery, err = intArg(kv, "scan-every", 0, 0, 1<<30); err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	if c.ScanLen, err = intArg(kv, "scan-len", 0, 0, zipfMaxScanLen); err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	if c.ChurnEvery, err = intArg(kv, "churn-every", 0, 0, 1<<30); err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	if c.ScanLen > 0 && c.ScanEvery == 0 {
-		return workload.Spec{}, fmt.Errorf("ingest: scan-len without scan-every")
+		return Spec{}, fmt.Errorf("ingest: scan-len without scan-every")
 	}
 	if c.ScanEvery > 0 && c.ScanLen == 0 {
 		// Make the default explicit here so the canonical name elides it:
@@ -245,7 +245,7 @@ func parseZipf(args []string) (workload.Spec, error) {
 		c.ScanLen = zipfDefaultScanLen
 	}
 	name := canonicalZipf(c)
-	return workload.Custom(name, workload.Ingest, func(n int, seed int64) (*trace.Trace, error) {
+	return Custom(name, Ingest, func(n int, seed int64) (*trace.Trace, error) {
 		return c.Generate(name, n, seed), nil
 	}), nil
 }
@@ -253,7 +253,7 @@ func parseZipf(args []string) (workload.Spec, error) {
 // canonicalZipf renders the unique spec string for a config: required keys
 // first, optional keys in fixed order only when they differ from defaults,
 // floats in their shortest form.
-func canonicalZipf(c ZipfConfig) string {
+func canonicalZipf(c zipfConfig) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "zipf(objects=%d,skew=%s", c.Objects, strconv.FormatFloat(c.Skew, 'g', -1, 64))
 	if c.Span != 0 && c.Span != zipfDefaultSpan {
@@ -277,63 +277,63 @@ func canonicalZipf(c ZipfConfig) string {
 
 // ---------------------------------------------------------------- mix
 
-func parseMix(args []string, depth int) (workload.Spec, error) {
+func parseMix(args []string, depth int) (Spec, error) {
 	if depth >= maxMixDepth {
-		return workload.Spec{}, fmt.Errorf("ingest: mix nesting deeper than %d", maxMixDepth)
+		return Spec{}, fmt.Errorf("ingest: mix nesting deeper than %d", maxMixDepth)
 	}
 	if len(args) < 3 {
-		return workload.Spec{}, fmt.Errorf("ingest: mix spec wants mix(MODE,LEFT,RIGHT[,p=F])")
+		return Spec{}, fmt.Errorf("ingest: mix spec wants mix(MODE,LEFT,RIGHT[,p=F])")
 	}
 	mode := args[0]
-	if mode != MixRR && mode != MixPoisson {
-		return workload.Spec{}, fmt.Errorf("ingest: unknown mix mode %q (want %q or %q)", mode, MixRR, MixPoisson)
+	if mode != mixRR && mode != mixPoisson {
+		return Spec{}, fmt.Errorf("ingest: unknown mix mode %q (want %q or %q)", mode, mixRR, mixPoisson)
 	}
 	left, err := parseMember(args[1], depth)
 	if err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	right, err := parseMember(args[2], depth)
 	if err != nil {
-		return workload.Spec{}, err
+		return Spec{}, err
 	}
 	p := 0.5
 	rest := args[3:]
 	switch {
 	case len(rest) == 0:
-	case len(rest) == 1 && mode == MixPoisson:
+	case len(rest) == 1 && mode == mixPoisson:
 		v, ok := strings.CutPrefix(rest[0], "p=")
 		if !ok {
-			return workload.Spec{}, fmt.Errorf("ingest: unexpected mix argument %q", rest[0])
+			return Spec{}, fmt.Errorf("ingest: unexpected mix argument %q", rest[0])
 		}
 		p, err = strconv.ParseFloat(v, 64)
 		if err != nil || !(p > 0 && p < 1) {
-			return workload.Spec{}, fmt.Errorf("ingest: p=%q must be a number in (0, 1)", v)
+			return Spec{}, fmt.Errorf("ingest: p=%q must be a number in (0, 1)", v)
 		}
 	default:
-		return workload.Spec{}, fmt.Errorf("ingest: too many mix arguments")
+		return Spec{}, fmt.Errorf("ingest: too many mix arguments")
 	}
 
-	c := MixConfig{Mode: mode, A: left, B: right, P: p}
+	c := mixConfig{Mode: mode, A: left, B: right, P: p}
 	var name string
-	if mode == MixPoisson {
+	if mode == mixPoisson {
 		name = fmt.Sprintf("mix(poisson,%s,%s,p=%s)", left.Name, right.Name, strconv.FormatFloat(p, 'g', -1, 64))
 	} else {
 		name = fmt.Sprintf("mix(rr,%s,%s)", left.Name, right.Name)
 	}
-	return workload.Custom(name, workload.Ingest, func(n int, seed int64) (*trace.Trace, error) {
+	return Custom(name, Ingest, func(n int, seed int64) (*trace.Trace, error) {
 		return c.Generate(name, n, seed)
 	}), nil
 }
 
 // parseMember resolves a mix member: a nested spec when it contains parens,
 // otherwise a registry benchmark name.
-func parseMember(s string, depth int) (workload.Spec, error) {
+func parseMember(s string, depth int) (Spec, error) {
 	if strings.ContainsRune(s, '(') {
 		return parseSpec(s, depth+1)
 	}
-	spec, err := workload.Lookup(s)
+	spec, err := Lookup(s)
 	if err != nil {
-		return workload.Spec{}, fmt.Errorf("ingest: mix member: %w", err)
+		return Spec{}, fmt.Errorf("ingest: mix member: %w", err)
 	}
 	return spec, nil
 }

@@ -1,4 +1,4 @@
-package ingest
+package workload
 
 import (
 	"os"
@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"glider/internal/trace"
-	"glider/internal/workload"
 )
 
 // writeChampSimFile writes n accesses of the named workload (seed 42) as a
 // ChampSim file and returns its path and the trace it wrote.
 func writeChampSimFile(t *testing.T, name string, n int) (string, *trace.Trace) {
 	t.Helper()
-	spec, err := workload.Resolve(name)
+	spec, err := Resolve(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,24 +63,24 @@ func TestParseCanonicalization(t *testing.T) {
 		{"mix(rr,zipf(skew=1.0,objects=32),mcf)", "mix(rr,zipf(objects=32,skew=1),mcf)"},
 	}
 	for _, c := range cases {
-		spec, err := Parse(c.in)
+		spec, err := parse(c.in)
 		if err != nil {
-			t.Fatalf("Parse(%q): %v", c.in, err)
+			t.Fatalf("parse(%q): %v", c.in, err)
 		}
 		if spec.Name != c.want {
-			t.Fatalf("Parse(%q).Name = %q, want %q", c.in, spec.Name, c.want)
+			t.Fatalf("parse(%q).Name = %q, want %q", c.in, spec.Name, c.want)
 		}
-		if spec.Suite != workload.Ingest {
-			t.Fatalf("Parse(%q).Suite = %q", c.in, spec.Suite)
+		if spec.Suite != Ingest {
+			t.Fatalf("parse(%q).Suite = %q", c.in, spec.Suite)
 		}
 		// Canonicalization is a fixpoint: re-parsing the canonical name
 		// yields the same canonical name.
-		again, err := Parse(spec.Name)
+		again, err := parse(spec.Name)
 		if err != nil {
-			t.Fatalf("Parse(%q): %v", spec.Name, err)
+			t.Fatalf("parse(%q): %v", spec.Name, err)
 		}
 		if again.Name != spec.Name {
-			t.Fatalf("fixpoint: Parse(%q).Name = %q", spec.Name, again.Name)
+			t.Fatalf("fixpoint: parse(%q).Name = %q", spec.Name, again.Name)
 		}
 	}
 }
@@ -89,11 +88,11 @@ func TestParseCanonicalization(t *testing.T) {
 // TestCanonicalSpellingsGenerateIdentically: two spellings of one workload
 // are the same workload — identical canonical name, identical stream.
 func TestCanonicalSpellingsGenerateIdentically(t *testing.T) {
-	a, err := Parse("zipf(objects=256,skew=1.10)")
+	a, err := parse("zipf(objects=256,skew=1.10)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Parse("zipf(skew=1.1,objects=256,span=1)")
+	b, err := parse("zipf(skew=1.1,objects=256,span=1)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,87 +152,8 @@ func TestParseErrors(t *testing.T) {
 		strings.Repeat("x", maxSpecLen+1) + "(a)",
 	}
 	for _, in := range cases {
-		if spec, err := Parse(in); err == nil {
-			t.Fatalf("Parse(%q) accepted as %q", in, spec.Name)
-		}
-	}
-}
-
-// TestParseChampSim: every workload tracegen can write comes back through
-// WriteChampSim and champsim(file=…) with the same accesses. A ChampSim
-// record carries a PC, an address and a load or store slot, so this holds
-// only while generated traces keep to three facts, asserted first: every
-// access is on core 0, none is a writeback, and none has address 0 (the
-// reader takes a zero memory slot for an empty one and drops it). Then the
-// scheme materializes exactly the length asked for, whatever the seed, and
-// cycle-extends past the file's end.
-func TestParseChampSim(t *testing.T) {
-	names := workload.Names()
-	names = append(names,
-		"zipf(objects=4096,skew=0.9,scan-every=1000)",
-		"mix(poisson,zipf(objects=512,skew=1.1),mix(rr,mcf,lbm),p=0.3)")
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			for _, n := range []int{1, 1000, 20_000} {
-				path, want := writeChampSimFile(t, name, n)
-				for i, a := range want.Accesses {
-					if a.Core != 0 || a.Kind == trace.Writeback || a.Addr == 0 {
-						t.Fatalf("n=%d: access %d = %+v: not representable as a ChampSim record", n, i, a)
-					}
-				}
-				spec, err := Parse("champsim(file=" + path + ")")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := "champsim(file=" + path + ")"; spec.Name != want {
-					t.Fatalf("Name = %q, want %q", spec.Name, want)
-				}
-				got, err := spec.GenerateE(0, 1)
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
-				}
-				sameAccesses(t, got.Accesses, want.Accesses)
-			}
-		})
-	}
-
-	path, _ := writeChampSimFile(t, "mcf", 200)
-	spec, err := Parse("champsim(file=" + path + ")")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Exact-length materialization, deterministic across calls.
-	tr, err := spec.GenerateE(150, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 150 {
-		t.Fatalf("got %d accesses, want 150", tr.Len())
-	}
-	again, err := spec.GenerateE(150, 99) // seed is irrelevant for files
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAccesses(t, again.Accesses, tr.Accesses)
-
-	// A request longer than the file cycle-extends: access i repeats access
-	// i mod fileLen.
-	full, err := spec.GenerateE(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := full.Len()
-	long, err := spec.GenerateE(2*n+7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if long.Len() != 2*n+7 {
-		t.Fatalf("got %d accesses, want %d", long.Len(), 2*n+7)
-	}
-	for i, a := range long.Accesses {
-		if a != full.Accesses[i%n] {
-			t.Fatalf("access %d != source access %d", i, i%n)
+		if spec, err := parse(in); err == nil {
+			t.Fatalf("parse(%q) accepted as %q", in, spec.Name)
 		}
 	}
 }
@@ -243,7 +163,7 @@ func TestParseChampSimEmptyFile(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := Parse("champsim(file=" + path + ")")
+	spec, err := parse("champsim(file=" + path + ")")
 	if err != nil {
 		t.Fatal(err) // parse-time only stats the file
 	}
@@ -255,8 +175,8 @@ func TestParseChampSimEmptyFile(t *testing.T) {
 // TestTruncatedErrorMessage: a file that ends mid-record fails the scheme
 // with the decoder's truncation error, naming the file.
 func TestTruncatedErrorMessage(t *testing.T) {
-	const path = "../testdata/truncated.champsim"
-	spec, err := Parse("champsim(file=" + path + ")")
+	const path = "../trace/testdata/truncated.champsim"
+	spec, err := parse("champsim(file=" + path + ")")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +201,7 @@ func TestCapStopsReading(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := Parse("champsim(file=" + path + ")")
+	spec, err := parse("champsim(file=" + path + ")")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,30 +221,30 @@ func TestCapStopsReading(t *testing.T) {
 
 func TestResolveIngestSpecs(t *testing.T) {
 	// Registry names still resolve.
-	spec, err := workload.Resolve("mcf")
+	spec, err := Resolve("mcf")
 	if err != nil || spec.Name != "mcf" {
 		t.Fatalf("Resolve(mcf) = %q, %v", spec.Name, err)
 	}
-	// Ingest specs resolve through the registered schemes.
-	spec, err = workload.Resolve("zipf(objects=64,skew=1)")
+	// Spec strings resolve through their schemes.
+	spec, err = Resolve("zipf(objects=64,skew=1)")
 	if err != nil || spec.Name != "zipf(objects=64,skew=1)" {
 		t.Fatalf("Resolve(zipf) = %q, %v", spec.Name, err)
 	}
-	if _, err := workload.Resolve("zipf(objects=64)"); err == nil {
+	if _, err := Resolve("zipf(objects=64)"); err == nil {
 		t.Fatal("malformed spec resolved")
 	}
-	if _, err := workload.Resolve("nosuchthing(x=1)"); err == nil {
+	if _, err := Resolve("nosuchthing(x=1)"); err == nil {
 		t.Fatal("unknown scheme resolved")
 	}
 	for _, want := range []string{"champsim", "mix", "zipf"} {
 		found := false
-		for _, s := range workload.Schemes() {
+		for _, s := range Schemes() {
 			if s == want {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("scheme %q not registered (have %v)", want, workload.Schemes())
+			t.Fatalf("scheme %q not registered (have %v)", want, Schemes())
 		}
 	}
 }
@@ -332,12 +252,12 @@ func TestResolveIngestSpecs(t *testing.T) {
 // TestStoreCanonicalSharing: every spelling of a workload hits the same
 // store entry, and generation happens once.
 func TestStoreCanonicalSharing(t *testing.T) {
-	st := workload.NewStore(64 << 20)
-	a, err := workload.Resolve("zipf(objects=128,skew=0.9)")
+	st := NewStore(64 << 20)
+	a, err := Resolve("zipf(objects=128,skew=0.9)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := workload.Resolve("zipf(skew=0.90,objects=128,pcs=16)")
+	b, err := Resolve("zipf(skew=0.90,objects=128,pcs=16)")
 	if err != nil {
 		t.Fatal(err)
 	}

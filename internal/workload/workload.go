@@ -10,6 +10,20 @@
 // caching behaviour of a shared callee PC is determined by which caller PC
 // appears earlier in the access history. See DESIGN.md §1 for the
 // substitution argument.
+//
+// Everything else arrives as a spec string (spec.go), which Resolve accepts
+// wherever a benchmark name is accepted: real ChampSim/CRC2 trace files
+// (champsim), Zipf web/CDN object streams (zipf), and deterministic
+// two-tenant interleavings of any two workloads (mix). A spec's Name is its
+// canonical rendering, so every spelling of one workload shares one Store
+// entry and one gliderd result-cache line.
+//
+// Generation is deterministic in (n, seed) for every workload, which is what
+// lets Store treat (Name, n, seed) as the full identity of a trace. For
+// champsim specs the file's contents are part of that identity in spirit
+// but not in the key: the store caches whatever the file held when first
+// read, and a fleet must share a filesystem view for cross-node
+// determinism.
 package workload
 
 import (
@@ -28,9 +42,9 @@ const (
 	SPEC2006 Suite = "SPEC06"
 	SPEC2017 Suite = "SPEC17"
 	GAP      Suite = "GAP"
-	// Ingest marks workloads built by internal/trace/ingest from external
-	// sources (ChampSim trace files, Zipf object streams, multi-tenant
-	// mixes) rather than from the synthetic benchmark registry.
+	// Ingest marks workloads named by a spec string (ChampSim trace files,
+	// Zipf object streams, multi-tenant mixes; see spec.go) rather than by
+	// the synthetic benchmark registry.
 	Ingest Suite = "INGEST"
 )
 

@@ -1,4 +1,4 @@
-package ingest
+package workload
 
 import (
 	"math"
@@ -16,12 +16,12 @@ import (
 // stress a replacement policy in that setting: the skewed steady state, the
 // periodic full scans that evict it (crawlers, backups), and popularity
 // churn (new content displacing old). Everything is a pure function of
-// (config, n, seed), so workload.Store can cache the result under the
+// (config, n, seed), so Store can cache the result under the
 // spec's canonical string.
 
-// ZipfConfig parameterizes one object-stream workload. The zero value of
+// zipfConfig parameterizes one object-stream workload. The zero value of
 // every optional field selects the documented default.
-type ZipfConfig struct {
+type zipfConfig struct {
 	// Objects is the working-set size: the number of distinct objects.
 	Objects int
 	// Skew is the Zipf exponent s ≥ 0: P(rank i) ∝ 1/i^s. 0 is uniform.
@@ -45,7 +45,7 @@ type ZipfConfig struct {
 	ChurnEvery int
 }
 
-// Defaults and bounds for ZipfConfig fields (bounds are enforced by the
+// Defaults and bounds for zipfConfig fields (bounds are enforced by the
 // spec-string parser so a hostile spec cannot demand unbounded memory).
 const (
 	zipfDefaultSpan    = 1
@@ -68,7 +68,7 @@ const (
 )
 
 // normalized fills defaults.
-func (c ZipfConfig) normalized() ZipfConfig {
+func (c zipfConfig) normalized() zipfConfig {
 	if c.Span <= 0 {
 		c.Span = zipfDefaultSpan
 	}
@@ -83,9 +83,9 @@ func (c ZipfConfig) normalized() ZipfConfig {
 
 // Generate produces the deterministic object stream: n accesses named name,
 // fully determined by (c, n, seed).
-func (c ZipfConfig) Generate(name string, n int, seed int64) *trace.Trace {
+func (c zipfConfig) Generate(name string, n int, seed int64) *trace.Trace {
 	c = c.normalized()
-	r := rand.New(rand.NewSource(seed ^ int64(hashString(name))))
+	r := rand.New(rand.NewSource(seed ^ int64(hashName(name))))
 	// Cumulative rank weights; sampling is a binary search over them. The
 	// explicit table (rather than rand.Zipf) supports any skew ≥ 0 and makes
 	// the distribution available to tests.
@@ -139,15 +139,4 @@ func zipfCumWeights(objects int, skew float64) []float64 {
 		cum[i] = sum
 	}
 	return cum
-}
-
-// hashString is FNV-1a, the same name-mixing workload.Spec uses, local to
-// avoid exporting it from workload.
-func hashString(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -1,4 +1,4 @@
-package ingest
+package workload
 
 import (
 	"math"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestZipfDeterminism(t *testing.T) {
-	c := ZipfConfig{Objects: 512, Skew: 0.9, ScanEvery: 1000, ScanLen: 64, ChurnEvery: 5000}
+	c := zipfConfig{Objects: 512, Skew: 0.9, ScanEvery: 1000, ScanLen: 64, ChurnEvery: 5000}
 	a := c.Generate("z", 20_000, 7)
 	b := c.Generate("z", 20_000, 7)
 	sameAccesses(t, a.Accesses, b.Accesses)
@@ -41,7 +41,7 @@ func TestZipfDeterminism(t *testing.T) {
 }
 
 func TestZipfLength(t *testing.T) {
-	c := ZipfConfig{Objects: 64, Skew: 1.0}
+	c := zipfConfig{Objects: 64, Skew: 1.0}
 	for _, n := range []int{0, 1, 100, 12345} {
 		if got := c.Generate("z", n, 1).Accesses; len(got) != n {
 			t.Fatalf("n=%d: got %d accesses", n, len(got))
@@ -55,7 +55,7 @@ func TestZipfLength(t *testing.T) {
 // within tolerance of the configured skew.
 func TestZipfRankFrequencySlope(t *testing.T) {
 	for _, skew := range []float64{0.7, 1.0, 1.3} {
-		c := ZipfConfig{Objects: 2048, Skew: skew}
+		c := zipfConfig{Objects: 2048, Skew: skew}
 		tr := c.Generate("z", 400_000, 11)
 
 		counts := make(map[uint64]int)
@@ -90,7 +90,7 @@ func TestZipfRankFrequencySlope(t *testing.T) {
 }
 
 func TestZipfUniformWhenSkewZero(t *testing.T) {
-	c := ZipfConfig{Objects: 256, Skew: 0}
+	c := zipfConfig{Objects: 256, Skew: 0}
 	tr := c.Generate("z", 256_000, 3)
 	counts := make(map[uint64]int)
 	for _, a := range tr.Accesses {
@@ -105,7 +105,7 @@ func TestZipfUniformWhenSkewZero(t *testing.T) {
 }
 
 func TestZipfScanPhases(t *testing.T) {
-	c := ZipfConfig{Objects: 128, Skew: 1.0, ScanEvery: 1000, ScanLen: 100}
+	c := zipfConfig{Objects: 128, Skew: 1.0, ScanEvery: 1000, ScanLen: 100}
 	tr := c.Generate("z", 10_000, 5)
 
 	var scanBlocks []uint64
@@ -137,7 +137,7 @@ func TestZipfScanPhases(t *testing.T) {
 }
 
 func TestZipfChurnRotatesPopularity(t *testing.T) {
-	base := ZipfConfig{Objects: 512, Skew: 1.2}
+	base := zipfConfig{Objects: 512, Skew: 1.2}
 	churned := base
 	churned.ChurnEvery = 10_000
 	n := 40_000
@@ -172,7 +172,7 @@ func TestZipfChurnRotatesPopularity(t *testing.T) {
 }
 
 func TestZipfSpanAndPCs(t *testing.T) {
-	c := ZipfConfig{Objects: 32, Skew: 0.5, Span: 4, PCs: 8}
+	c := zipfConfig{Objects: 32, Skew: 0.5, Span: 4, PCs: 8}
 	tr := c.Generate("z", 50_000, 13)
 	blocksPerPC := make(map[uint64]map[uint64]bool)
 	for _, a := range tr.Accesses {
