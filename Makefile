@@ -33,7 +33,9 @@ race:
 #   - the observability pipeline: glidersim with -metrics for glider and
 #     both reuse-distance policies, frd and msa, whose obs hooks live in one
 #     shared core, plus an experiment run, each emitting JSONL that
-#     obsreport must aggregate;
+#     obsreport must aggregate. Each glidersim file must hold exactly one
+#     obs/snapshot event, and obsreport must render the frd and msa runs'
+#     snapshots as two sections, each with its own 77-PC table;
 #   - the ledger loop: anchor a real zoo run to a disk ledger with
 #     cmd/experiments, then audit the file with a process that never trusted
 #     the writer and re-simulate the anchored zoo bit for bit;
@@ -56,7 +58,12 @@ cli-smoke:
 	$(GO) run ./cmd/obsreport /tmp/glider-metrics.jsonl
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy frd -accesses 100000 -metrics /tmp/frd-metrics.jsonl -metrics-summary
 	$(GO) run ./cmd/glidersim -bench omnetpp -policy msa -accesses 100000 -metrics /tmp/msa-metrics.jsonl -metrics-summary
-	$(GO) run ./cmd/obsreport /tmp/frd-metrics.jsonl /tmp/msa-metrics.jsonl
+	for f in /tmp/glider-metrics.jsonl /tmp/frd-metrics.jsonl /tmp/msa-metrics.jsonl; do \
+		test "$$(grep -c '"component":"obs","event":"snapshot"' $$f)" = 1 || { echo "$$f: want one obs/snapshot event"; exit 1; }; \
+	done
+	$(GO) run ./cmd/obsreport /tmp/frd-metrics.jsonl /tmp/msa-metrics.jsonl > /tmp/glider-obsreport.txt
+	cat /tmp/glider-obsreport.txt
+	test "$$(grep -cF 'cache.LLC.pc (77 PCs' /tmp/glider-obsreport.txt)" = 2
 	$(GO) run ./cmd/experiments -quick -metrics /tmp/glider-exp.jsonl table2
 	$(GO) run ./cmd/obsreport -top 5 /tmp/glider-metrics.jsonl /tmp/glider-exp.jsonl
 	rm -f /tmp/glider-ledger-smoke.ledger

@@ -1,8 +1,14 @@
 // Command obsreport renders the JSONL telemetry stream written by
-// `glidersim -metrics` or `experiments -metrics` as a human-readable
-// report: end-of-run metric values, per-PC reuse outcomes (which PCs
-// insert lines that die unused), per-policy job latencies, and offline
-// training curves.
+// `glidersim -metrics`, `experiments -metrics` or `loadgen -events` as a
+// human-readable report:
+//
+//   - each registry snapshot (an "obs/snapshot" event, one per run) under
+//     its own header, printed as -metrics-summary prints it: counters,
+//     histograms, vectors, and the per-PC reuse outcomes (which PCs insert
+//     lines that die unused), cut to the -top most-accessed PCs per table;
+//   - per-policy job latencies and offline training curves;
+//   - a count of every event kind, including those it renders no section
+//     for (loadgen's request and sample events, for instance).
 //
 // Usage:
 //
@@ -12,7 +18,8 @@
 //	cat run.jsonl | obsreport -
 //
 // Multiple files (or stdin, named "-") are concatenated before
-// aggregation, so a batch of runs can be reported together.
+// aggregation, so a batch of runs can be reported together; snapshots are
+// numbered in the order the files are given.
 package main
 
 import (
@@ -25,7 +32,7 @@ import (
 )
 
 func main() {
-	topN := flag.Int("top", 10, "rows per table (per-PC, per-policy)")
+	topN := flag.Int("top", 10, "per-PC rows per table in each snapshot")
 	flag.Parse()
 
 	paths := flag.Args()

@@ -15,6 +15,24 @@ import (
 	"glider/internal/workload"
 )
 
+// Training constants. The Estimator stores hullSlack, hullAbsSlack and
+// minIPCBound, so a loaded model keeps the values it was trained with.
+const (
+	// fitSeeds is the number of fit-split seeds. More seeds would teach the
+	// heads to average across trace-seed jitter, shrinking the calibration
+	// residuals and therefore the bounds, at proportional training cost.
+	fitSeeds = 1
+	// ridgeLambda is the ridge penalty of every head.
+	ridgeLambda = 0.05
+	// minIPCBound floors the IPC bound: a zero calibration residual must
+	// not produce a zero-width bound.
+	minIPCBound = 0.03
+	// hullSlack and hullAbsSlack widen the gate's feature hull, relative to
+	// the per-feature training span and absolutely for near-constant
+	// features under seed jitter.
+	hullSlack, hullAbsSlack = 0.35, 0.02
+)
+
 // TrainConfig sizes a training run. Zero values take the documented
 // defaults, so callers set only what they mean to change.
 type TrainConfig struct {
@@ -28,35 +46,24 @@ type TrainConfig struct {
 	// log2_accesses); multiple values widen the hull across lengths.
 	AccessesList []int
 	// Seed is the base trace seed. Training simulates the same
-	// (workload, accesses) grid at FitSeeds+2 consecutive seeds and splits
-	// by seed: seeds Seed .. Seed+FitSeeds−1 fit the linear heads, seed
-	// Seed+FitSeeds becomes the anchor split (its exact values are stored
+	// (workload, accesses) grid at fitSeeds+2 consecutive seeds and splits
+	// by seed: seeds Seed .. Seed+fitSeeds−1 fit the linear heads, seed
+	// Seed+fitSeeds becomes the anchor split (its exact values are stored
 	// in the model and every prediction is corrected against its nearest
-	// anchor), and seed Seed+FitSeeds+1 is the calibration split — fresh
+	// anchor), and seed Seed+fitSeeds+1 is the calibration split — fresh
 	// traces of the same workloads, predicted by the full anchored model,
 	// which is exactly the error mode the gate admits at serving time:
 	// predicting an unseen trace of an in-hull workload. Held-out-workload
 	// generalization is intentionally NOT what the bounds promise; queries
 	// outside the feature hull are refused by the gate instead.
 	Seed int64
-	// FitSeeds is the number of fit-split seeds (default 1). More seeds
-	// teach the heads to average across trace-seed jitter, shrinking the
-	// calibration residuals and therefore the bounds — at proportional
-	// training cost.
-	FitSeeds int
-	// Lambda is the ridge penalty (default 0.05).
-	Lambda float64
 	// Inflate multiplies the max calibration residual into the conformal
 	// bound (default 2.0) — headroom so bounds survive distribution drift
 	// between calibration and serving.
 	Inflate float64
-	// MinMissBound / MinIPCBound floor the bounds (defaults 0.015 / 0.03):
-	// a zero calibration residual must not produce a zero-width bound.
-	MinMissBound, MinIPCBound float64
-	// Slack / AbsSlack widen the gate's feature hull: relative to the
-	// per-feature training span (default 0.35) and absolutely (default
-	// 0.02) for near-constant features under seed jitter.
-	Slack, AbsSlack float64
+	// MinMissBound floors the miss-rate bound (default 0.015), as
+	// minIPCBound floors the IPC bound.
+	MinMissBound float64
 	// Workers bounds concurrent simulation jobs (0 = one per CPU). Results
 	// are bit-identical for every worker count.
 	Workers int
@@ -67,26 +74,11 @@ type TrainConfig struct {
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Lambda <= 0 {
-		c.Lambda = 0.05
-	}
 	if c.Inflate <= 0 {
 		c.Inflate = 2.0
 	}
 	if c.MinMissBound <= 0 {
 		c.MinMissBound = 0.015
-	}
-	if c.MinIPCBound <= 0 {
-		c.MinIPCBound = 0.03
-	}
-	if c.Slack <= 0 {
-		c.Slack = 0.35
-	}
-	if c.AbsSlack <= 0 {
-		c.AbsSlack = 0.02
-	}
-	if c.FitSeeds <= 0 {
-		c.FitSeeds = 1
 	}
 	return c
 }
@@ -144,7 +136,7 @@ type trainPair struct {
 }
 
 // Train simulates the (workload, accesses, policy) grid exactly at
-// FitSeeds+2 consecutive seeds, extracts features per (workload, accesses,
+// fitSeeds+2 consecutive seeds, extracts features per (workload, accesses,
 // seed) triple, fits per-policy quantized ridge heads on the fit split,
 // stores the anchor split's exact values for anchored prediction, and
 // calibrates conformal bounds on the calibration split — fresh traces of
@@ -176,7 +168,7 @@ func Train(ctx context.Context, cfg TrainConfig) (*Estimator, Report, error) {
 
 	// One pair per (workload, accesses, seed); features come from the same
 	// shared trace the simulations consume.
-	anchorSeed := cfg.Seed + int64(cfg.FitSeeds)
+	anchorSeed := cfg.Seed + fitSeeds
 	calibSeed := anchorSeed + 1
 	var fit, anchor, calib []*trainPair
 	for _, spec := range specs {
@@ -239,11 +231,11 @@ func Train(ctx context.Context, cfg TrainConfig) (*Estimator, Report, error) {
 	est := &Estimator{
 		Schema:       SchemaVersion,
 		Names:        FeatureNames(),
-		Slack:        cfg.Slack,
-		AbsSlack:     cfg.AbsSlack,
+		Slack:        hullSlack,
+		AbsSlack:     hullAbsSlack,
 		Inflate:      cfg.Inflate,
 		MinMissBound: cfg.MinMissBound,
-		MinIPCBound:  cfg.MinIPCBound,
+		MinIPCBound:  minIPCBound,
 		Heads:        make(map[string]*Head, len(cfg.Policies)),
 	}
 	est.Mean, est.Scale = standardStats(fit)
@@ -293,11 +285,11 @@ func Train(ctx context.Context, cfg TrainConfig) (*Estimator, Report, error) {
 			yMiss[i] = p.miss[qi]
 			yIPC[i] = p.ipc[qi]
 		}
-		missM, err := ml.FitRidgeQuantized(fitRows, yMiss, cfg.Lambda)
+		missM, err := ml.FitRidgeQuantized(fitRows, yMiss, ridgeLambda)
 		if err != nil {
 			return nil, Report{}, fmt.Errorf("estimate: fitting %s miss head: %w", pol, err)
 		}
-		ipcM, err := ml.FitRidgeQuantized(fitRows, yIPC, cfg.Lambda)
+		ipcM, err := ml.FitRidgeQuantized(fitRows, yIPC, ridgeLambda)
 		if err != nil {
 			return nil, Report{}, fmt.Errorf("estimate: fitting %s ipc head: %w", pol, err)
 		}
@@ -357,7 +349,7 @@ func Train(ctx context.Context, cfg TrainConfig) (*Estimator, Report, error) {
 			maxNoiseIPC = math.Max(maxNoiseIPC, head.NoiseIPC[i])
 		}
 		ev.QMiss = math.Max(cfg.Inflate*(maxMiss+maxNoiseMiss), cfg.MinMissBound)
-		ev.QIPC = math.Max(cfg.Inflate*(maxIPC+maxNoiseIPC), cfg.MinIPCBound)
+		ev.QIPC = math.Max(cfg.Inflate*(maxIPC+maxNoiseIPC), minIPCBound)
 		head.QMiss, head.QIPC = ev.QMiss, ev.QIPC
 		est.Heads[pol] = head
 

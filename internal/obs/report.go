@@ -9,13 +9,12 @@ import (
 )
 
 // Report is the aggregated view of a JSONL event stream that cmd/obsreport
-// renders: the final metric snapshot, per-PC outcome tables, per-policy job
-// latency, and offline training curves.
+// renders: the registry snapshots, per-policy job latency, and offline
+// training curves.
 type Report struct {
-	// Metrics holds "metric" snapshot events keyed by metric name.
-	Metrics []MetricLine
-	// PCTables maps table name → entries, sorted by accesses descending.
-	PCTables map[string][]PCEntry
+	// Snapshots holds the "obs/snapshot" events' registry snapshots in
+	// stream order, one per run that wrote one.
+	Snapshots []Snapshot
 	// Jobs groups simrunner job completions by the final path segment of
 	// the job key — the policy name under the repo's Key conventions.
 	Jobs []JobGroup
@@ -23,15 +22,6 @@ type Report struct {
 	Epochs []EpochLine
 	// EventCounts tallies every (component, event) pair seen.
 	EventCounts map[string]int
-}
-
-// MetricLine is one metric from the snapshot.
-type MetricLine struct {
-	Kind  string
-	Name  string
-	Value uint64  // counters
-	Count uint64  // histograms
-	Sum   float64 // histograms
 }
 
 // JobGroup aggregates simulation jobs sharing a policy (key suffix).
@@ -61,36 +51,15 @@ type EpochLine struct {
 
 // Aggregate folds an event stream into a Report.
 func Aggregate(events []Event) *Report {
-	rep := &Report{
-		PCTables:    make(map[string][]PCEntry),
-		EventCounts: make(map[string]int),
-	}
+	rep := &Report{EventCounts: make(map[string]int)}
 	jobs := make(map[string]*JobGroup)
 	for _, e := range events {
 		rep.EventCounts[e.Component+"/"+e.Event]++
 		switch {
-		case e.Component == "obs" && e.Event == "metric":
-			rep.Metrics = append(rep.Metrics, MetricLine{
-				Kind:  str(e.Fields["kind"]),
-				Name:  str(e.Fields["name"]),
-				Value: num(e.Fields["value"]),
-				Count: num(e.Fields["count"]),
-				Sum:   f64(e.Fields["sum"]),
-			})
-		case e.Component == "obs" && e.Event == "pc":
-			table := str(e.Fields["table"])
-			pc, _ := strconv.ParseUint(strings.TrimPrefix(str(e.Fields["pc"]), "0x"), 16, 64)
-			rep.PCTables[table] = append(rep.PCTables[table], PCEntry{
-				PC: pc,
-				PCOutcome: PCOutcome{
-					Accesses:      num(e.Fields["accesses"]),
-					Hits:          num(e.Fields["hits"]),
-					Misses:        num(e.Fields["misses"]),
-					Insertions:    num(e.Fields["insertions"]),
-					EvictedReused: num(e.Fields["evicted_reused"]),
-					EvictedDead:   num(e.Fields["evicted_dead"]),
-				},
-			})
+		case e.Component == "obs" && e.Event == "snapshot":
+			if snap, ok := e.Fields["snapshot"].(Snapshot); ok {
+				rep.Snapshots = append(rep.Snapshots, snap)
+			}
 		case e.Component == "simrunner" && e.Event == "job":
 			policy := policyFromKey(str(e.Fields["key"]))
 			g, ok := jobs[policy]
@@ -116,15 +85,6 @@ func Aggregate(events []Event) *Report {
 				Seconds:  f64(e.Fields["seconds"]),
 			})
 		}
-	}
-	sort.Slice(rep.Metrics, func(i, j int) bool { return rep.Metrics[i].Name < rep.Metrics[j].Name })
-	for _, entries := range rep.PCTables {
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].Accesses != entries[j].Accesses {
-				return entries[i].Accesses > entries[j].Accesses
-			}
-			return entries[i].PC < entries[j].PC
-		})
 	}
 	for _, g := range jobs {
 		rep.Jobs = append(rep.Jobs, *g)
@@ -158,44 +118,25 @@ func policyFromKey(key string) string {
 	return key
 }
 
-// Render writes the report. topN bounds per-PC rows per table (<= 0: 20).
+// Render writes the report: each snapshot under its own header, rendered
+// by Snapshot.WriteSummary with every per-PC table cut to its first topN
+// rows (<= 0: 20), then jobs, epochs and event counts.
 func (rep *Report) Render(w io.Writer, topN int) {
 	if topN <= 0 {
 		topN = 20
 	}
-	if len(rep.Metrics) > 0 {
-		fmt.Fprintf(w, "== metrics ==\n")
-		for _, m := range rep.Metrics {
-			switch m.Kind {
-			case "histogram":
-				mean := 0.0
-				if m.Count > 0 {
-					mean = m.Sum / float64(m.Count)
-				}
-				fmt.Fprintf(w, "%-46s count %10d  mean %12.6g\n", m.Name, m.Count, mean)
-			case "counter":
-				fmt.Fprintf(w, "%-46s %12d\n", m.Name, m.Value)
-			default:
-				fmt.Fprintf(w, "%-46s (%s)\n", m.Name, m.Kind)
-			}
+	for i, snap := range rep.Snapshots {
+		if i > 0 {
+			fmt.Fprintln(w)
 		}
-	}
-	tables := make([]string, 0, len(rep.PCTables))
-	for name := range rep.PCTables {
-		tables = append(tables, name)
-	}
-	sort.Strings(tables)
-	for _, name := range tables {
-		entries := rep.PCTables[name]
-		fmt.Fprintf(w, "\n== per-PC: %s (%d PCs, top %d by accesses) ==\n", name, len(entries), min(topN, len(entries)))
-		fmt.Fprintf(w, "%-18s %10s %8s %10s %10s %8s\n", "pc", "accesses", "hit%", "inserts", "evicted", "dead%")
-		for i, e := range entries {
-			if i >= topN {
-				break
-			}
-			fmt.Fprintf(w, "%#-18x %10d %8.1f %10d %10d %8.1f\n",
-				e.PC, e.Accesses, e.HitRate()*100, e.Insertions, e.EvictedReused+e.EvictedDead, e.DeadFraction()*100)
+		fmt.Fprintf(w, "== snapshot %d of %d ==\n", i+1, len(rep.Snapshots))
+		pcs := make([]PCTableSnap, len(snap.PCs))
+		for j, p := range snap.PCs {
+			p.Top = p.Top[:min(topN, len(p.Top))]
+			pcs[j] = p
 		}
+		snap.PCs = pcs
+		snap.WriteSummary(w)
 	}
 	if len(rep.Jobs) > 0 {
 		fmt.Fprintf(w, "\n== jobs by policy ==\n")

@@ -126,7 +126,9 @@ func (s *RingSink) Events() []Event {
 func (s *RingSink) Close() error { return nil }
 
 // ReadEvents decodes a JSONL event stream. Blank lines are skipped;
-// malformed lines abort with an error naming the line number.
+// malformed lines abort with an error naming the line number. The fields of
+// an "obs/snapshot" event decode into a Snapshot under the "snapshot" key
+// (see decodeEvent); every other event's fields decode as JSON values.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -138,8 +140,8 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		if len(b) == 0 {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(b, &e); err != nil {
+		e, err := decodeEvent(b)
+		if err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", line, err)
 		}
 		out = append(out, e)
@@ -148,4 +150,32 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("obs: read events: %w", err)
 	}
 	return out, nil
+}
+
+// decodeEvent decodes one JSONL line. A snapshot event's fields decode
+// straight into a Snapshot, never through map[string]any: there a PC would
+// pass through a float64, which cannot hold a tenant-tagged PC (bit 60 or
+// 61 set) exactly.
+func decodeEvent(b []byte) (Event, error) {
+	var raw struct {
+		Event
+		Fields json.RawMessage `json:"fields"` // shadows Event.Fields
+	}
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return Event{}, err
+	}
+	e := raw.Event
+	var err error
+	switch {
+	case len(raw.Fields) == 0:
+	case e.Component == "obs" && e.Event == "snapshot":
+		var f struct {
+			Snapshot Snapshot `json:"snapshot"`
+		}
+		err = json.Unmarshal(raw.Fields, &f)
+		e.Fields = map[string]any{"snapshot": f.Snapshot}
+	default:
+		err = json.Unmarshal(raw.Fields, &e.Fields)
+	}
+	return e, err
 }

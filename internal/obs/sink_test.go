@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -122,12 +123,8 @@ func TestEmitSnapshotAndAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := Aggregate(events)
-	if len(rep.Metrics) != 2 {
-		t.Fatalf("metrics = %+v", rep.Metrics)
-	}
-	pcRows := rep.PCTables["cache.llc.pc"]
-	if len(pcRows) != 1 || pcRows[0].PC != 0x40 || pcRows[0].Accesses != 2 || pcRows[0].Insertions != 1 {
-		t.Fatalf("pc rows = %+v", pcRows)
+	if want := r.Snapshot(); len(rep.Snapshots) != 1 || !reflect.DeepEqual(rep.Snapshots[0], want) {
+		t.Fatalf("snapshots = %+v, want [%+v]", rep.Snapshots, want)
 	}
 	if len(rep.Jobs) != 2 {
 		t.Fatalf("jobs = %+v", rep.Jobs)
@@ -146,10 +143,89 @@ func TestEmitSnapshotAndAggregate(t *testing.T) {
 	var out bytes.Buffer
 	rep.Render(&out, 10)
 	text := out.String()
-	for _, want := range []string{"cache.llc.hits", "per-PC: cache.llc.pc", "jobs by policy", "training epochs", "0x40"} {
+	for _, want := range []string{"== snapshot 1 of 1 ==", "cache.llc.hits", "per-PC table cache.llc.pc", "jobs by policy", "training epochs", "0x40"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestSnapshotsStayApartAndExact: two runs' snapshots in one stream come
+// back as two snapshots, each equal to its registry's, and render as two
+// sections. A tenant-tagged PC (bit 61, as mix(...) sets it) survives the
+// trip; through a float64 it would read back as the neighbouring PC.
+func TestSnapshotsStayApartAndExact(t *testing.T) {
+	t.Parallel()
+	const tagged = 1<<61 | 0x401001
+	regs := []*Registry{NewRegistry(), NewRegistry()}
+	for i, r := range regs {
+		n := uint64(i + 1)
+		r.Counter("cache.LLC.hits").Add(10 * n)
+		r.Histogram("frd.train.err", LinearBuckets(1, 1, 4)).Observe(2.5 * float64(n))
+		r.Vec("cache.LLC.set.hits", 4).Add(i, n)
+		r.Vec("glider.verdict", 2, "friendly", "averse").Inc(1)
+		pcs := r.PCStats("cache.LLC.pc")
+		for k := uint64(0); k < 3+n; k++ {
+			pcs.Access(tagged, k%2 == 0)
+		}
+		pcs.Access(tagged-1, false)
+		pcs.Insertion(tagged)
+		pcs.Eviction(tagged, false)
+	}
+
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf)
+	for _, r := range regs {
+		EmitSnapshot(sink, r)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Aggregate(events)
+	if len(rep.Snapshots) != len(regs) {
+		t.Fatalf("got %d snapshots, want %d", len(rep.Snapshots), len(regs))
+	}
+	for i, r := range regs {
+		if want := r.Snapshot(); !reflect.DeepEqual(rep.Snapshots[i], want) {
+			t.Fatalf("snapshot %d = %+v, want %+v", i, rep.Snapshots[i], want)
+		}
+		if top := rep.Snapshots[i].PCs[0].Top[0]; top.PC != tagged || top.Accesses != uint64(4+i) {
+			t.Fatalf("snapshot %d top PC = %#x with %d accesses, want %#x with %d", i, top.PC, top.Accesses, uint64(tagged), 4+i)
+		}
+	}
+
+	var out bytes.Buffer
+	rep.Render(&out, 1)
+	text := out.String()
+	if n := strings.Count(text, "per-PC table cache.LLC.pc (2 PCs, top 1 by accesses)"); n != 2 {
+		t.Fatalf("rendered %d per-PC sections, want 2:\n%s", n, text)
+	}
+	if strings.Count(text, "0x2000000000401001") != 2 || strings.Contains(text, "0x2000000000401000") {
+		t.Fatalf("per-PC rows not cut to the tagged top PC of each run:\n%s", text)
+	}
+	if !reflect.DeepEqual(rep.Snapshots[0], regs[0].Snapshot()) {
+		t.Fatal("Render cut the report's own per-PC table")
+	}
+}
+
+// TestLegacyPCEventsAreCounted: streams written with one event per PC
+// still load; those events are counted and make no snapshot.
+func TestLegacyPCEventsAreCounted(t *testing.T) {
+	t.Parallel()
+	in := `{"seq":1,"component":"obs","event":"pc","fields":{"table":"cache.LLC.pc","pc":"0x401000","accesses":3}}
+{"seq":2,"component":"obs","event":"pc","fields":{"table":"cache.LLC.pc","pc":"0x401001","accesses":2}}
+`
+	events, err := ReadEvents(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Aggregate(events)
+	if len(rep.Snapshots) != 0 || rep.EventCounts["obs/pc"] != 2 {
+		t.Fatalf("report = %+v", rep)
 	}
 }
 

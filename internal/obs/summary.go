@@ -123,7 +123,12 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	hs := HistSnap{Count: h.Count(), Sum: h.Sum()}
+	return h.snap().Quantile(q)
+}
+
+// snap copies the live histogram's count, sum and buckets into a HistSnap.
+func (h *Histogram) snap() HistSnap {
+	hs := HistSnap{Name: h.name, Count: h.Count(), Sum: h.Sum()}
 	for i := range h.buckets {
 		ub := math.Inf(1)
 		if i < len(h.bounds) {
@@ -131,7 +136,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		hs.Buckets = append(hs.Buckets, BucketSnap{UpperBound: ub, Count: h.buckets[i].Load()})
 	}
-	return hs.Quantile(q)
+	return hs
 }
 
 // VecSnap summarizes a vector: full cells for small labeled vectors,
@@ -197,15 +202,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters = append(s.Counters, CounterSnap{Name: c.name, Value: c.Value()})
 	}
 	for _, h := range hists {
-		hs := HistSnap{Name: h.name, Count: h.Count(), Sum: h.Sum()}
-		for i := range h.buckets {
-			ub := math.Inf(1)
-			if i < len(h.bounds) {
-				ub = h.bounds[i]
-			}
-			hs.Buckets = append(hs.Buckets, BucketSnap{UpperBound: ub, Count: h.buckets[i].Load()})
-		}
-		s.Hists = append(s.Hists, hs)
+		s.Hists = append(s.Hists, h.snap())
 	}
 	for _, v := range vecs {
 		vs := VecSnap{Name: v.name, Len: len(v.cells), Labels: v.labels}
@@ -269,63 +266,13 @@ func (s Snapshot) WriteSummary(w io.Writer) {
 	}
 }
 
-// EmitSnapshot writes the snapshot into a sink as "metric" and "pc" events
-// (component "obs"), the format cmd/obsreport consumes. A nil sink or nil
-// registry is a no-op.
+// EmitSnapshot writes the registry's snapshot into a sink as one
+// "obs/snapshot" event whose "snapshot" field is the Snapshot that /metrics
+// serves, so a JSONL file and /metrics carry one encoding and
+// Snapshot.WriteSummary renders both. A nil sink or nil registry is a no-op.
 func EmitSnapshot(sink Sink, r *Registry) {
 	if sink == nil || r == nil {
 		return
 	}
-	s := r.Snapshot()
-	for _, c := range s.Counters {
-		sink.Emit("obs", "metric", map[string]any{"kind": "counter", "name": c.Name, "value": c.Value})
-	}
-	for _, h := range s.Hists {
-		buckets := make(map[string]any, len(h.Buckets))
-		for _, b := range h.Buckets {
-			key := "+Inf"
-			if !math.IsInf(b.UpperBound, 1) {
-				key = fmt.Sprintf("%g", b.UpperBound)
-			}
-			buckets[key] = b.Count
-		}
-		sink.Emit("obs", "metric", map[string]any{
-			"kind": "histogram", "name": h.Name, "count": h.Count, "sum": h.Sum, "buckets": buckets,
-		})
-	}
-	for _, v := range s.Vecs {
-		f := map[string]any{
-			"kind": "vec", "name": v.Name, "len": v.Len, "sum": v.Sum,
-			"nonzero": v.NonZero, "max": v.Max, "max_cell": v.MaxCell,
-		}
-		if len(v.Cells) > 0 {
-			cells := make(map[string]any, len(v.Cells))
-			for i, c := range v.Cells {
-				if c > 0 {
-					cells[vecLabel(v, i)] = c
-				}
-			}
-			f["cells"] = cells
-		}
-		sink.Emit("obs", "metric", f)
-	}
-	for _, p := range s.PCs {
-		for _, e := range p.Top {
-			sink.Emit("obs", "pc", map[string]any{
-				"table": p.Name, "pc": fmt.Sprintf("%#x", e.PC),
-				"accesses": e.Accesses, "hits": e.Hits, "misses": e.Misses,
-				"insertions": e.Insertions, "evicted_reused": e.EvictedReused, "evicted_dead": e.EvictedDead,
-			})
-		}
-		if p.PCCount > len(p.Top) {
-			sink.Emit("obs", "pc_truncated", map[string]any{"table": p.Name, "total": p.PCCount, "emitted": len(p.Top)})
-		}
-	}
-}
-
-func vecLabel(v VecSnap, i int) string {
-	if i < len(v.Labels) {
-		return v.Labels[i]
-	}
-	return fmt.Sprintf("%d", i)
+	sink.Emit("obs", "snapshot", map[string]any{"snapshot": r.Snapshot()})
 }

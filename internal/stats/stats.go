@@ -1,7 +1,6 @@
 // Package stats provides the small statistical and text-charting toolkit
-// the experiment harness uses to report paper figures: means, extremes,
-// percentiles, CDFs, histograms, and the density characters of text
-// heatmaps.
+// the experiment harness uses to report paper figures: means, maxima,
+// percentiles, CDFs, and the density characters of text heatmaps.
 package stats
 
 import (
@@ -19,20 +18,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Min returns the minimum (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the maximum (0 for empty input).
@@ -76,25 +61,6 @@ func Percentile(xs []float64, p float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// Histogram bins xs into n equal-width bins over [lo, hi].
-func Histogram(xs []float64, lo, hi float64, n int) []int {
-	out := make([]int, n)
-	if hi <= lo || n == 0 {
-		return out
-	}
-	for _, x := range xs {
-		b := int((x - lo) / (hi - lo) * float64(n))
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		out[b]++
-	}
-	return out
 }
 
 // HeatRune maps an intensity in [0,1] to a density character for text
