@@ -17,18 +17,19 @@ import (
 // line should not be cached at all.
 const Bypass = -1
 
-// Line is the policy-visible state of one cache line.
+// Line is the policy-visible state of one cache line. The byte-sized fields
+// follow the words so that a Line is 24 bytes, not 32.
 type Line struct {
-	// Valid reports whether the line holds data.
-	Valid bool
-	// Dirty reports whether the line has been written.
-	Dirty bool
 	// Tag is the block address stored in the line.
 	Tag uint64
 	// PC is the program counter that inserted or last touched the line.
 	PC uint64
 	// Core is the core that inserted the line.
 	Core uint8
+	// Valid reports whether the line holds data.
+	Valid bool
+	// Dirty reports whether the line has been written.
+	Dirty bool
 }
 
 // AccessResult describes the outcome of one cache access.
@@ -109,13 +110,23 @@ var (
 )
 
 // Cache is one set-associative cache level.
+//
+// On the policy-driven path a set's ways live at [set*Ways, (set+1)*Ways) of
+// two parallel slabs: tags, which the hit scan reads, and lines, the Lines
+// the policy sees (Line.Tag repeats the tag there). A miss fills the first
+// invalid way and only Flush invalidates, so a set's valid ways are always
+// the prefix [0, valid[set]). The cache reads that count, never a Line's
+// Valid bit, which is kept for the policies. tags and valid share one
+// allocation.
 type Cache struct {
 	cfg    Config
 	policy Policy
-	sets   [][]Line
+	tags   []uint64
+	lines  []Line
+	valid  []uint64
 	stats  Stats
 	// fast, when non-nil, selects the specialized upper-level LRU path (see
-	// fastlru.go); policy and sets are unused on that path.
+	// fastlru.go); policy, tags, lines and valid are unused on that path.
 	fast *fastLRU
 	// obs, when non-nil, receives per-access observability callbacks. The
 	// nil check is the only cost the instrumentation adds to a run with
@@ -134,13 +145,14 @@ func New(cfg Config, p Policy) (*Cache, error) {
 	if p == nil {
 		return nil, fmt.Errorf("cache %s: nil policy", cfg.Name)
 	}
-	c := &Cache{cfg: cfg, policy: p}
-	c.sets = make([][]Line, cfg.Sets)
-	backing := make([]Line, cfg.Sets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	return c, nil
+	words := make([]uint64, cfg.Lines()+cfg.Sets)
+	return &Cache{
+		cfg:    cfg,
+		policy: p,
+		tags:   words[:cfg.Lines()],
+		lines:  make([]Line, cfg.Lines()),
+		valid:  words[cfg.Lines():],
+	}, nil
 }
 
 // MustNew is New but panics on configuration error; for use with the
@@ -174,8 +186,9 @@ func (c *Cache) Lookup(block uint64) bool {
 		return c.lookupFast(block)
 	}
 	set := c.SetIndex(block)
-	for _, l := range c.sets[set] {
-		if l.Valid && l.Tag == block {
+	base := set * c.cfg.Ways
+	for _, t := range c.tags[base : base+int(c.valid[set])] {
+		if t == block {
 			return true
 		}
 	}
@@ -188,17 +201,20 @@ func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResu
 	if c.fast != nil {
 		return c.accessFast(pc, block, core, kind)
 	}
+	ways := c.cfg.Ways
 	set := c.SetIndex(block)
-	lines := c.sets[set]
+	base := set * ways
+	n := int(c.valid[set])
 	c.stats.Accesses++
 
-	for w := range lines {
-		if lines[w].Valid && lines[w].Tag == block {
+	for w, t := range c.tags[base : base+n] {
+		if t == block {
 			c.stats.Hits++
+			l := &c.lines[base+w]
 			if kind == trace.Store || kind == trace.Writeback {
-				lines[w].Dirty = true
+				l.Dirty = true
 			}
-			lines[w].PC = pc
+			l.PC = pc
 			if c.obs != nil {
 				c.obs.onHit(set, w, pc)
 			}
@@ -213,16 +229,14 @@ func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResu
 		c.obs.onMiss(set, pc)
 	}
 
-	// Prefer an invalid way before consulting the policy.
-	way := Bypass
-	for w := range lines {
-		if !lines[w].Valid {
-			way = w
-			break
-		}
-	}
+	// Fill the first invalid way; consult the policy only when the set is
+	// full.
+	way := n
 	res := AccessResult{Set: set, Way: way}
-	if way == Bypass {
+	if n < ways {
+		c.valid[set]++
+	} else {
+		lines := c.lines[base : base+ways : base+ways]
 		way = c.policy.Victim(set, pc, block, core, lines)
 		res.Way = way
 		if way == Bypass {
@@ -233,28 +247,28 @@ func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResu
 			c.policy.Update(set, Bypass, pc, block, core, false, kind)
 			return res
 		}
-		if way < 0 || way >= len(lines) {
+		if way < 0 || way >= ways {
 			panic(fmt.Sprintf("cache %s: policy %s returned invalid victim way %d", c.cfg.Name, c.policy.Name(), way))
 		}
-		if lines[way].Valid {
-			c.stats.Evictions++
-			res.Evicted = true
-			res.EvictedLine = lines[way]
-			if lines[way].Dirty {
-				c.stats.Writebacks++
-				res.WritebackNeeded = true
-			}
-			if c.obs != nil {
-				c.obs.onEvict(set, way, lines[way], lines[way].Dirty)
-			}
+		victim := lines[way]
+		c.stats.Evictions++
+		res.Evicted = true
+		res.EvictedLine = victim
+		if victim.Dirty {
+			c.stats.Writebacks++
+			res.WritebackNeeded = true
+		}
+		if c.obs != nil {
+			c.obs.onEvict(set, way, victim, victim.Dirty)
 		}
 	}
-	lines[way] = Line{
-		Valid: true,
-		Dirty: kind == trace.Store || kind == trace.Writeback,
+	c.tags[base+way] = block
+	c.lines[base+way] = Line{
 		Tag:   block,
 		PC:    pc,
 		Core:  core,
+		Valid: true,
+		Dirty: kind == trace.Store || kind == trace.Writeback,
 	}
 	if c.obs != nil {
 		c.obs.onFill(set, way, pc)
@@ -269,11 +283,8 @@ func (c *Cache) Flush() {
 		c.flushFast()
 		return
 	}
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = Line{}
-		}
-	}
+	clear(c.lines)
+	clear(c.valid)
 }
 
 // Occupancy returns the fraction of valid lines, for diagnostics.
@@ -281,13 +292,9 @@ func (c *Cache) Occupancy() float64 {
 	if c.fast != nil {
 		return c.occupancyFast()
 	}
-	valid := 0
-	for s := range c.sets {
-		for _, l := range c.sets[s] {
-			if l.Valid {
-				valid++
-			}
-		}
+	var valid uint64
+	for _, n := range c.valid {
+		valid += n
 	}
 	return float64(valid) / float64(c.cfg.Lines())
 }

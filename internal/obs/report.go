@@ -18,7 +18,8 @@ type Report struct {
 	// Jobs groups simrunner job completions by the final path segment of
 	// the job key — the policy name under the repo's Key conventions.
 	Jobs []JobGroup
-	// Epochs holds offline per-epoch training records, in epoch order.
+	// Epochs holds offline per-epoch training records, sorted by workload,
+	// model and epoch.
 	Epochs []EpochLine
 	// EventCounts tallies every (component, event) pair seen.
 	EventCounts map[string]int
@@ -42,6 +43,7 @@ func (g JobGroup) MeanSec() float64 {
 
 // EpochLine is one offline training epoch.
 type EpochLine struct {
+	Workload string
 	Model    string
 	Epoch    int
 	Loss     float64
@@ -78,6 +80,7 @@ func Aggregate(events []Event) *Report {
 			}
 		case e.Component == "offline" && e.Event == "epoch":
 			rep.Epochs = append(rep.Epochs, EpochLine{
+				Workload: str(e.Fields["workload"]),
 				Model:    str(e.Fields["model"]),
 				Epoch:    int(num(e.Fields["epoch"])),
 				Loss:     f64(e.Fields["loss"]),
@@ -91,10 +94,14 @@ func Aggregate(events []Event) *Report {
 	}
 	sort.Slice(rep.Jobs, func(i, j int) bool { return rep.Jobs[i].Policy < rep.Jobs[j].Policy })
 	sort.SliceStable(rep.Epochs, func(i, j int) bool {
-		if rep.Epochs[i].Model != rep.Epochs[j].Model {
-			return rep.Epochs[i].Model < rep.Epochs[j].Model
+		a, b := rep.Epochs[i], rep.Epochs[j]
+		if a.Workload != b.Workload {
+			return a.Workload < b.Workload
 		}
-		return rep.Epochs[i].Epoch < rep.Epochs[j].Epoch
+		if a.Model != b.Model {
+			return a.Model < b.Model
+		}
+		return a.Epoch < b.Epoch
 	})
 	return rep
 }
@@ -147,9 +154,9 @@ func (rep *Report) Render(w io.Writer, topN int) {
 	}
 	if len(rep.Epochs) > 0 {
 		fmt.Fprintf(w, "\n== training epochs ==\n")
-		fmt.Fprintf(w, "%-16s %6s %10s %10s %10s\n", "model", "epoch", "loss", "acc%", "seconds")
+		fmt.Fprintf(w, "%-16s %-16s %6s %10s %10s %10s\n", "workload", "model", "epoch", "loss", "acc%", "seconds")
 		for _, e := range rep.Epochs {
-			fmt.Fprintf(w, "%-16s %6d %10.4f %10.1f %10.3f\n", e.Model, e.Epoch, e.Loss, e.Accuracy*100, e.Seconds)
+			fmt.Fprintf(w, "%-16s %-16s %6d %10.4f %10.1f %10.3f\n", e.Workload, e.Model, e.Epoch, e.Loss, e.Accuracy*100, e.Seconds)
 		}
 	}
 	if len(rep.EventCounts) > 0 {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -147,6 +148,41 @@ func TestEmitSnapshotAndAggregate(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestEpochsKeepTheirWorkload: two workloads' training runs of one model
+// come back as distinct epoch rows, sorted by workload, model and epoch,
+// and render with the workload in each row.
+func TestEpochsKeepTheirWorkload(t *testing.T) {
+	t.Parallel()
+	var events []Event
+	for _, epoch := range []int{1, 0} {
+		for _, w := range []string{"omnetpp", "mcf"} {
+			events = append(events, Event{Component: "offline", Event: "epoch", Fields: map[string]any{
+				"workload": w, "model": "attention-lstm", "epoch": float64(epoch), "loss": 0.5, "accuracy": 0.75, "seconds": 1.0,
+			}})
+		}
+	}
+	rep := Aggregate(events)
+	var got []string
+	for _, e := range rep.Epochs {
+		got = append(got, fmt.Sprintf("%s/%s/%d", e.Workload, e.Model, e.Epoch))
+	}
+	want := []string{"mcf/attention-lstm/0", "mcf/attention-lstm/1", "omnetpp/attention-lstm/0", "omnetpp/attention-lstm/1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("epochs %v, want %v", got, want)
+	}
+	var out bytes.Buffer
+	rep.Render(&out, 0)
+	rows := map[string]bool{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 6 && f[1] == "attention-lstm" {
+			rows[f[0]+" "+f[2]] = true
+		}
+	}
+	if len(rows) != 4 || !rows["mcf 0"] || !rows["omnetpp 1"] {
+		t.Fatalf("rendered epoch rows %v, want four distinct (workload, epoch) rows:\n%s", rows, out.String())
 	}
 }
 

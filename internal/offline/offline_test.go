@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"glider/internal/ml"
+	"glider/internal/obs"
 	"glider/internal/trace"
 	"glider/internal/workload"
 )
@@ -192,6 +193,7 @@ func TestLSTMTrainsAndEvaluates(t *testing.T) {
 		MaxEvalSequences:  40,
 		Config:            ml.AttentionLSTMConfig{Vocab: 1, Embed: 16, Hidden: 16, LR: 0.005, ClipNorm: 5, Seed: 1},
 		Seed:              1,
+		Sink:              obs.NewRingSink(8),
 	}
 	m, res, err := TrainLSTM(d, opts)
 	if err != nil {
@@ -199,6 +201,15 @@ func TestLSTMTrainsAndEvaluates(t *testing.T) {
 	}
 	if m == nil || len(res.EpochAccuracy) != 2 {
 		t.Fatalf("train result %+v", res)
+	}
+	events := opts.Sink.(*obs.RingSink).Events()
+	if len(events) != 2 {
+		t.Fatalf("%d epoch events, want 2", len(events))
+	}
+	for _, e := range events {
+		if e.Fields["workload"] != "omnetpp" {
+			t.Fatalf("epoch event %v: workload %v, want omnetpp", e.Fields, e.Fields["workload"])
+		}
 	}
 	if res.FinalAccuracy() < 0.5 {
 		t.Fatalf("LSTM accuracy %.3f is below coin flip", res.FinalAccuracy())

@@ -136,9 +136,9 @@ type LSTMOptions struct {
 	// ("offline.epoch.*"). Purely observational: attaching a registry
 	// never changes training results.
 	Obs *obs.Registry
-	// Sink, when non-nil, receives one "epoch" event per epoch with loss,
-	// accuracy, and wall time — the producer for cmd/obsreport's training
-	// curve.
+	// Sink, when non-nil, receives one "epoch" event per epoch with the
+	// dataset's workload, loss, accuracy, and wall time — the producer for
+	// cmd/obsreport's training curve.
 	Sink obs.Sink
 }
 
@@ -230,6 +230,7 @@ func TrainLSTM(d *Dataset, opts LSTMOptions) (*ml.AttentionLSTM, TrainResult, er
 		seqsTrained.Add(uint64(len(seqs)))
 		if opts.Sink != nil {
 			opts.Sink.Emit("offline", "epoch", map[string]any{
+				"workload":  d.Name,
 				"model":     res.Model,
 				"epoch":     e,
 				"loss":      meanLoss,

@@ -66,21 +66,33 @@ func (p *LFU) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 // exponentially-decayed reference value: CRF(t) = Σ (1/2)^(λ·(t−t_ref)).
 // λ → 0 degenerates to LFU, λ = 1 to LRU.
 type LRFU struct {
-	// Lambda is the decay exponent per access.
-	Lambda float64
-	crf    [][]float64
-	stamp  [][]uint64
-	clock  uint64
+	// lambda is the decay exponent per access.
+	lambda float64
+	// decay[age] is math.Pow(0.5, lambda*float64(age)), the factor value
+	// would otherwise compute on every call.
+	decay []float64
+	crf   [][]float64
+	stamp [][]uint64
+	clock uint64
 }
+
+// lrfuDecayAges bounds the decay table. The clock counts LLC events, so the
+// table covers every age in a run of up to 65,536 of them (a 60k-access
+// cell has fewer); older lines fall back to math.Pow.
+const lrfuDecayAges = 1 << 16
 
 // NewLRFU builds an LRFU policy with the given λ (0.001 is a common
 // middle-ground setting).
 func NewLRFU(sets, ways int, lambda float64) *LRFU {
-	p := &LRFU{Lambda: lambda}
+	p := &LRFU{lambda: lambda}
 	p.crf = make([][]float64, sets)
 	p.stamp = make([][]uint64, sets)
-	cb := make([]float64, sets*ways)
+	cb := make([]float64, lrfuDecayAges+sets*ways)
 	sb := make([]uint64, sets*ways)
+	p.decay, cb = cb[:lrfuDecayAges], cb[lrfuDecayAges:]
+	for age := range p.decay {
+		p.decay[age] = math.Pow(0.5, lambda*float64(age))
+	}
 	for i := range p.crf {
 		p.crf[i], cb = cb[:ways], cb[ways:]
 		p.stamp[i], sb = sb[:ways], sb[ways:]
@@ -91,10 +103,17 @@ func NewLRFU(sets, ways int, lambda float64) *LRFU {
 // Name implements cache.Policy.
 func (p *LRFU) Name() string { return "lrfu" }
 
+// decayAt returns (1/2)^(λ·age), from the table when age is in it.
+func (p *LRFU) decayAt(age uint64) float64 {
+	if age < uint64(len(p.decay)) {
+		return p.decay[age]
+	}
+	return math.Pow(0.5, p.lambda*float64(age))
+}
+
 // value returns the decayed CRF of a line at the current clock.
 func (p *LRFU) value(set, way int) float64 {
-	age := float64(p.clock - p.stamp[set][way])
-	return p.crf[set][way] * math.Pow(0.5, p.Lambda*age)
+	return p.crf[set][way] * p.decayAt(p.clock-p.stamp[set][way])
 }
 
 // Victim implements cache.Policy: evict the line with the smallest decayed

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"testing"
 
 	"glider/internal/cache"
@@ -145,6 +146,22 @@ func TestLRFUBasicHit(t *testing.T) {
 	blocks := repeat([]uint64{1, 2}, 50)
 	if h := driveCache(t, NewLRFU(1, 2, 0.01), 1, 2, blocks); h < 95 {
 		t.Fatalf("LRFU hits = %d", h)
+	}
+}
+
+// TestLRFUDecayTable checks LRFU's decay against math.Pow, bit for bit, at
+// every age the table holds and past its end, where LRFU calls math.Pow.
+func TestLRFUDecayTable(t *testing.T) {
+	const lambda = 0.001
+	p := NewLRFU(1, 1, lambda)
+	if len(p.decay) != lrfuDecayAges {
+		t.Fatalf("decay table holds %d ages, want %d", len(p.decay), lrfuDecayAges)
+	}
+	for age := uint64(0); age <= lrfuDecayAges+1; age++ {
+		want := math.Pow(0.5, lambda*float64(age))
+		if got := p.decayAt(age); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("age %d: decay %v, math.Pow gives %v", age, got, want)
+		}
 	}
 }
 

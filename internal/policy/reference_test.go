@@ -8,8 +8,11 @@ package policy
 // the predicted bucket. The reference wall (reference_wall_test.go) replays
 // real LLC streams through each policy and its reference and requires
 // identical victims, statistics, counters, model rows and obs snapshots.
+// It also keeps LRFU as it was before its decay table, calling math.Pow on
+// every value, for TestLRFUMatchesReference.
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -22,10 +25,12 @@ import (
 	"glider/internal/workload"
 )
 
-// NewReference builds the map-based reference of a learned policy: hawkeye,
-// glider, frd or msa.
+// NewReference builds the reference of a policy: the map-based reference
+// of hawkeye, glider, frd or msa, or lrfu without its decay table.
 func NewReference(name string, sets, ways int) (cache.Policy, bool) {
 	switch name {
+	case "lrfu":
+		return newRefLRFU(sets, ways, 0.001), true
 	case "hawkeye":
 		return newRefHawkeye(sets, ways), true
 	case "glider":
@@ -1267,4 +1272,74 @@ func TestLearnedPolicyGliderHistoryLenMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// LRFUDecayAges is the length of LRFU's decay table.
+const LRFUDecayAges = lrfuDecayAges
+
+// LRFUState returns the CRF values, stamps and clock of an lrfu policy or
+// its reference.
+func LRFUState(p cache.Policy) (crf [][]float64, stamp [][]uint64, clock uint64) {
+	switch p := p.(type) {
+	case *LRFU:
+		return p.crf, p.stamp, p.clock
+	case *refLRFU:
+		return p.crf, p.stamp, p.clock
+	}
+	panic("LRFUState: not an lrfu policy")
+}
+
+// refLRFU is LRFU before its decay table.
+type refLRFU struct {
+	// Lambda is the decay exponent per access.
+	Lambda float64
+	crf    [][]float64
+	stamp  [][]uint64
+	clock  uint64
+}
+
+func newRefLRFU(sets, ways int, lambda float64) *refLRFU {
+	p := &refLRFU{Lambda: lambda}
+	p.crf = make([][]float64, sets)
+	p.stamp = make([][]uint64, sets)
+	cb := make([]float64, sets*ways)
+	sb := make([]uint64, sets*ways)
+	for i := range p.crf {
+		p.crf[i], cb = cb[:ways], cb[ways:]
+		p.stamp[i], sb = sb[:ways], sb[ways:]
+	}
+	return p
+}
+
+func (p *refLRFU) Name() string { return "lrfu" }
+
+// value returns the decayed CRF of a line at the current clock.
+func (p *refLRFU) value(set, way int) float64 {
+	age := float64(p.clock - p.stamp[set][way])
+	return p.crf[set][way] * math.Pow(0.5, p.Lambda*age)
+}
+
+func (p *refLRFU) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
+	victim := 0
+	best := math.Inf(1)
+	for w := range lines {
+		if v := p.value(set, w); v < best {
+			best = v
+			victim = w
+		}
+	}
+	return victim
+}
+
+func (p *refLRFU) Update(set, way int, pc, block uint64, core uint8, hit bool, kind trace.Kind) {
+	p.clock++
+	if way < 0 {
+		return
+	}
+	if hit {
+		p.crf[set][way] = p.value(set, way) + 1
+	} else {
+		p.crf[set][way] = 1
+	}
+	p.stamp[set][way] = p.clock
 }

@@ -3,6 +3,7 @@ package policy_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -208,4 +209,88 @@ func TestLearnedPoliciesMatchMapReference(t *testing.T) {
 		}
 	}
 	t.Logf("expiries %v, expired verdicts %v, OPTgen entries collected %v", expiries, expiredSeen, collected)
+}
+
+// lrfuTee runs lrfu and its reference (reference_test.go) side by side as
+// one policy. It fails at the first victim that differs and at the first
+// CRF value or stamp an Update leaves different, bit for bit.
+type lrfuTee struct {
+	t         *testing.T
+	got, want cache.Policy
+	pastTable int // ways whose age at a Victim call is beyond the decay table
+}
+
+func (l *lrfuTee) Name() string { return "lrfu" }
+
+func (l *lrfuTee) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
+	_, stamp, clock := policy.LRFUState(l.want)
+	for _, s := range stamp[set] {
+		if clock-s >= policy.LRFUDecayAges {
+			l.pastTable++
+		}
+	}
+	got, want := l.got.Victim(set, pc, block, core, lines), l.want.Victim(set, pc, block, core, lines)
+	if got != want {
+		l.t.Fatalf("set %d at clock %d: victim way %d, reference way %d", set, clock, got, want)
+	}
+	return got
+}
+
+func (l *lrfuTee) Update(set, way int, pc, block uint64, core uint8, hit bool, kind trace.Kind) {
+	l.got.Update(set, way, pc, block, core, hit, kind)
+	l.want.Update(set, way, pc, block, core, hit, kind)
+	if way < 0 {
+		return
+	}
+	gotCRF, gotStamp, clock := policy.LRFUState(l.got)
+	wantCRF, wantStamp, _ := policy.LRFUState(l.want)
+	if g, w := gotCRF[set][way], wantCRF[set][way]; math.Float64bits(g) != math.Float64bits(w) || gotStamp[set][way] != wantStamp[set][way] {
+		l.t.Fatalf("set %d way %d at clock %d: CRF %v stamp %d, reference %v stamp %d",
+			set, way, clock, g, gotStamp[set][way], w, wantStamp[set][way])
+	}
+}
+
+// TestLRFUMatchesReference replays a real LLC stream through lrfu and
+// through lrfu as it was before its decay table, which called math.Pow for
+// every value, in lockstep. The stream is long enough that some victims are
+// chosen among lines older than the table covers, so both the table and its
+// math.Pow fallback are compared. Victims, every CRF value and stamp, and
+// the statistics must be identical.
+func TestLRFUMatchesReference(t *testing.T) {
+	t.Parallel()
+	spec, err := workload.Lookup("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := spec.Generate(200_000, 42)
+	ctx := context.Background()
+	c, err := cpu.NewCapture(ctx, tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cache.LLCConfig
+	got, _ := policy.New("lrfu", cfg.Sets, cfg.Ways)
+	want, _ := policy.NewReference("lrfu", cfg.Sets, cfg.Ways)
+	tee := &lrfuTee{t: t, got: got, want: want}
+	llc, err := cache.New(cfg, tee)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunFunctional(ctx, llc, tr.Len()/5, false); err != nil {
+		t.Fatal(err)
+	}
+	gotCRF, _, clock := policy.LRFUState(got)
+	wantCRF, _, _ := policy.LRFUState(want)
+	for s := range gotCRF {
+		for w := range gotCRF[s] {
+			if math.Float64bits(gotCRF[s][w]) != math.Float64bits(wantCRF[s][w]) {
+				t.Fatalf("set %d way %d: final CRF %v, reference %v", s, w, gotCRF[s][w], wantCRF[s][w])
+			}
+		}
+	}
+	if clock <= policy.LRFUDecayAges || tee.pastTable == 0 {
+		t.Fatalf("%d LLC events and %d victim candidates older than the %d-age table: the fallback went untested",
+			clock, tee.pastTable, policy.LRFUDecayAges)
+	}
+	t.Logf("%d LLC events, %d victim candidates older than the decay table", clock, tee.pastTable)
 }
