@@ -59,7 +59,6 @@ func main() {
 	list := flag.Bool("list", false, "list benchmarks and policies, then exit")
 	metricsPath := flag.String("metrics", "", "write JSONL telemetry events to this file (report with obsreport)")
 	metricsSummary := flag.Bool("metrics-summary", false, "print a metrics summary to stderr when the run finishes")
-	evictSample := flag.Uint64("metrics-evict-every", 0, "with -metrics: emit every Nth LLC eviction as an event (0 = none)")
 	profiles := prof.Flags(flag.CommandLine)
 	flag.Parse()
 
@@ -128,7 +127,7 @@ func main() {
 		return
 	}
 
-	res, err := simulate(context.Background(), c, *cores, *policyName, *timing, warmup, telemetry{reg, sink, *evictSample})
+	res, err := simulate(context.Background(), c, *cores, *policyName, *timing, warmup, telemetry{reg, sink})
 	if err != nil {
 		fatal(err)
 	}
@@ -181,9 +180,8 @@ func splitPolicies(s string) []string {
 // telemetry is where a single policy's LLC observer and the policy itself
 // publish metrics and events; the zero value publishes nothing.
 type telemetry struct {
-	reg        *obs.Registry
-	sink       obs.Sink
-	evictEvery uint64
+	reg  *obs.Registry
+	sink obs.Sink
 }
 
 // simulate replays c on a fresh cores-core LLC running pol, with the timing
@@ -197,7 +195,7 @@ func simulate(ctx context.Context, c *cpu.Capture, cores int, pol string, timing
 	if a, ok := llc.Policy().(obs.Attacher); ok && (tm.reg != nil || tm.sink != nil) {
 		a.AttachObs(tm.reg, tm.sink)
 	}
-	llc.AttachObserver(cache.NewObserver(tm.reg, tm.sink, llc.Config(), cache.ObserverOptions{PerPC: tm.reg != nil, SampleEvery: tm.evictEvery}))
+	llc.AttachObserver(cache.NewObserver(tm.reg, llc.Config()))
 	var res cpu.Result
 	if timing {
 		dcfg := dram.SingleCoreConfig()

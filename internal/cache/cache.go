@@ -259,7 +259,7 @@ func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResu
 			res.WritebackNeeded = true
 		}
 		if c.obs != nil {
-			c.obs.onEvict(set, way, victim, victim.Dirty)
+			c.obs.onEvict(set, way, victim.Dirty)
 		}
 	}
 	c.tags[base+way] = block

@@ -164,7 +164,7 @@ func (c *Cache) accessFast(pc, block uint64, core uint8, kind trace.Kind) Access
 			res.WritebackNeeded = true
 		}
 		if c.obs != nil {
-			c.obs.onEvict(set, way, res.EvictedLine, res.EvictedLine.Dirty)
+			c.obs.onEvict(set, way, res.EvictedLine.Dirty)
 		}
 	}
 	res.Way = way

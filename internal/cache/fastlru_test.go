@@ -89,8 +89,8 @@ func TestFastLRUObserver(t *testing.T) {
 	ref := cache.MustNew(cfg, policy.NewLRU(cfg.Sets, cfg.Ways))
 
 	regFast, regRef := obs.NewRegistry(), obs.NewRegistry()
-	fast.AttachObserver(cache.NewObserver(regFast, nil, cfg, cache.ObserverOptions{PerPC: true}))
-	ref.AttachObserver(cache.NewObserver(regRef, nil, cfg, cache.ObserverOptions{PerPC: true}))
+	fast.AttachObserver(cache.NewObserver(regFast, cfg))
+	ref.AttachObserver(cache.NewObserver(regRef, cfg))
 
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 20_000; i++ {

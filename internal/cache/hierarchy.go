@@ -58,10 +58,10 @@ type Hierarchy struct {
 	llc *Cache
 }
 
-// LRUFactory builds the LRU policy used for the fixed upper levels. It is a
-// variable so the policy package can inject its implementation without an
-// import cycle; main packages normally use hierarchyBuilder helpers from the
-// sim package instead.
+// LRUFactory builds the replacement policy of the private upper levels. It
+// is a function type so a caller can pass the policy package's LRU, the
+// reference the fast path is checked against, without an import cycle;
+// NewHierarchy takes nil for the built-in fast LRU.
 type LRUFactory func(sets, ways int) Policy
 
 // NewHierarchy builds a hierarchy with `cores` private L1/L2 pairs (using

@@ -1,15 +1,10 @@
 package cache
 
-import (
-	"fmt"
-
-	"glider/internal/obs"
-)
+import "glider/internal/obs"
 
 // Observer publishes one cache's observability: per-level hit/miss/eviction
-// counters, per-set outcome vectors, per-PC reuse outcomes (which PCs insert
-// lines that die unused — the signal Glider's predictor learns), and
-// optional sampled eviction events.
+// counters, per-set outcome vectors, and per-PC reuse outcomes (which PCs
+// insert lines that die unused — the signal Glider's predictor learns).
 //
 // A nil Observer is the disabled state: the cache hot path pays exactly one
 // pointer check per access (see Cache.Access), which is what keeps the
@@ -25,32 +20,17 @@ type Observer struct {
 	reused   []bool
 	insertPC []uint64
 	ways     int
-
-	sink        obs.Sink
-	cacheName   string
-	sampleEvery uint64 // emit every Nth eviction event (0 = none)
-	evictSeen   uint64
-}
-
-// ObserverOptions tunes what an Observer records.
-type ObserverOptions struct {
-	// PerPC enables the per-PC reuse-outcome table (meaningful for the LLC,
-	// noisy and expensive for upper levels).
-	PerPC bool
-	// SampleEvery emits every Nth eviction as a sink event (0 disables
-	// per-event records; summaries are always available).
-	SampleEvery uint64
 }
 
 // NewObserver builds an observer for a cache with geometry cfg, registering
 // its metrics under "cache.<name>.*". Returns nil — the disabled state —
-// when both reg and sink are nil.
-func NewObserver(reg *obs.Registry, sink obs.Sink, cfg Config, opt ObserverOptions) *Observer {
-	if reg == nil && sink == nil {
+// when reg is nil.
+func NewObserver(reg *obs.Registry, cfg Config) *Observer {
+	if reg == nil {
 		return nil
 	}
 	prefix := "cache." + cfg.Name
-	o := &Observer{
+	return &Observer{
 		hits:         reg.Counter(prefix + ".hits"),
 		misses:       reg.Counter(prefix + ".misses"),
 		evictions:    reg.Counter(prefix + ".evictions"),
@@ -59,17 +39,11 @@ func NewObserver(reg *obs.Registry, sink obs.Sink, cfg Config, opt ObserverOptio
 		setHits:      reg.Vec(prefix+".set.hits", cfg.Sets),
 		setMisses:    reg.Vec(prefix+".set.misses", cfg.Sets),
 		setEvictions: reg.Vec(prefix+".set.evictions", cfg.Sets),
+		perPC:        reg.PCStats(prefix + ".pc"),
 		reused:       make([]bool, cfg.Lines()),
 		insertPC:     make([]uint64, cfg.Lines()),
 		ways:         cfg.Ways,
-		sink:         sink,
-		cacheName:    cfg.Name,
-		sampleEvery:  opt.SampleEvery,
 	}
-	if opt.PerPC {
-		o.perPC = reg.PCStats(prefix + ".pc")
-	}
-	return o
 }
 
 // AttachObserver connects an observer to the cache (nil detaches).
@@ -90,26 +64,14 @@ func (o *Observer) onMiss(set int, pc uint64) {
 
 func (o *Observer) onBypass() { o.bypasses.Inc() }
 
-func (o *Observer) onEvict(set, way int, victim Line, dirty bool) {
+func (o *Observer) onEvict(set, way int, dirty bool) {
 	o.evictions.Inc()
 	o.setEvictions.Inc(set)
 	if dirty {
 		o.writebacks.Inc()
 	}
 	idx := set*o.ways + way
-	reused := o.reused[idx]
-	o.perPC.Eviction(o.insertPC[idx], reused)
-	if o.sink != nil && o.sampleEvery > 0 {
-		o.evictSeen++
-		if o.evictSeen%o.sampleEvery == 0 {
-			o.sink.Emit("cache", "evict", map[string]any{
-				"cache": o.cacheName, "set": set, "way": way,
-				"insert_pc": fmt.Sprintf("%#x", o.insertPC[idx]),
-				"block":     fmt.Sprintf("%#x", victim.Tag),
-				"reused":    reused, "dirty": dirty,
-			})
-		}
-	}
+	o.perPC.Eviction(o.insertPC[idx], o.reused[idx])
 }
 
 func (o *Observer) onFill(set, way int, pc uint64) {

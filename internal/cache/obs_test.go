@@ -16,7 +16,7 @@ func TestObserverMatchesStats(t *testing.T) {
 	cfg := cache.Config{Name: "LLC", Sets: 16, Ways: 4, LatencyCycles: 1}
 	c := cache.MustNew(cfg, policy.NewLRU(cfg.Sets, cfg.Ways))
 	reg := obs.NewRegistry()
-	o := cache.NewObserver(reg, nil, cfg, cache.ObserverOptions{PerPC: true})
+	o := cache.NewObserver(reg, cfg)
 	if o == nil {
 		t.Fatal("NewObserver returned nil with a live registry")
 	}
@@ -79,7 +79,7 @@ func TestObserverReuseTracking(t *testing.T) {
 	cfg := cache.Config{Name: "LLC", Sets: 1, Ways: 2, LatencyCycles: 1}
 	c := cache.MustNew(cfg, policy.NewLRU(cfg.Sets, cfg.Ways))
 	reg := obs.NewRegistry()
-	c.AttachObserver(cache.NewObserver(reg, nil, cfg, cache.ObserverOptions{PerPC: true}))
+	c.AttachObserver(cache.NewObserver(reg, cfg))
 
 	const pcDead, pcLive, pcToucher, pcFiller = 0x100, 0x200, 0x300, 0x400
 
@@ -128,7 +128,7 @@ func TestObserverDisabledIsInert(t *testing.T) {
 	if a, b := run(false), run(true); a != b {
 		t.Errorf("nil observer changed stats: %+v vs %+v", a, b)
 	}
-	if o := cache.NewObserver(nil, nil, cache.Config{Name: "x", Sets: 1, Ways: 1}, cache.ObserverOptions{}); o != nil {
-		t.Error("NewObserver with nil registry and sink should return nil")
+	if o := cache.NewObserver(nil, cache.Config{Name: "x", Sets: 1, Ways: 1}); o != nil {
+		t.Error("NewObserver with a nil registry should return nil")
 	}
 }

@@ -113,7 +113,7 @@ func (c *Reference) Access(pc, block uint64, core uint8, kind trace.Kind) Access
 				res.WritebackNeeded = true
 			}
 			if c.obs != nil {
-				c.obs.onEvict(set, way, lines[way], lines[way].Dirty)
+				c.obs.onEvict(set, way, lines[way].Dirty)
 			}
 		}
 	}

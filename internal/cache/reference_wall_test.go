@@ -97,9 +97,8 @@ func replayBoth(t testing.TB, name string, cfg cache.Config, events []llcEvent) 
 	}
 	want := cache.NewReference(cfg, wantPol)
 	gotReg, wantReg := obs.NewRegistry(), obs.NewRegistry()
-	opt := cache.ObserverOptions{PerPC: true}
-	got.AttachObserver(cache.NewObserver(gotReg, nil, cfg, opt))
-	want.AttachObserver(cache.NewObserver(wantReg, nil, cfg, opt))
+	got.AttachObserver(cache.NewObserver(gotReg, cfg))
+	want.AttachObserver(cache.NewObserver(wantReg, cfg))
 
 	for i, e := range events {
 		if e.flush {

@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,6 +14,7 @@ import (
 	"glider/internal/client"
 	"glider/internal/experiments"
 	"glider/internal/ledger"
+	"glider/internal/obs"
 	"glider/internal/server"
 )
 
@@ -44,7 +45,7 @@ func cannedExecutor(ctx context.Context, spec server.JobSpec) (json.RawMessage, 
 	}
 }
 
-func newClient(t *testing.T, cfg server.Config) (*client.Client, *server.Server) {
+func newClient(t *testing.T, cfg server.Config) (*client.Client, *server.Server, string) {
 	t.Helper()
 	s := server.New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -56,71 +57,96 @@ func newClient(t *testing.T, cfg server.Config) (*client.Client, *server.Server)
 			t.Errorf("drain at teardown: %v", err)
 		}
 	})
-	return client.New(ts.URL+"/", nil), s // trailing slash must be tolerated
+	return client.New(ts.URL+"/", nil), s, ts.URL // trailing slash must be tolerated
+}
+
+// getJSON decodes the JSON body of a GET the client has no call for.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
 }
 
 func TestClientSimPredictAndCache(t *testing.T) {
-	c, _ := newClient(t, server.Config{Executor: cannedExecutor})
+	c, _, _ := newClient(t, server.Config{Executor: cannedExecutor})
 	ctx := context.Background()
 
 	spec := server.JobSpec{Workload: "omnetpp", Policy: "glider", Accesses: 60000, Seed: 42}
-	sim, err := c.Sim(ctx, spec)
+	sim, err := c.Do(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim.Hash == "" || sim.Cached {
 		t.Fatalf("first sim: hash=%q cached=%v", sim.Hash, sim.Cached)
 	}
-	if sim.Result.Policy != "glider" || sim.Result.IPC != 1.5 {
-		t.Fatalf("decoded result %+v", sim.Result)
+	var cell experiments.CellResult
+	if err := json.Unmarshal(sim.Result, &cell); err != nil || cell.Policy != "glider" || cell.IPC != 1.5 {
+		t.Fatalf("decoded result %+v (%v)", cell, err)
 	}
-	again, err := c.Sim(ctx, spec)
+	again, err := c.Do(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Cached || again.Hash != sim.Hash || !bytes.Equal(again.Raw, sim.Raw) {
+	if !again.Cached || again.Hash != sim.Hash || !bytes.Equal(again.Result, sim.Result) {
 		t.Fatalf("repeat sim not a byte-identical cache hit: cached=%v", again.Cached)
 	}
 
-	pred, err := c.Predict(ctx, server.JobSpec{Workload: "mcf", Policy: "glider", Accesses: 1000, Seed: 1})
+	pred, err := c.Do(ctx, server.JobSpec{Kind: server.KindPredict, Workload: "mcf", Policy: "glider", Accesses: 1000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pred.Result.Verdicts) != 1 || !pred.Result.Verdicts[0].Friendly {
-		t.Fatalf("predict result %+v", pred.Result)
+	var pres experiments.PredictResult
+	if err := json.Unmarshal(pred.Result, &pres); err != nil {
+		t.Fatal(err)
 	}
-	if len(pred.Result.ISVMRows) != 1 || pred.Result.ISVMRows[0].Weights[1] != -2 {
-		t.Fatalf("ISVM rows %+v", pred.Result.ISVMRows)
+	if len(pres.Verdicts) != 1 || !pres.Verdicts[0].Friendly {
+		t.Fatalf("predict result %+v", pres)
+	}
+	if len(pres.ISVMRows) != 1 || pres.ISVMRows[0].Weights[1] != -2 {
+		t.Fatalf("ISVM rows %+v", pres.ISVMRows)
 	}
 }
 
-// TestClientEstimate pins the typed estimate call: the result decodes with
-// its error bounds intact, Source mirrors the X-Gliderd-Estimate header,
+// TestClientEstimate pins the estimate route: Do posts an estimate job to
+// /v1/estimate, the result decodes with its source and error bounds intact,
 // and a repeat query is a byte-identical cache hit like any other job.
 func TestClientEstimate(t *testing.T) {
-	c, _ := newClient(t, server.Config{Executor: cannedExecutor})
+	c, _, _ := newClient(t, server.Config{Executor: cannedExecutor})
 	ctx := context.Background()
 
-	spec := server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 20000, Seed: 9001}
-	est, err := c.Estimate(ctx, spec)
+	spec := server.JobSpec{Kind: server.KindEstimate, Workload: "omnetpp", Policy: "lru", Accesses: 20000, Seed: 9001}
+	est, err := c.Do(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Source != experiments.SourceSurrogate {
-		t.Fatalf("source %q, want %q (from the attribution header)", est.Source, experiments.SourceSurrogate)
+	var res experiments.EstimateResult
+	if err := json.Unmarshal(est.Result, &res); err != nil {
+		t.Fatal(err)
 	}
-	if est.Result.MissRateBound != 0.04 || est.Result.IPCBound != 0.1 {
-		t.Fatalf("bounds lost in decode: %+v", est.Result)
+	if res.Source != experiments.SourceSurrogate {
+		t.Fatalf("source %q, want %q", res.Source, experiments.SourceSurrogate)
 	}
-	if est.Result.LLCMissRate != 0.3 || est.Result.Seed != 9001 {
-		t.Fatalf("decoded result %+v", est.Result)
+	if res.MissRateBound != 0.04 || res.IPCBound != 0.1 {
+		t.Fatalf("bounds lost in decode: %+v", res)
 	}
-	again, err := c.Estimate(ctx, spec)
+	if res.LLCMissRate != 0.3 || res.Seed != 9001 {
+		t.Fatalf("decoded result %+v", res)
+	}
+	again, err := c.Do(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Cached || again.Source != est.Source || !bytes.Equal(again.Raw, est.Raw) {
-		t.Fatalf("repeat estimate not a byte-identical cache hit: cached=%v source=%q", again.Cached, again.Source)
+	if !again.Cached || !bytes.Equal(again.Result, est.Result) {
+		t.Fatalf("repeat estimate not a byte-identical cache hit: cached=%v", again.Cached)
 	}
 }
 
@@ -138,14 +164,14 @@ func TestClientLedger(t *testing.T) {
 			t.Errorf("ledger close: %v", err)
 		}
 	})
-	c, _ := newClient(t, server.Config{Executor: cannedExecutor, Ledger: led})
+	c, _, _ := newClient(t, server.Config{Executor: cannedExecutor, Ledger: led})
 	ctx := context.Background()
 
-	sim, err := c.Sim(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 5})
+	sim, err := c.Do(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := ledger.ArtifactIDFor(server.ArtifactKind(server.KindSim), sim.Raw)
+	id, err := ledger.ArtifactIDFor(server.ArtifactKind(server.KindSim), sim.Result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +200,7 @@ func TestClientLedger(t *testing.T) {
 	}
 
 	// A server without a ledger answers 404 on both endpoints.
-	bare, _ := newClient(t, server.Config{Executor: cannedExecutor})
+	bare, _, _ := newClient(t, server.Config{Executor: cannedExecutor})
 	if _, err := bare.LedgerRoot(ctx); !isStatus(err, 404) {
 		t.Fatalf("root without ledger: %v, want 404", err)
 	}
@@ -189,94 +215,63 @@ func isStatus(err error, status int) bool {
 	return errors.As(err, &apiErr) && apiErr.StatusCode == status
 }
 
-func TestClientBatchOrderAndStop(t *testing.T) {
-	c, _ := newClient(t, server.Config{Executor: cannedExecutor})
-	jobs := []server.JobSpec{
-		{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 1},
-		{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 2},
-		{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 3},
-	}
-	var seeds []int64
-	err := c.Batch(context.Background(), jobs, func(i int, env server.Envelope) error {
-		if env.Error != "" {
-			return fmt.Errorf("row %d: %s", i, env.Error)
-		}
-		var res experiments.CellResult
-		if err := json.Unmarshal(env.Result, &res); err != nil {
-			return err
-		}
-		seeds = append(seeds, res.Seed)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seeds {
-		if s != int64(i+1) {
-			t.Fatalf("rows out of order: %v", seeds)
-		}
-	}
-
-	// A callback error stops the stream and propagates.
-	stop := fmt.Errorf("stop here")
-	err = c.Batch(context.Background(), jobs, func(i int, env server.Envelope) error {
-		if i == 1 {
-			return stop
-		}
-		return nil
-	})
-	if err != stop {
-		t.Fatalf("callback error not propagated: %v", err)
-	}
-}
-
+// TestClientCatalogHealthMetrics drives the client through what the
+// catalog advertises: every listed policy is one sim Do away and every
+// listed predictor one predict Do away, /metrics counts each request, and
+// once the server drains, HealthDetail and Do both surface a temporary 503.
 func TestClientCatalogHealthMetrics(t *testing.T) {
-	c, s := newClient(t, server.Config{Executor: cannedExecutor})
+	c, s, url := newClient(t, server.Config{Executor: cannedExecutor})
 	ctx := context.Background()
 
-	cat, err := c.Catalog(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cat server.Catalog
+	getJSON(t, url+"/v1/catalog", &cat)
 	if len(cat.Workloads) == 0 || len(cat.Policies) == 0 || len(cat.Predictors) == 0 {
 		t.Fatalf("catalog %+v", cat)
 	}
-
-	state, err := c.Health(ctx)
-	if err != nil || state != "ok" {
-		t.Fatalf("health = %q, %v", state, err)
-	}
-
-	if _, err := c.Sim(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, cs := range snap.Counters {
-		if cs.Name == "server.http.sim" && cs.Value >= 1 {
-			found = true
+	for _, pol := range cat.Policies {
+		if _, err := c.Do(ctx, server.JobSpec{Workload: cat.Workloads[0], Policy: pol, Accesses: 1000, Seed: 1}); err != nil {
+			t.Fatalf("sim %s: %v", pol, err)
 		}
 	}
-	if !found {
-		t.Fatal("metrics snapshot missing server.http.sim")
+	for _, pol := range cat.Predictors {
+		if _, err := c.Do(ctx, server.JobSpec{Kind: server.KindPredict, Workload: cat.Workloads[0], Policy: pol, Accesses: 1000, Seed: 1}); err != nil {
+			t.Fatalf("predict %s: %v", pol, err)
+		}
 	}
 
-	// Drain: health turns "draining" with a 503-carrying APIError.
+	var snap obs.Snapshot
+	getJSON(t, url+"/metrics", &snap)
+	counts := map[string]uint64{}
+	for _, cs := range snap.Counters {
+		counts[cs.Name] = cs.Value
+	}
+	if got := counts["server.http.sim"]; got != uint64(len(cat.Policies)) {
+		t.Fatalf("server.http.sim = %d, want %d", got, len(cat.Policies))
+	}
+	if got := counts["server.http.predict"]; got != uint64(len(cat.Predictors)) {
+		t.Fatalf("server.http.predict = %d, want %d", got, len(cat.Predictors))
+	}
+
+	h, err := c.HealthDetail(ctx)
+	if err != nil || h.Status != "ok" {
+		t.Fatalf("health = %q, %v", h.Status, err)
+	}
 	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	if err := s.Drain(dctx); err != nil {
 		t.Fatal(err)
 	}
-	state, err = c.Health(ctx)
-	if state != "draining" {
-		t.Fatalf("health after drain = %q", state)
+	h, err = c.HealthDetail(ctx)
+	if h.Status != "draining" {
+		t.Fatalf("health after drain = %q", h.Status)
 	}
 	var ae *client.APIError
 	if !asAPIError(err, &ae) || ae.StatusCode != 503 || !ae.Temporary() {
 		t.Fatalf("health error after drain = %v", err)
+	}
+	_, err = c.Do(ctx, server.JobSpec{Workload: cat.Workloads[0], Policy: cat.Policies[0], Accesses: 1000, Seed: 2})
+	if !asAPIError(err, &ae) || ae.StatusCode != 503 || !ae.Temporary() || ae.RetryAfter <= 0 {
+		t.Fatalf("job after drain = %v, want a temporary 503 with Retry-After", err)
 	}
 }
 
@@ -297,26 +292,26 @@ func TestClientAPIErrors(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c, _ := newClient(t, server.Config{QueueDepth: 1, Workers: 1, Executor: blocking})
+	c, _, _ := newClient(t, server.Config{QueueDepth: 1, Workers: 1, Executor: blocking})
 	ctx := context.Background()
 
 	// Validation rejections: permanent 422.
-	_, err := c.Sim(ctx, server.JobSpec{Workload: "omnetpp", Policy: "nope", Accesses: 1000})
+	_, err := c.Do(ctx, server.JobSpec{Workload: "omnetpp", Policy: "nope", Accesses: 1000})
 	var ae *client.APIError
 	if !asAPIError(err, &ae) || ae.StatusCode != 422 || ae.Temporary() {
 		t.Fatalf("unknown policy error = %v", err)
 	}
 
 	// Backpressure: fill the pipeline, expect 429 with a Retry-After hint.
-	go c.Sim(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 1}) //nolint:errcheck
+	go c.Do(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 1}) //nolint:errcheck
 	<-started
-	go c.Sim(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 2}) //nolint:errcheck
+	go c.Do(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: 2}) //nolint:errcheck
 	// Each probe carries a short timeout and a fresh seed: if a probe races
 	// job B into the queue slot it 504s quickly, and the next probe (a new
 	// job, so it can't join the dead flight) finds the queue full → 429.
 	deadline := time.Now().Add(10 * time.Second)
 	for seed := int64(100); ; seed++ {
-		_, err = c.Sim(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: seed, TimeoutMS: 250})
+		_, err = c.Do(ctx, server.JobSpec{Workload: "omnetpp", Policy: "lru", Accesses: 1000, Seed: seed, TimeoutMS: 250})
 		if asAPIError(err, &ae) && ae.StatusCode == 429 {
 			break
 		}

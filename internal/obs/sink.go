@@ -154,8 +154,8 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 
 // decodeEvent decodes one JSONL line. A snapshot event's fields decode
 // straight into a Snapshot, never through map[string]any: there a PC would
-// pass through a float64, which cannot hold a tenant-tagged PC (bit 60 or
-// 61 set) exactly.
+// pass through a float64, which cannot hold a tenant-tagged PC (some of
+// bits 60–63 set) exactly.
 func decodeEvent(b []byte) (Event, error) {
 	var raw struct {
 		Event

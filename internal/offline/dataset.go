@@ -13,6 +13,7 @@ import (
 
 	"glider/internal/cache"
 	"glider/internal/cpu"
+	"glider/internal/glider"
 	"glider/internal/ml"
 	"glider/internal/opt"
 	"glider/internal/workload"
@@ -137,35 +138,20 @@ func (d *Dataset) Sequences(n int, train bool) []Sequence {
 }
 
 // UniqueHistories computes, for every access, the ISVM's k-sparse
-// unordered feature: the last k unique PCs seen before the access (PCHR
-// semantics), each at Pos 0. k must be positive.
+// unordered feature: the last k unique PCs seen before the access, read
+// from a glider.PCHR (snapshot, then observe), each at Pos 0. k must be
+// positive.
 func (d *Dataset) UniqueHistories(k int) [][]ml.Feature {
 	out := make([][]ml.Feature, len(d.PCs))
-	pchr := make([]uint64, 0, k)
+	pchr := glider.NewPCHR(k)
 	for i, pc := range d.PCs {
-		snap := make([]ml.Feature, len(pchr))
-		for j, p := range pchr {
-			snap[j] = ml.Feature{PC: p}
+		hist := pchr.Snapshot()
+		feats := make([]ml.Feature, len(hist))
+		for j, p := range hist {
+			feats[j] = ml.Feature{PC: p}
 		}
-		out[i] = snap
-		// Update PCHR: move-to-back or append, evicting the LRU PC.
-		found := false
-		for j, p := range pchr {
-			if p == pc {
-				copy(pchr[j:], pchr[j+1:])
-				pchr[len(pchr)-1] = pc
-				found = true
-				break
-			}
-		}
-		if !found {
-			if len(pchr) == k {
-				copy(pchr, pchr[1:])
-				pchr[len(pchr)-1] = pc
-			} else {
-				pchr = append(pchr, pc)
-			}
-		}
+		out[i] = feats
+		pchr.Observe(pc)
 	}
 	return out
 }

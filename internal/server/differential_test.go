@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 
 	"glider/internal/experiments"
@@ -15,8 +18,8 @@ import (
 // The differential suite is the server's correctness anchor: for every
 // registered policy and across worker counts, a result served over HTTP
 // must be byte-identical to json.Marshal of the corresponding direct
-// experiments call. Queueing, batching, coalescing, caching, and pool
-// scheduling must all be invisible in the payload.
+// experiments call. Queueing, coalescing, caching, and worker scheduling
+// must all be invisible in the payload.
 
 func registeredPolicies(t *testing.T) []string {
 	t.Helper()
@@ -70,10 +73,10 @@ func TestDifferentialSimAllPoliciesAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDifferentialBatchMatchesDirect pushes every policy through one
-// /v1/batch request — the maximally-concurrent path (batched dispatch onto
-// a multi-worker pool) — and demands the same byte identity.
-func TestDifferentialBatchMatchesDirect(t *testing.T) {
+// TestDifferentialConcurrentSimMatchesDirect posts every policy to /v1/sim
+// at once against four workers — the maximally concurrent path, with the
+// queue and every worker busy — and demands the same byte identity.
+func TestDifferentialConcurrentSimMatchesDirect(t *testing.T) {
 	const (
 		bench    = "mcf"
 		accesses = 60_000
@@ -82,32 +85,37 @@ func TestDifferentialBatchMatchesDirect(t *testing.T) {
 	names := registeredPolicies(t)
 	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
 
-	var sb bytes.Buffer
-	sb.WriteString(`{"jobs":[`)
+	served := make([][]byte, len(names))
+	var wg sync.WaitGroup
 	for i, pol := range names {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, `{"workload":%q,"policy":%q,"accesses":%d,"seed":%d}`, bench, pol, accesses, seed)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"workload":%q,"policy":%q,"accesses":%d,"seed":%d}`, bench, pol, accesses, seed)
+			resp, err := http.Post(ts.URL+"/v1/sim", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("%s: %v", pol, err)
+				return
+			}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d, body %s (%v)", pol, resp.StatusCode, data, err)
+				return
+			}
+			var env Envelope
+			if err := json.Unmarshal(data, &env); err != nil {
+				t.Errorf("%s: %v", pol, err)
+				return
+			}
+			served[i] = env.Result
+		}()
 	}
-	sb.WriteString(`]}`)
-
-	status, _, data := postJSON(t, ts, "/v1/batch", sb.String())
-	if status != http.StatusOK {
-		t.Fatalf("batch: status %d, body %s", status, data)
-	}
-	rows := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
-	if len(rows) != len(names) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(names))
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 	for i, pol := range names {
-		var env Envelope
-		if err := json.Unmarshal(rows[i], &env); err != nil {
-			t.Fatalf("row %d (%s): %v", i, pol, err)
-		}
-		if env.Error != "" {
-			t.Fatalf("row %d (%s): %s", i, pol, env.Error)
-		}
 		res, err := experiments.RunCell(context.Background(), bench, pol, accesses, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -116,8 +124,8 @@ func TestDifferentialBatchMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(env.Result, want) {
-			t.Errorf("%s: batch row diverges from direct run\n server: %s\n direct: %s", pol, env.Result, want)
+		if !bytes.Equal(served[i], want) {
+			t.Errorf("%s: concurrent response diverges from direct run\n server: %s\n direct: %s", pol, served[i], want)
 		}
 	}
 }

@@ -280,8 +280,6 @@ func TestMalformedRequests(t *testing.T) {
 		{"unknown kind", "/v1/estimate", `{"kind":"guess","workload":"omnetpp","policy":"lru","accesses":1000}`, 422},
 		{"predict without predictor", "/v1/predict", `{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":1}`, 422},
 		{"predict top_pcs over limit", "/v1/predict", `{"workload":"omnetpp","policy":"glider","accesses":1000,"top_pcs":99999}`, 422},
-		{"empty batch", "/v1/batch", `{"jobs":[]}`, 422},
-		{"batch with bad job", "/v1/batch", `{"jobs":[{"workload":"omnetpp","policy":"nope","accesses":1000}]}`, 422},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -306,6 +304,11 @@ func TestMalformedRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/sim: status %d, want 405", resp.StatusCode)
+	}
+
+	// Every job is one POST to its own endpoint; there is no batch path.
+	if status, _, data := postJSON(t, ts, "/v1/batch", `{"jobs":[`+simBody+`]}`); status != http.StatusNotFound {
+		t.Fatalf("POST /v1/batch: status %d, want 404 (body %s)", status, data)
 	}
 }
 
@@ -500,59 +503,6 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	// drain.
 	if got := s.Registry().Counter("server.rejected.draining").Value(); got != 2 {
 		t.Fatalf("server.rejected.draining = %d, want 2", got)
-	}
-}
-
-// TestBatchStreamsInOrder checks the NDJSON contract: one envelope per job,
-// in request order, duplicates coalesced onto the same hash and bytes.
-func TestBatchStreamsInOrder(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Executor: func(ctx context.Context, spec JobSpec) (json.RawMessage, error) {
-			return json.Marshal(map[string]int64{"seed": spec.Seed})
-		},
-	})
-	body := `{"jobs":[
-		{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":1},
-		{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":2},
-		{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":1}
-	]}`
-	status, hdr, data := postJSON(t, ts, "/v1/batch", body)
-	if status != http.StatusOK {
-		t.Fatalf("batch: status %d, body %s", status, data)
-	}
-	if ct := hdr.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type %q, want application/x-ndjson", ct)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d NDJSON rows, want 3:\n%s", len(lines), data)
-	}
-	envs := make([]Envelope, 3)
-	for i, line := range lines {
-		if err := json.Unmarshal([]byte(line), &envs[i]); err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		if envs[i].Error != "" {
-			t.Fatalf("row %d: unexpected error %q", i, envs[i].Error)
-		}
-	}
-	wantSeed := []int64{1, 2, 1}
-	for i, env := range envs {
-		var res struct {
-			Seed int64 `json:"seed"`
-		}
-		if err := json.Unmarshal(env.Result, &res); err != nil {
-			t.Fatal(err)
-		}
-		if res.Seed != wantSeed[i] {
-			t.Fatalf("row %d: seed %d, want %d (rows out of order)", i, res.Seed, wantSeed[i])
-		}
-	}
-	if envs[0].Hash != envs[2].Hash || !bytes.Equal(envs[0].Result, envs[2].Result) {
-		t.Fatal("duplicate jobs did not coalesce onto the same hash and bytes")
-	}
-	if envs[0].Hash == envs[1].Hash {
-		t.Fatal("distinct seeds collided on one hash")
 	}
 }
 

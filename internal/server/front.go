@@ -46,14 +46,11 @@ func (e *Error) Error() string { return e.Msg }
 
 // Envelope is the response wrapper for one job: its canonical hash, whether
 // the result came from a cache, and the result bytes exactly as the
-// executor marshaled them. Batch rows carry error/status inline instead of
-// a result.
+// executor marshaled them.
 type Envelope struct {
 	Hash   string          `json:"hash"`
 	Cached bool            `json:"cached"`
 	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Status int             `json:"status,omitempty"`
 }
 
 // Catalog lists what the server can simulate.
@@ -373,25 +370,21 @@ func (fr *Front) count(endpoint string) {
 	fr.reg.Counter(fr.prefix + ".http." + endpoint).Inc()
 }
 
-// statusFor maps an error to its HTTP status and Retry-After seconds.
-func statusFor(err error) (status, retryAfter int) {
+// writeError answers err as a JSON error body: an *Error with its own
+// status and Retry-After hint, a deadline or cancellation as 504, anything
+// else as 500.
+func (fr *Front) writeError(w http.ResponseWriter, endpoint string, err error) {
+	fr.count(endpoint + ".errors")
+	status := http.StatusInternalServerError
 	var e *Error
 	switch {
 	case errors.As(err, &e):
-		return e.Status, e.RetryAfter
+		status = e.Status
+		if e.RetryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
+		}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// A cancelled requester is gone and its status goes to a closed
-		// pipe, but batch rows carry it inline: pick something truthful.
-		return http.StatusGatewayTimeout, 0
-	}
-	return http.StatusInternalServerError, 0
-}
-
-func (fr *Front) writeError(w http.ResponseWriter, endpoint string, err error) {
-	fr.count(endpoint + ".errors")
-	status, retryAfter := statusFor(err)
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+		status = http.StatusGatewayTimeout
 	}
 	WriteJSON(w, status, map[string]any{"error": err.Error()})
 }

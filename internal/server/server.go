@@ -86,9 +86,6 @@ func (c Config) defaulted() Config {
 	return c
 }
 
-// maxBatchJobs caps the job count of one /v1/batch request.
-const maxBatchJobs = 64
-
 // Sentinel rejections: errQueueFull is a 429 and errDraining a 503, both
 // with Retry-After; errNoLedger is a 404.
 var (
@@ -244,10 +241,9 @@ func (s *Server) exec(ctx context.Context, spec JobSpec) (json.RawMessage, error
 	res, err := s.execInner(ctx, spec)
 	if err == nil && s.cfg.Ledger != nil {
 		// Record the served bytes. Best-effort by design: a failed append is
-		// counted, and the job still answers. Because artifacts are
-		// content-addressed, this dedupes against the record the experiments
-		// entry point itself may have made: both canonicalize to the same
-		// bytes, so the ledger holds one entry either way.
+		// counted, and the job still answers. Artifacts are
+		// content-addressed, so a result served again after the cache
+		// dropped it is recorded once.
 		if kind := ArtifactKind(spec.Kind); kind != "" {
 			if _, err := s.cfg.Ledger.Append(kind, json.RawMessage(res)); err != nil {
 				s.appendErrors.Inc()
@@ -392,13 +388,11 @@ func (s *Server) Health() Health {
 	return h
 }
 
-// Handler mounts the API: the front's endpoints plus /healthz and
-// /v1/batch.
+// Handler mounts the API: the front's endpoints plus /healthz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.front.Mount(mux)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	if s.cfg.ShardID == "" {
 		return mux
 	}
@@ -416,68 +410,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	WriteJSON(w, status, h)
-}
-
-// BatchRequest is the /v1/batch body.
-type BatchRequest struct {
-	Jobs []JobSpec `json:"jobs"`
-}
-
-// handleBatch runs every job concurrently through the front's
-// cache/coalesce/queue path the single endpoints use and streams one NDJSON
-// envelope per job, in request order, flushing as each becomes available.
-// Per-job failures (including 429s once the queue fills) ride inline as
-// error envelopes; the stream itself is always 200.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.http.batch").Inc()
-	var req BatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.front.writeError(w, "batch", err)
-		return
-	}
-	if len(req.Jobs) == 0 {
-		s.front.writeError(w, "batch", &Error{Status: 422, Msg: "batch has no jobs"})
-		return
-	}
-	if len(req.Jobs) > maxBatchJobs {
-		s.front.writeError(w, "batch", &Error{Status: 422, Msg: fmt.Sprintf("batch of %d jobs exceeds limit %d", len(req.Jobs), maxBatchJobs)})
-		return
-	}
-	for i := range req.Jobs {
-		if req.Jobs[i].Kind == "" {
-			req.Jobs[i].Kind = KindSim
-		}
-		if err := req.Jobs[i].Validate(s.front.limits); err != nil {
-			s.front.writeError(w, "batch", &Error{Status: 422, Msg: fmt.Sprintf("job %d: %v", i, err)})
-			return
-		}
-	}
-
-	out := make([]chan Envelope, len(req.Jobs))
-	for i, spec := range req.Jobs {
-		ch := make(chan Envelope, 1)
-		out[i] = ch
-		go func() {
-			env, _, err := s.front.resolve(r.Context(), spec)
-			if err != nil {
-				env.Error = err.Error()
-				env.Status, _ = statusFor(err)
-			}
-			ch <- env
-		}()
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for _, ch := range out {
-		env := <-ch
-		if err := enc.Encode(env); err != nil {
-			return // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 }

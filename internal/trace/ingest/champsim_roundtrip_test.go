@@ -65,7 +65,9 @@ func TestParseChampSim(t *testing.T) {
 	names := workload.Names()
 	names = append(names,
 		"zipf(objects=4096,skew=0.9,scan-every=1000)",
-		"mix(poisson,zipf(objects=512,skew=1.1),mix(rr,mcf,lbm),p=0.3)")
+		"mix(poisson,zipf(objects=512,skew=1.1),mix(rr,mcf,lbm),p=0.3)",
+		// Depth 3: its leaves' composed tenant tags (7 and 11) set bit 63.
+		"mix(rr,mix(rr,mix(rr,mcf,mcf),mcf),mcf)")
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range []int{1, 1000, 20_000} {

@@ -32,12 +32,14 @@ const (
 	mixPoisson = "poisson"
 )
 
-// tenantShift/tenantMask carve the tag field out of the top address and PC
-// bits. Member addresses (synthetic regions, zipf regions, 48-bit physical
-// ChampSim addresses) stay below 1<<60.
+// tenantShift/tenantMask carve the tag field, bits 60–63, out of the top
+// address and PC bits; maxTenantTag is the largest tag they hold. Member
+// addresses (synthetic regions, zipf regions, 48-bit physical ChampSim
+// addresses) stay below 1<<60 until a mix tags them.
 const (
-	tenantShift = 60
-	tenantMask  = uint64(1)<<tenantShift - 1
+	tenantShift  = 60
+	tenantMask   = uint64(1)<<tenantShift - 1
+	maxTenantTag = uint64(1)<<(64-tenantShift) - 1
 )
 
 // mixConfig parameterizes one two-tenant interleaved workload.
@@ -94,11 +96,17 @@ func (m mixConfig) Generate(name string, n int, seed int64) (*trace.Trace, error
 	out := trace.New(name, n)
 	ai, bi := 0, 0
 	for _, a := range fromA {
+		var acc trace.Access
+		var ok bool
 		if a {
-			out.Append(tagTenant(next(trA, &ai), 0))
+			acc, ok = tagTenant(next(trA, &ai), 0, 2)
 		} else {
-			out.Append(tagTenant(next(trB, &bi), 1))
+			acc, ok = tagTenant(next(trB, &bi), 1, 2)
 		}
+		if !ok {
+			return nil, fmt.Errorf("ingest: mix %q: tenant tags overflow address and PC bits 60-63", name)
+		}
+		out.Append(acc)
 	}
 	return out, nil
 }
@@ -116,14 +124,21 @@ func next(t *trace.Trace, i *int) trace.Access {
 	return a
 }
 
-// tagTenant moves an access into the tenant's disjoint address and PC
-// space. Core is left untouched: tenancy is an address-space property, not a
-// hierarchy topology.
-func tagTenant(a trace.Access, tenant uint64) trace.Access {
-	tag := (tenant + 1) << tenantShift
-	a.Addr = a.Addr&tenantMask | tag
-	a.PC = a.PC&tenantMask | tag
-	return a
+// tagTenant moves an access into tenant k's disjoint address and PC space
+// among n tenants. A member that is itself a mix already carries a tag t in
+// bits 60–63, so the tag composes to 1 + k + n·t rather than being
+// overwritten: every leaf of a nested mix keeps its own space. ok is false
+// when the composed tag does not fit in those bits. Core is left untouched:
+// tenancy is an address-space property, not a hierarchy topology.
+func tagTenant(a trace.Access, k, n uint64) (trace.Access, bool) {
+	addrTag := 1 + k + n*(a.Addr>>tenantShift)
+	pcTag := 1 + k + n*(a.PC>>tenantShift)
+	if addrTag > maxTenantTag || pcTag > maxTenantTag {
+		return a, false
+	}
+	a.Addr = a.Addr&tenantMask | addrTag<<tenantShift
+	a.PC = a.PC&tenantMask | pcTag<<tenantShift
+	return a, true
 }
 
 // tenantSeed derives a member seed: distinct per tenant, deterministic in

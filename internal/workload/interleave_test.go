@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"glider/internal/trace"
@@ -21,7 +22,8 @@ func mixMembers(t *testing.T) (a, b Spec) {
 	return a, b
 }
 
-// untag strips the tenant tag and returns the tenant id (1-based tag).
+// untag strips the tenant tag and returns it (1-based for a top-level
+// tenant; composed for a nested mix's leaves).
 func untag(a trace.Access) (trace.Access, uint64) {
 	tenant := a.Addr >> tenantShift
 	a.Addr &= tenantMask
@@ -139,11 +141,14 @@ func TestMixPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []trace.Access
-	for _, acc := range trA.Accesses {
-		want = append(want, tagTenant(acc, 0))
-	}
-	for _, acc := range trB.Accesses {
-		want = append(want, tagTenant(acc, 1))
+	for k, member := range []*trace.Trace{trA, trB} {
+		for _, acc := range member.Accesses {
+			tagged, ok := tagTenant(acc, uint64(k), 2)
+			if !ok {
+				t.Fatalf("tenant %d: tag overflow on %+v", k, acc)
+			}
+			want = append(want, tagged)
+		}
 	}
 	got := append([]trace.Access{}, tr.Accesses...)
 	less := func(s []trace.Access) func(i, j int) bool {
@@ -162,20 +167,104 @@ func TestMixPermutation(t *testing.T) {
 	sameAccesses(t, got, want)
 }
 
+// TestMixTenantSpacesDisjoint checks that every leaf member of a mix, nested
+// mixes included, gets its own address and PC space: the accesses carrying
+// a leaf's tag, untagged, are exactly that member's own generation, and no
+// block or PC is shared between two leaves. A leaf's path lists its tenant
+// index at each level, outermost first.
 func TestMixTenantSpacesDisjoint(t *testing.T) {
-	a, b := mixMembers(t)
-	tr := checkMix(t, mixConfig{Mode: mixRR, A: a, B: a}, 2000, 3) // same member twice
-	blocks := [3]map[uint64]bool{nil, {}, {}}
-	for _, acc := range tr.Accesses {
-		_, tenant := untag(acc)
-		blocks[tenant][acc.Block()] = true
+	type leaf struct {
+		spec string
+		path []uint64
 	}
-	for blk := range blocks[1] {
-		if blocks[2][blk] {
-			t.Fatalf("block %#x shared across tenants", blk)
+	cases := []struct {
+		spec   string
+		leaves []leaf
+	}{
+		{"mix(rr,mcf,mcf)", []leaf{{"mcf", []uint64{0}}, {"mcf", []uint64{1}}}},
+		{"mix(rr,zipf(objects=4096,skew=0.9),mix(rr,mcf,mcf))", []leaf{
+			{"zipf(objects=4096,skew=0.9)", []uint64{0}}, {"mcf", []uint64{1, 0}}, {"mcf", []uint64{1, 1}}}},
+		{"mix(poisson,mix(rr,mcf,omnetpp),mix(rr,mcf,mcf),p=0.3)", []leaf{
+			{"mcf", []uint64{0, 0}}, {"omnetpp", []uint64{0, 1}}, {"mcf", []uint64{1, 0}}, {"mcf", []uint64{1, 1}}}},
+		{"mix(rr,mix(rr,mix(rr,mcf,mcf),mcf),mcf)", []leaf{
+			{"mcf", []uint64{0, 0, 0}}, {"mcf", []uint64{0, 0, 1}}, {"mcf", []uint64{0, 1}}, {"mcf", []uint64{1}}}},
+	}
+	const n, seed = 20_000, 3
+	for _, tc := range cases {
+		t.Run(tc.spec, func(t *testing.T) {
+			spec, err := Resolve(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := spec.GenerateE(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byTag := map[uint64][]trace.Access{}
+			blockTag := map[uint64]uint64{}
+			pcTag := map[uint64]uint64{}
+			for i, a := range tr.Accesses {
+				plain, tag := untag(a)
+				if a.PC>>tenantShift != tag {
+					t.Fatalf("access %d: address tag %d, PC tag %d", i, tag, a.PC>>tenantShift)
+				}
+				byTag[tag] = append(byTag[tag], plain)
+				if other, ok := blockTag[a.Block()]; ok && other != tag {
+					t.Fatalf("block %#x shared by tags %d and %d", a.Block(), other, tag)
+				}
+				if other, ok := pcTag[a.PC]; ok && other != tag {
+					t.Fatalf("PC %#x shared by tags %d and %d", a.PC, other, tag)
+				}
+				blockTag[a.Block()], pcTag[a.PC] = tag, tag
+			}
+			covered := 0
+			for _, l := range tc.leaves {
+				// Tags compose innermost first; seeds derive outermost first.
+				tag, leafSeed := uint64(0), int64(seed)
+				for i := len(l.path) - 1; i >= 0; i-- {
+					tag = 1 + l.path[i] + 2*tag
+				}
+				for _, k := range l.path {
+					leafSeed = tenantSeed(leafSeed, int64(k))
+				}
+				member, err := Resolve(l.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := byTag[tag]
+				if len(got) == 0 {
+					t.Fatalf("leaf %s %v: no accesses carry tag %d", l.spec, l.path, tag)
+				}
+				want, err := member.GenerateE(len(got), leafSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAccesses(t, got, want.Accesses)
+				covered += len(got)
+			}
+			if covered != n {
+				t.Fatalf("leaves cover %d of %d accesses; tags seen: %d", covered, n, len(byTag))
+			}
+		})
+	}
+}
+
+// TestMixRefusesTagOverflow: a member whose addresses or PCs already use
+// the top tag values leaves no room to compose a tenant tag, and the mix
+// refuses it by name instead of folding it into another tenant's space.
+func TestMixRefusesTagOverflow(t *testing.T) {
+	kernel := Custom("kernel", Ingest, func(n int, seed int64) (*trace.Trace, error) {
+		tr := trace.New("kernel", n)
+		for i := 0; i < n; i++ {
+			tr.Append(trace.Access{PC: 0xffffffff81000000, Addr: uint64(0x1000 * (i + 1)), Kind: trace.Load})
 		}
+		return tr, nil
+	})
+	a, _ := mixMembers(t)
+	_, err := (mixConfig{Mode: mixRR, A: a, B: kernel}).Generate("mix(rr,mcf,kernel)", 10, 1)
+	if err == nil || !strings.Contains(err.Error(), "mix(rr,mcf,kernel)") {
+		t.Fatalf("err = %v, want a refusal naming the mix", err)
 	}
-	_ = b
 }
 
 func TestMixUnknownMode(t *testing.T) {
