@@ -6,7 +6,10 @@
 //	go test -run XXX -bench . -benchmem ./... | benchjson -o BENCH_train.json
 //
 // Every metric pair on a benchmark line is kept, including custom
-// b.ReportMetric units such as seqs/s, keyed by its unit string.
+// b.ReportMetric units such as seqs/s, keyed by its unit string. Under
+// `go test -count N` a benchmark prints N lines; they fold into one entry
+// holding each unit's median, so one slow or fast sample does not become
+// the recorded number.
 //
 // With -compare the command instead reads two committed reports and writes
 // a machine-readable regression report, making BENCH files enforceable
@@ -23,21 +26,30 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"glider/internal/ledger"
+	"glider/internal/stats"
 )
 
-// Benchmark is one parsed benchmark result line.
+// Benchmark is one benchmark's result: its parsed line, or the fold of
+// its repeated lines.
 type Benchmark struct {
 	// Name is the benchmark name including sub-benchmark path.
 	Name string `json:"name"`
-	// Runs is the iteration count the harness settled on (b.N).
+	// Runs is the iteration count the harness settled on (b.N), summed
+	// over the folded samples.
 	Runs int64 `json:"runs"`
+	// Samples is the number of result lines folded into this entry: N under
+	// `go test -count N`.
+	Samples int `json:"samples"`
 	// Metrics maps unit → value for every reported metric pair
-	// (ns/op, B/op, allocs/op, and any custom units).
+	// (ns/op, B/op, allocs/op, and any custom units): the median over the
+	// samples (nearest rank, so an even count takes the lower middle).
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -49,7 +61,8 @@ type Report struct {
 	CPU    string `json:"cpu,omitempty"`
 	// Pkgs lists every package that contributed benchmarks.
 	Pkgs []string `json:"pkgs,omitempty"`
-	// Benchmarks are the parsed result lines in input order.
+	// Benchmarks holds one entry per benchmark name, in the order of each
+	// name's first result line.
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -219,30 +232,8 @@ func main() {
 		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *metric, *threshold, *out, *ledgerPath))
 	}
 
-	rep := Report{Benchmarks: []Benchmark{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		// Echo the raw stream through so piping into benchjson doesn't
-		// swallow the live progress output.
-		fmt.Fprintln(os.Stderr, line)
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			rep.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "cpu: "):
-			rep.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "pkg: "):
-			rep.Pkgs = append(rep.Pkgs, strings.TrimPrefix(line, "pkg: "))
-		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, b)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := readReport(os.Stdin, os.Stderr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
 		os.Exit(1)
 	}
@@ -261,6 +252,68 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: write:", err)
 		os.Exit(1)
 	}
+}
+
+// readReport parses `go test -bench` output, echoing every line to echo so
+// piping into benchjson does not swallow the live progress output, and
+// folds each benchmark's result lines into one entry.
+func readReport(r io.Reader, echo io.Writer) (Report, error) {
+	var rep Report
+	var lines []Benchmark
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			rep.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "cpu: "):
+			rep.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "pkg: "):
+			if pkg := strings.TrimPrefix(line, "pkg: "); !slices.Contains(rep.Pkgs, pkg) {
+				rep.Pkgs = append(rep.Pkgs, pkg)
+			}
+		case strings.HasPrefix(line, "Benchmark"):
+			if b, ok := parseLine(line); ok {
+				lines = append(lines, b)
+			}
+		}
+	}
+	rep.Benchmarks = fold(lines)
+	return rep, sc.Err()
+}
+
+// fold merges the result lines that share a benchmark name into one entry
+// per name, in first-appearance order: the samples' medians, their summed
+// iterations and their count.
+func fold(lines []Benchmark) []Benchmark {
+	var names []string
+	byName := map[string][]Benchmark{}
+	for _, b := range lines {
+		if _, ok := byName[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		f := Benchmark{Name: name, Samples: len(byName[name]), Metrics: map[string]float64{}}
+		samples := map[string][]float64{}
+		for _, b := range byName[name] {
+			f.Runs += b.Runs
+			for unit, v := range b.Metrics {
+				samples[unit] = append(samples[unit], v)
+			}
+		}
+		for unit, vs := range samples {
+			f.Metrics[unit] = stats.Percentile(vs, 50)
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 // parseLine parses one `BenchmarkName-8  123  456 ns/op  7 B/op ...` line.

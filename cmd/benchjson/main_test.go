@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"strings"
 	"testing"
 )
 
@@ -77,5 +79,48 @@ func TestParseLine(t *testing.T) {
 	}
 	if b.Runs != 5 || b.Metrics["ns/op"] != 245000000 || b.Metrics["allocs/op"] != 12 {
 		t.Errorf("parsed = %+v", b)
+	}
+}
+
+// TestReadReportFoldsRepeatedSamples feeds three lines of one benchmark, as
+// `go test -count 3` prints them, beside a one-line benchmark from a second
+// run of the package: each name yields one entry holding the per-unit
+// median and the sample count, and the package is listed once.
+func TestReadReportFoldsRepeatedSamples(t *testing.T) {
+	out := strings.Join([]string{
+		"goos: linux",
+		"pkg: glider/internal/policy",
+		"BenchmarkFRDAccess-2   	 7000000	       171.0 ns/op	       0 B/op	       0 allocs/op",
+		"BenchmarkFRDAccess-2   	 8000000	       149.0 ns/op	       0 B/op	       0 allocs/op",
+		"BenchmarkFRDAccess-2   	 8000000	       152.5 ns/op	       8 B/op	       1 allocs/op",
+		"PASS",
+		"pkg: glider/internal/policy",
+		"BenchmarkLLCPolicy/lru-2         	      30	  77.1 ns/event	       6.000 allocs/op",
+		"PASS",
+	}, "\n")
+	rep, err := readReport(strings.NewReader(out), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty, _ := readReport(strings.NewReader("PASS"), io.Discard); empty.Benchmarks == nil {
+		t.Error("no benchmark lines must give an empty list, not null")
+	}
+	if len(rep.Pkgs) != 1 {
+		t.Errorf("Pkgs = %v, want the one package once", rep.Pkgs)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("got %d entries, want 2: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	frd := rep.Benchmarks[0]
+	if frd.Name != "BenchmarkFRDAccess" || frd.Samples != 3 || frd.Runs != 23000000 {
+		t.Errorf("folded entry = %+v, want BenchmarkFRDAccess, 3 samples, 23000000 runs", frd)
+	}
+	for unit, want := range map[string]float64{"ns/op": 152.5, "B/op": 0, "allocs/op": 0} {
+		if got := frd.Metrics[unit]; got != want {
+			t.Errorf("median %s = %v, want %v", unit, got, want)
+		}
+	}
+	if lru := rep.Benchmarks[1]; lru.Name != "BenchmarkLLCPolicy/lru" || lru.Samples != 1 || lru.Metrics["ns/event"] != 77.1 {
+		t.Errorf("single-sample entry = %+v", lru)
 	}
 }

@@ -28,10 +28,13 @@ type Table[V any] struct {
 	low   uint64 // ≤ every live entry's time; meaningless when n == 0
 }
 
+// tableSlot leads with its payload: Go pads a zero-size field that ends a
+// struct, so OPTgen's struct{} payload in last place would make each slot
+// 24 bytes instead of 16.
 type tableSlot[V any] struct {
+	val   V
 	key   uint64
 	stamp uint64 // touch time + 1; 0 marks an empty slot
-	val   V
 }
 
 // Entry is one table entry, as Expire and Entries return it.

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // tableModel is the reference for Table: a Go map from key to touch time
@@ -168,5 +169,13 @@ func TestTableExpireSkipsYoungTables(t *testing.T) {
 	}
 	if tab.Len() != 180 || tab.low != 20 {
 		t.Fatalf("len %d, low %d after growth", tab.Len(), tab.low)
+	}
+}
+
+// TestTableSlotSize pins OPTgen's slot to the 16 bytes of its key and stamp:
+// every sampled LLC set keeps a table of them.
+func TestTableSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(tableSlot[struct{}]{}); got != 16 {
+		t.Fatalf("tableSlot[struct{}] takes %d bytes, want 16", got)
 	}
 }

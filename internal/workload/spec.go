@@ -245,8 +245,9 @@ func parseZipf(args []string) (Spec, error) {
 		c.ScanLen = zipfDefaultScanLen
 	}
 	name := canonicalZipf(c)
+	gen := c.generator(name)
 	return Custom(name, Ingest, func(n int, seed int64) (*trace.Trace, error) {
-		return c.Generate(name, n, seed), nil
+		return gen(n, seed), nil
 	}), nil
 }
 

@@ -3,7 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"sync"
 
 	"glider/internal/trace"
 )
@@ -81,16 +81,82 @@ func (c zipfConfig) normalized() zipfConfig {
 	return c
 }
 
-// Generate produces the deterministic object stream: n accesses named name,
-// fully determined by (c, n, seed).
-func (c zipfConfig) Generate(name string, n int, seed int64) *trace.Trace {
+// zipfBuckets caps a popularity table's guide: M = min(objects,
+// zipfBuckets) buckets, so a guide holds at most 256 KB.
+const zipfBuckets = 1 << 16
+
+// zipfTable is one spec's popularity distribution. A rank is sampled by
+// drawing x uniformly in [0, total) and taking the first rank whose
+// cumulative weight is ≥ x (the explicit table, rather than rand.Zipf,
+// supports any skew ≥ 0 and exposes the distribution to tests). The guide
+// narrows that search to the ranks of x's bucket: with
+// bucket(v) = min(int(v·scale), M) and scale = M/total, guide[b] is the
+// first rank whose cumulative weight maps to a bucket ≥ b (the last rank if
+// none does). bucket is monotone, so every rank below guide[bucket(x)] has
+// weight < x and the weight at guide[bucket(x)+1] is ≥ x: the answer lies
+// in that range, and searching it returns exactly the rank a search of the
+// whole table would.
+type zipfTable struct {
+	cum   []float64 // cum[i] = Σ_{j≤i} 1/(j+1)^s; the last entry is the total
+	guide []int32   // M+2 entries
+	scale float64   // M / total
+}
+
+func newZipfTable(objects int, skew float64) *zipfTable {
+	cum := make([]float64, objects)
+	sum := 0.0
+	for i := range cum {
+		sum += math.Pow(float64(i+1), -skew)
+		cum[i] = sum
+	}
+	m := min(objects, zipfBuckets)
+	t := &zipfTable{cum: cum, guide: make([]int32, m+2), scale: float64(m) / sum}
+	b := 0
+	for r, v := range cum {
+		for k := t.bucket(v); b <= k; b++ {
+			t.guide[b] = int32(r)
+		}
+	}
+	for ; b < len(t.guide); b++ {
+		t.guide[b] = int32(objects - 1)
+	}
+	return t
+}
+
+func (t *zipfTable) total() float64 { return t.cum[len(t.cum)-1] }
+
+func (t *zipfTable) bucket(v float64) int { return min(int(v*t.scale), len(t.guide)-2) }
+
+// rank returns the first rank whose cumulative weight is ≥ x, for
+// 0 ≤ x ≤ total.
+func (t *zipfTable) rank(x float64) int {
+	b := t.bucket(x)
+	lo, hi := int(t.guide[b]), int(t.guide[b+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.cum[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// generator returns the generator of one resolved spec named name. The
+// popularity table is built by the first generation and shared by every
+// later one, concurrent ones included, for as long as the generator is held.
+func (c zipfConfig) generator(name string) func(n int, seed int64) *trace.Trace {
 	c = c.normalized()
+	table := sync.OnceValue(func() *zipfTable { return newZipfTable(c.Objects, c.Skew) })
+	return func(n int, seed int64) *trace.Trace { return c.generate(name, n, seed, table()) }
+}
+
+// generate produces the deterministic object stream: n accesses named name,
+// fully determined by (c, n, seed), with ranks drawn from c's table tab.
+func (c zipfConfig) generate(name string, n int, seed int64, tab *zipfTable) *trace.Trace {
 	r := rand.New(rand.NewSource(seed ^ int64(hashName(name))))
-	// Cumulative rank weights; sampling is a binary search over them. The
-	// explicit table (rather than rand.Zipf) supports any skew ≥ 0 and makes
-	// the distribution available to tests.
-	cum := zipfCumWeights(c.Objects, c.Skew)
-	total := cum[len(cum)-1]
+	total := tab.total()
 
 	t := trace.New(name, n)
 	churn := 0
@@ -111,7 +177,7 @@ func (c zipfConfig) Generate(name string, n int, seed int64) *trace.Trace {
 			scanNext++
 			continue
 		}
-		rank := sort.SearchFloat64s(cum, r.Float64()*total)
+		rank := tab.rank(r.Float64() * total)
 		obj := (rank + churn) % c.Objects
 		block := zipfAddrBase>>trace.BlockShift + uint64(obj*c.Span)
 		if c.Span > 1 {
@@ -128,15 +194,4 @@ func (c zipfConfig) Generate(name string, n int, seed int64) *trace.Trace {
 		})
 	}
 	return t
-}
-
-// zipfCumWeights returns the cumulative weights w_i = Σ_{j≤i} 1/(j+1)^s.
-func zipfCumWeights(objects int, skew float64) []float64 {
-	cum := make([]float64, objects)
-	sum := 0.0
-	for i := 0; i < objects; i++ {
-		sum += math.Pow(float64(i+1), -skew)
-		cum[i] = sum
-	}
-	return cum
 }
