@@ -5,8 +5,18 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet runs go vet, then fails when gofmt -l lists any tracked Go file. It
+# asks git ls-files, so untracked build output such as .bench_build/ cannot
+# matter; perfbench is tracked, so it is checked too. Outside a git work
+# tree, or with no tracked Go file, the list is empty and vet fails rather
+# than check nothing.
 vet:
 	$(GO) vet ./...
+	@files="$$(git ls-files '*.go')" && test -n "$$files" || \
+		{ echo "vet: git ls-files lists no Go files to check with gofmt"; exit 1; }; \
+	unformatted="$$(gofmt -l $$files)" || exit 1; \
+	test -z "$$unformatted" || \
+		{ echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; }
 
 # test runs the test suite, then vets and tests perfbench: it is its own
 # module (perfbench/go.mod), so the root commands skip it, and it calls the

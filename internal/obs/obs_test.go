@@ -255,3 +255,40 @@ func TestHistQuantile(t *testing.T) {
 		t.Errorf("snapshot quantile = %v, want 15", got)
 	}
 }
+
+// TestHistQuantileNegativeFirstBucket: a layout whose first bound is
+// negative (hawkeye.predict.counter, glider.predict.sum, the reuse-distance
+// policies' train.err) clamps first-bucket ranks to that bound, instead of
+// interpolating up from 0 to a value above the bucket; layouts that start
+// above 0, such as every latency histogram, keep their numbers.
+func TestHistQuantileNegativeFirstBucket(t *testing.T) {
+	r := NewRegistry()
+	neg := r.Histogram("neg", LinearBuckets(-16, 4, 9))
+	for i := 0; i < 100; i++ {
+		neg.Observe(-16)
+	}
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := neg.Quantile(q); got != -16 {
+			t.Errorf("Quantile(%v) of 100 observations of -16 = %v, want -16", q, got)
+		}
+	}
+	lat := r.Histogram("lat", TimeBuckets)
+	for i := 0; i < 10; i++ {
+		lat.Observe(5e-7)
+	}
+	for i := 0; i < 20; i++ {
+		lat.Observe(5e-3)
+	}
+	for i := 0; i < 5; i++ {
+		lat.Observe(0.3)
+	}
+	lat.Observe(200)
+	cases := []struct{ q, want float64 }{
+		{0, 0}, {0.1, 3.6e-7}, {0.25, 9e-7}, {0.5, 0.0046}, {0.9, 0.292}, {0.99, 100}, {1, 100},
+	}
+	for _, c := range cases {
+		if got := lat.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("TimeBuckets Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+}

@@ -78,8 +78,10 @@ func (h HistSnap) Mean() float64 {
 // Quantile estimates the q-quantile (q in [0,1]) from the bucket counts by
 // linear interpolation inside the target bucket, the standard
 // fixed-bucket estimator: exact at bucket boundaries, at worst one bucket
-// wide in between. Observations in the +Inf overflow bucket clamp to the
-// last finite bound. An empty histogram returns 0.
+// wide in between. The first bucket spans min(0, its bound) to its bound,
+// so a layout starting below zero clamps first-bucket ranks to that bound,
+// as observations in the +Inf overflow bucket clamp to the last finite
+// bound. An empty histogram returns 0.
 func (h HistSnap) Quantile(q float64) float64 {
 	if h.Count == 0 || len(h.Buckets) == 0 {
 		return 0
@@ -92,7 +94,7 @@ func (h HistSnap) Quantile(q float64) float64 {
 	}
 	rank := q * float64(h.Count)
 	var cum uint64
-	lower := 0.0
+	lower := min(0, h.Buckets[0].UpperBound)
 	for i, b := range h.Buckets {
 		if i > 0 {
 			lower = h.Buckets[i-1].UpperBound

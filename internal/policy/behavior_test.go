@@ -77,15 +77,32 @@ func TestHawkeyeDetrainToggle(t *testing.T) {
 
 func TestDRRIPLeaderSets(t *testing.T) {
 	t.Parallel()
-	p := NewDRRIP(128, 4, 1)
-	if p.leader(0) != 0 || p.leader(64) != 0 {
-		t.Fatal("sets ≡ 0 (mod 64) must be SRRIP leaders")
-	}
-	if p.leader(1) != 1 || p.leader(65) != 1 {
-		t.Fatal("sets ≡ 1 (mod 64) must be BRRIP leaders")
-	}
-	if p.leader(2) != -1 {
-		t.Fatal("other sets must be followers")
+	// DRRIP and DIP duel on one selector: sets ≡ 0 (mod 64) lead policy A
+	// (SRRIP, LRU insertion), sets ≡ 1 lead policy B (BRRIP, BIP).
+	for name, d := range map[string]*setDuel{"drrip": &NewDRRIP(128, 4, 1).duel, "dip": &NewDIP(128, 4, 1).duel} {
+		if d.leader(0) != 0 || d.leader(64) != 0 {
+			t.Fatalf("%s: sets ≡ 0 (mod 64) must lead policy A", name)
+		}
+		if d.leader(1) != 1 || d.leader(65) != 1 {
+			t.Fatalf("%s: sets ≡ 1 (mod 64) must lead policy B", name)
+		}
+		if d.leader(2) != -1 {
+			t.Fatalf("%s: other sets must be followers", name)
+		}
+		// A leader's miss votes against its own policy; followers use B
+		// only while PSEL sits above its midpoint, and PSEL saturates.
+		if d.missUsesB(0) || d.psel != 513 {
+			t.Fatalf("%s: A leader's miss: psel %d, want 513 and policy A", name, d.psel)
+		}
+		if !d.missUsesB(65) || d.psel != 512 {
+			t.Fatalf("%s: B leader's miss: psel %d, want 512 and policy B", name, d.psel)
+		}
+		if d.psel = pselMax / 2; d.missUsesB(2) {
+			t.Fatalf("%s: a follower at psel %d chose policy B", name, d.psel)
+		}
+		if d.psel = pselMax; d.missUsesB(64) || d.psel != pselMax || !d.missUsesB(3) {
+			t.Fatalf("%s: psel %d past its maximum, or a follower ignored it", name, d.psel)
+		}
 	}
 }
 
@@ -130,11 +147,11 @@ func TestPerceptronWritebackPath(t *testing.T) {
 func TestMPPPBPhaseFeatureChanges(t *testing.T) {
 	t.Parallel()
 	p := NewMPPPB(1, 4)
-	f1 := p.features(1, 100, 0)
+	var f1, f2 [mpppbFeatures]uint16
+	p.features(f1[:], 1, 100, 0)
 	p.fills = 1 << 15 // advance coarse time
-	f2 := p.features(1, 100, 0)
+	p.features(f2[:], 1, 100, 0)
 	if f1[7] == f2[7] {
 		t.Fatal("coarse-time feature did not change across phases")
 	}
-	// The feature count is the array type's length, mpppbFeatures.
 }

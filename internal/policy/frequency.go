@@ -18,13 +18,7 @@ type LFU struct {
 
 // NewLFU builds an LFU policy.
 func NewLFU(sets, ways int) *LFU {
-	p := &LFU{lru: NewLRU(sets, ways)}
-	p.count = make([][]uint32, sets)
-	backing := make([]uint32, sets*ways)
-	for i := range p.count {
-		p.count[i], backing = backing[:ways], backing[ways:]
-	}
-	return p
+	return &LFU{count: rows[uint32](sets, ways), lru: NewLRU(sets, ways)}
 }
 
 // Name implements cache.Policy.
@@ -84,18 +78,17 @@ const lrfuDecayAges = 1 << 16
 // NewLRFU builds an LRFU policy with the given λ (0.001 is a common
 // middle-ground setting).
 func NewLRFU(sets, ways int, lambda float64) *LRFU {
-	p := &LRFU{lambda: lambda}
+	p := &LRFU{lambda: lambda, stamp: rows[uint64](sets, ways)}
+	// crf is carved by hand, not by rows, because its rows share one
+	// allocation with the decay table.
 	p.crf = make([][]float64, sets)
-	p.stamp = make([][]uint64, sets)
 	cb := make([]float64, lrfuDecayAges+sets*ways)
-	sb := make([]uint64, sets*ways)
 	p.decay, cb = cb[:lrfuDecayAges], cb[lrfuDecayAges:]
 	for age := range p.decay {
 		p.decay[age] = math.Pow(0.5, lambda*float64(age))
 	}
 	for i := range p.crf {
 		p.crf[i], cb = cb[:ways], cb[ways:]
-		p.stamp[i], sb = sb[:ways], sb[ways:]
 	}
 	return p
 }

@@ -216,12 +216,7 @@ func (p *Glider) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 	// Fill: insertion priority from the three-way prediction (§4.4).
 	switch class {
 	case gl.Friendly:
-		p.state.rrpv[set][way] = 0
-		for w := range p.state.rrpv[set] {
-			if w != way && p.state.rrpv[set][w] < maxRRPV-1 {
-				p.state.rrpv[set][w]++
-			}
-		}
+		p.state.insertFriendly(set, way)
 	case gl.FriendlyLowConfidence:
 		p.state.rrpv[set][way] = 2
 	default:

@@ -167,13 +167,7 @@ func (p *Hawkeye) Update(set, way int, pc, block uint64, core uint8, hit bool, k
 	c := p.counters[p.counterIndex(pc, core)]
 	switch {
 	case friendly:
-		p.state.rrpv[set][way] = 0
-		// Age everyone else so stale friendly lines eventually expire.
-		for w := range p.state.rrpv[set] {
-			if w != way && p.state.rrpv[set][w] < maxRRPV-1 {
-				p.state.rrpv[set][w]++
-			}
-		}
+		p.state.insertFriendly(set, way)
 	case c >= -4:
 		p.state.rrpv[set][way] = maxRRPV - 1
 	default:

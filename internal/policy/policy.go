@@ -117,6 +117,17 @@ func hashPC(pc uint64, size int) int {
 	return int(pc & uint64(size-1))
 }
 
+// rows carves one sets×ways slab into per-set rows, so a per-line table is
+// one allocation.
+func rows[T any](sets, ways int) [][]T {
+	slab := make([]T, sets*ways)
+	r := make([][]T, sets)
+	for i := range r {
+		r[i] = slab[i*ways : (i+1)*ways]
+	}
+	return r
+}
+
 // xorshift64 is a tiny deterministic PRNG for the probabilistic policies
 // (BRRIP's long-interval insertions, Random replacement).
 type xorshift64 uint64
@@ -145,20 +156,12 @@ func (x *xorshift64) intn(n int) int { return int(x.next() % uint64(n)) }
 // LRU is the least-recently-used baseline policy all of the paper's
 // improvements are normalized against.
 type LRU struct {
-	ways  int
 	stamp [][]uint64
 	clock uint64
 }
 
 // NewLRU builds an LRU policy for the given geometry.
-func NewLRU(sets, ways int) *LRU {
-	l := &LRU{ways: ways, stamp: make([][]uint64, sets)}
-	backing := make([]uint64, sets*ways)
-	for i := range l.stamp {
-		l.stamp[i], backing = backing[:ways], backing[ways:]
-	}
-	return l
-}
+func NewLRU(sets, ways int) *LRU { return &LRU{stamp: rows[uint64](sets, ways)} }
 
 // Name implements cache.Policy.
 func (l *LRU) Name() string { return "lru" }

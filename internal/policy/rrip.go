@@ -21,13 +21,11 @@ type rrpvState struct {
 }
 
 func newRRPVState(sets, ways int) rrpvState {
-	s := rrpvState{ways: ways, rrpv: make([][]uint8, sets)}
-	backing := make([]uint8, sets*ways)
-	for i := range backing {
-		backing[i] = maxRRPV
-	}
-	for i := range s.rrpv {
-		s.rrpv[i], backing = backing[:ways], backing[ways:]
+	s := rrpvState{ways: ways, rrpv: rows[uint8](sets, ways)}
+	for _, row := range s.rrpv {
+		for w := range row {
+			row[w] = maxRRPV
+		}
 	}
 	return s
 }
@@ -63,6 +61,27 @@ func (s *rrpvState) oldest(set int) int {
 		}
 	}
 	return victim
+}
+
+// insertFriendly is the friendly fill of Hawkeye and Glider: way inserts
+// at RRPV 0 and every other line of the set ages by one, short of distant,
+// so stale friendly lines eventually expire.
+func (s *rrpvState) insertFriendly(set, way int) {
+	row := s.rrpv[set]
+	for w := range row {
+		if w != way && row[w] < maxRRPV-1 {
+			row[w]++
+		}
+	}
+	row[way] = 0
+}
+
+// bimodalRRPV is BRRIP's fill: distant, except one fill in 32 at long.
+func bimodalRRPV(rng *xorshift64) uint8 {
+	if rng.intn(32) == 0 {
+		return maxRRPV - 1
+	}
+	return maxRRPV
 }
 
 // --- SRRIP -----------------------------------------------------------------
@@ -126,54 +145,30 @@ func (p *BRRIP) Update(set, way int, pc, block uint64, core uint8, hit bool, kin
 	}
 	if hit {
 		p.state.rrpv[set][way] = 0
-		return
-	}
-	if p.rng.intn(32) == 0 {
-		p.state.rrpv[set][way] = maxRRPV - 1
 	} else {
-		p.state.rrpv[set][way] = maxRRPV
+		p.state.rrpv[set][way] = bimodalRRPV(&p.rng)
 	}
 }
 
 // --- DRRIP -----------------------------------------------------------------
 
-// DRRIP dynamically selects between SRRIP and BRRIP insertion using set
-// dueling: a few leader sets are dedicated to each policy and a saturating
-// PSEL counter tracks which leader group misses less.
+// DRRIP dynamically selects between SRRIP (policy A) and BRRIP (policy B)
+// insertion using set dueling (setDuel, dip.go): a few leader sets are
+// dedicated to each policy and a saturating PSEL counter tracks which
+// leader group misses less.
 type DRRIP struct {
-	state   rrpvState
-	rng     xorshift64
-	sets    int
-	psel    int
-	pselMax int
+	state rrpvState
+	rng   xorshift64
+	duel  setDuel
 }
 
 // NewDRRIP builds a DRRIP policy.
 func NewDRRIP(sets, ways int, seed uint64) *DRRIP {
-	return &DRRIP{
-		state:   newRRPVState(sets, ways),
-		rng:     newXorshift(seed),
-		sets:    sets,
-		pselMax: 1023,
-		psel:    512,
-	}
+	return &DRRIP{state: newRRPVState(sets, ways), rng: newXorshift(seed), duel: newSetDuel()}
 }
 
 // Name implements cache.Policy.
 func (p *DRRIP) Name() string { return "drrip" }
-
-// leader classifies a set: 0 = SRRIP leader, 1 = BRRIP leader, -1 follower.
-// One leader of each kind per 64 sets, using complementary low bits.
-func (p *DRRIP) leader(set int) int {
-	switch set % 64 {
-	case 0:
-		return 0
-	case 1:
-		return 1
-	default:
-		return -1
-	}
-}
 
 // Victim implements cache.Policy.
 func (p *DRRIP) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
@@ -185,37 +180,12 @@ func (p *DRRIP) Update(set, way int, pc, block uint64, core uint8, hit bool, kin
 	if way < 0 {
 		return
 	}
-	if hit {
+	switch {
+	case hit:
 		p.state.rrpv[set][way] = 0
-		return
-	}
-	// A miss in a leader set votes against that leader's policy.
-	switch p.leader(set) {
-	case 0: // SRRIP leader missed: nudge toward BRRIP.
-		if p.psel < p.pselMax {
-			p.psel++
-		}
-	case 1: // BRRIP leader missed: nudge toward SRRIP.
-		if p.psel > 0 {
-			p.psel--
-		}
-	}
-	useBRRIP := false
-	switch p.leader(set) {
-	case 0:
-		useBRRIP = false
-	case 1:
-		useBRRIP = true
+	case p.duel.missUsesB(set):
+		p.state.rrpv[set][way] = bimodalRRPV(&p.rng)
 	default:
-		useBRRIP = p.psel > p.pselMax/2
-	}
-	if useBRRIP {
-		if p.rng.intn(32) == 0 {
-			p.state.rrpv[set][way] = maxRRPV - 1
-		} else {
-			p.state.rrpv[set][way] = maxRRPV
-		}
-	} else {
 		p.state.rrpv[set][way] = maxRRPV - 1
 	}
 }

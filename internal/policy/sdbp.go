@@ -35,9 +35,10 @@ type sdbpEntry struct {
 
 // SDBP is the sampling dead-block predictor policy.
 type SDBP struct {
-	ways    int
-	tables  [sdbpTables][]uint8
-	sampler map[int][]sdbpEntry
+	tables [sdbpTables][]uint8
+	// sampler is the sampled sets' tag store in one slab: sdbpSamplerAssoc
+	// entries for each sampled set, in set order.
+	sampler []sdbpEntry
 	clock   uint64
 	// Per-line dead bit refreshed on every access.
 	dead [][]bool
@@ -46,18 +47,14 @@ type SDBP struct {
 
 // NewSDBP builds the policy.
 func NewSDBP(sets, ways int) *SDBP {
+	sampled := (sets + sdbpSamplerStride - 1) / sdbpSamplerStride
 	p := &SDBP{
-		ways:    ways,
-		sampler: make(map[int][]sdbpEntry),
+		sampler: make([]sdbpEntry, sampled*sdbpSamplerAssoc),
+		dead:    rows[bool](sets, ways),
 		lru:     NewLRU(sets, ways),
 	}
 	for i := range p.tables {
 		p.tables[i] = make([]uint8, sdbpTableSize)
-	}
-	p.dead = make([][]bool, sets)
-	backing := make([]bool, sets*ways)
-	for i := range p.dead {
-		p.dead[i], backing = backing[:ways], backing[ways:]
 	}
 	return p
 }
@@ -101,11 +98,8 @@ func (p *SDBP) sample(set int, pc, block uint64) {
 	if set%sdbpSamplerStride != 0 {
 		return
 	}
-	entries, ok := p.sampler[set]
-	if !ok {
-		entries = make([]sdbpEntry, sdbpSamplerAssoc)
-		p.sampler[set] = entries
-	}
+	first := set / sdbpSamplerStride * sdbpSamplerAssoc
+	entries := p.sampler[first : first+sdbpSamplerAssoc]
 	p.clock++
 	// Hit?
 	for i := range entries {

@@ -24,14 +24,18 @@ const shctSize = 16384
 // shctMax is the saturating counter maximum (3-bit).
 const shctMax = 7
 
+// shipLine is one line's training state.
+type shipLine struct {
+	sig     uint16 // signature that inserted the line
+	reused  bool   // outcome bit: has the line hit since fill?
+	touches uint8  // hit count for staged promotion
+}
+
 // SHiPPP is the SHiP++ replacement policy.
 type SHiPPP struct {
 	state rrpvState
 	shct  []uint8
-	// Per-line training state.
-	sig     [][]uint16 // signature that inserted the line
-	reused  [][]bool   // outcome bit: has the line hit since fill?
-	touches [][]uint8  // hit count for staged promotion
+	lines [][]shipLine
 }
 
 // NewSHiPPP builds a SHiP++ policy.
@@ -39,20 +43,10 @@ func NewSHiPPP(sets, ways int) *SHiPPP {
 	p := &SHiPPP{
 		state: newRRPVState(sets, ways),
 		shct:  make([]uint8, shctSize),
+		lines: rows[shipLine](sets, ways),
 	}
 	for i := range p.shct {
 		p.shct[i] = 1 // weakly not-reused, as in the reference code
-	}
-	p.sig = make([][]uint16, sets)
-	p.reused = make([][]bool, sets)
-	p.touches = make([][]uint8, sets)
-	sigB := make([]uint16, sets*ways)
-	reB := make([]bool, sets*ways)
-	toB := make([]uint8, sets*ways)
-	for i := 0; i < sets; i++ {
-		p.sig[i], sigB = sigB[:ways], sigB[ways:]
-		p.reused[i], reB = reB[:ways], reB[ways:]
-		p.touches[i], toB = toB[:ways], toB[ways:]
 	}
 	return p
 }
@@ -68,11 +62,8 @@ func shipSignature(pc uint64) uint16 {
 // detraining of never-reused lines.
 func (p *SHiPPP) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
 	w := p.state.victim(set)
-	if lines[w].Valid && !p.reused[set][w] {
-		s := p.sig[set][w]
-		if p.shct[s] > 0 {
-			p.shct[s]--
-		}
+	if l := &p.lines[set][w]; lines[w].Valid && !l.reused && p.shct[l.sig] > 0 {
+		p.shct[l.sig]--
 	}
 	return w
 }
@@ -82,30 +73,28 @@ func (p *SHiPPP) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 	if way < 0 {
 		return
 	}
+	l := &p.lines[set][way]
 	if hit {
 		if kind != trace.Writeback {
-			s := p.sig[set][way]
-			if !p.reused[set][way] && p.shct[s] < shctMax {
-				p.shct[s]++
+			if !l.reused && p.shct[l.sig] < shctMax {
+				p.shct[l.sig]++
 			}
-			p.reused[set][way] = true
+			l.reused = true
 			// Staged promotion: first re-touch to RRPV 1, later to 0.
-			if p.touches[set][way] == 0 {
+			if l.touches == 0 {
 				p.state.rrpv[set][way] = 1
 			} else {
 				p.state.rrpv[set][way] = 0
 			}
-			if p.touches[set][way] < 255 {
-				p.touches[set][way]++
+			if l.touches < 255 {
+				l.touches++
 			}
 		}
 		return
 	}
 	// Fill.
 	s := shipSignature(pc)
-	p.sig[set][way] = s
-	p.reused[set][way] = false
-	p.touches[set][way] = 0
+	*l = shipLine{sig: s}
 	switch {
 	case kind == trace.Writeback:
 		p.state.rrpv[set][way] = maxRRPV
