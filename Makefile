@@ -144,6 +144,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gateway/ -run '^FuzzRingChurn$$' -fuzz '^FuzzRingChurn$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/policy/ -run '^FuzzFRDAccess$$' -fuzz '^FuzzFRDAccess$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/policy/ -run '^FuzzMSAAccess$$' -fuzz '^FuzzMSAAccess$$' -fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/policy/ -run '^FuzzResetMatchesFresh$$' -fuzz '^FuzzResetMatchesFresh$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/opt/ -run '^FuzzTableMatchesMap$$' -fuzz '^FuzzTableMatchesMap$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/cpu/ -run '^FuzzReplayMatchesReference$$' -fuzz '^FuzzReplayMatchesReference$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/cache/ -run '^FuzzCacheMatchesReference$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 10s -fuzzminimizetime 20x

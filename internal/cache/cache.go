@@ -61,6 +61,14 @@ type Policy interface {
 	Update(set, way int, pc, block uint64, core uint8, hit bool, kind trace.Kind)
 }
 
+// Resetter is a Policy that Reset returns, in place, to exactly the state
+// its constructor builds: every registered policy is one. Cache.Reset needs
+// one, so a reused LLC decides exactly as a fresh one would.
+type Resetter interface {
+	Policy
+	Reset()
+}
+
 // Stats aggregates cache access counters.
 type Stats struct {
 	Accesses   uint64
@@ -275,6 +283,27 @@ func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResu
 	}
 	c.policy.Update(set, way, pc, block, core, false, kind)
 	return res
+}
+
+// Reset returns the cache to the state New builds around a fresh policy:
+// every line empty, zero counters, and the policy reset (see Resetter).
+// It panics if the policy is not a Resetter. An attached Observer stays
+// attached. A cache on the fast LRU path (NewUpperLRU) resets its own LRU
+// state.
+func (c *Cache) Reset() {
+	c.stats = Stats{}
+	if c.fast != nil {
+		c.fast.reset()
+		return
+	}
+	r, ok := c.policy.(Resetter)
+	if !ok {
+		panic(fmt.Sprintf("cache %s: policy %s cannot be reset", c.cfg.Name, c.policy.Name()))
+	}
+	clear(c.tags)
+	clear(c.lines)
+	clear(c.valid)
+	r.Reset()
 }
 
 // Flush invalidates every line (without policy notifications).

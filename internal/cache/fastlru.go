@@ -64,13 +64,21 @@ type fastLRU struct {
 func newFastLRU(cfg Config) *fastLRU {
 	f := &fastLRU{ways: cfg.Ways, stride: 4 * cfg.Ways}
 	f.slab = make([]uint64, cfg.Sets*f.stride)
-	for s := 0; s < cfg.Sets; s++ {
-		tags := f.slab[s*f.stride : s*f.stride+f.ways]
+	f.reset()
+	return f
+}
+
+// reset empties every way and restarts the clock: the state newFastLRU
+// builds.
+func (f *fastLRU) reset() {
+	clear(f.slab)
+	for base := 0; base < len(f.slab); base += f.stride {
+		tags := f.slab[base : base+f.ways]
 		for w := range tags {
 			tags[w] = invalidTag
 		}
 	}
-	return f
+	f.clock = 0
 }
 
 // NewUpperLRU builds a cache on the fast LRU path. It behaves exactly like

@@ -194,9 +194,9 @@ func checkWarmup(t *trace.Trace, warmup int) error {
 // does for a hierarchy whose upper levels produced the capture: the first
 // warmup accesses train the LLC without counting toward the reported
 // statistics, and the DRAM model d serves the LLC misses. llc is normally
-// fresh (see BuildLLC); its geometry must match the capture's core count as
-// in BuildHierarchy. Cancelling ctx aborts the run within a few thousand
-// accesses.
+// fresh (see BuildLLC) or reset (see LLCPool); its geometry must match the
+// capture's core count as in BuildHierarchy. Cancelling ctx aborts the run
+// within a few thousand accesses.
 func (c *Capture) Run(ctx context.Context, llc *cache.Cache, d *dram.DRAM, cfg CoreConfig, warmup int) (Result, error) {
 	t := c.t
 	if err := checkWarmup(t, warmup); err != nil {

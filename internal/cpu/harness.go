@@ -3,6 +3,7 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"glider/internal/cache"
 	"glider/internal/dram"
@@ -35,6 +36,61 @@ func BuildLLC(cores int, policyName string) (*cache.Cache, error) {
 		return nil, err
 	}
 	return cache.New(cfg, p)
+}
+
+// LLCPool is a free list of LLCs, keyed by core count and policy name, for
+// a batch of simulations that replay many traces on each policy, such as a
+// policy × workload grid. A simulation takes a free LLC and resets it in
+// place, or builds one with BuildLLC when none is free, and gives it back
+// when it ends. A reset LLC is in exactly the state BuildLLC builds
+// (cache.Cache.Reset), so a result never depends on which LLC a simulation
+// got. A pool holds about one LLC per policy per concurrent simulation, and
+// it is meant for one batch: dropping it frees them all. The nil pool
+// builds a fresh LLC for every simulation. A pool is safe for concurrent
+// use.
+type LLCPool struct {
+	mu   sync.Mutex
+	free map[llcKey][]*cache.Cache
+}
+
+type llcKey struct {
+	cores  int
+	policy string
+}
+
+// NewLLCPool returns an empty pool.
+func NewLLCPool() *LLCPool { return &LLCPool{free: make(map[llcKey][]*cache.Cache)} }
+
+// get returns an LLC as BuildLLC(cores, policyName) would build it.
+func (p *LLCPool) get(cores int, policyName string) (*cache.Cache, error) {
+	if p == nil {
+		return BuildLLC(cores, policyName)
+	}
+	k := llcKey{cores, policyName}
+	p.mu.Lock()
+	var llc *cache.Cache
+	if n := len(p.free[k]); n > 0 {
+		llc = p.free[k][n-1]
+		p.free[k] = p.free[k][:n-1]
+	}
+	p.mu.Unlock()
+	if llc == nil {
+		return BuildLLC(cores, policyName)
+	}
+	llc.Reset()
+	return llc, nil
+}
+
+// put gives back an LLC that get returned for the same cores and
+// policyName. The caller must not use it afterwards.
+func (p *LLCPool) put(cores int, policyName string, llc *cache.Cache) {
+	if p == nil {
+		return
+	}
+	k := llcKey{cores, policyName}
+	p.mu.Lock()
+	p.free[k] = append(p.free[k], llc)
+	p.mu.Unlock()
 }
 
 // llcPolicy returns the LLC geometry for cores and the named policy sized
@@ -85,27 +141,36 @@ func storeCapture(ctx context.Context, store *workload.Store, spec workload.Spec
 // the L1/L2 filter runs once per trace however many policies a sweep runs.
 // Cancelling ctx aborts the simulation promptly (see Run).
 func SingleCore(ctx context.Context, spec workload.Spec, policyName string, accesses int, seed int64) (Result, error) {
-	return replayShared(ctx, spec, 1, policyName, accesses, seed, dram.SingleCoreConfig())
+	return replayShared(ctx, nil, spec, 1, policyName, accesses, seed, dram.SingleCoreConfig())
+}
+
+// SingleCore is the package-level SingleCore on an LLC from the pool, given
+// back when the run ends. Its result is the package-level one, bit for bit.
+func (p *LLCPool) SingleCore(ctx context.Context, spec workload.Spec, policyName string, accesses int, seed int64) (Result, error) {
+	return replayShared(ctx, p, spec, 1, policyName, accesses, seed, dram.SingleCoreConfig())
 }
 
 // replayShared replays the shared capture of (spec, accesses, seed) on a
-// fresh cores-core LLC and DRAM model with full timing.
-func replayShared(ctx context.Context, spec workload.Spec, cores int, policyName string, accesses int, seed int64, dcfg dram.Config) (Result, error) {
+// cores-core LLC from pool and a fresh DRAM model with full timing.
+func replayShared(ctx context.Context, pool *LLCPool, spec workload.Spec, cores int, policyName string, accesses int, seed int64, dcfg dram.Config) (Result, error) {
 	c, err := SharedCapture(ctx, spec, accesses, seed, cores)
 	if err != nil {
 		return Result{}, err
 	}
-	return replay(ctx, c, policyName, dcfg, accesses/5)
+	return replay(ctx, pool, c, policyName, dcfg, accesses/5)
 }
 
-// replay replays c with full timing on a fresh LLC for c's core count,
-// running the named policy, and a fresh DRAM model.
-func replay(ctx context.Context, c *Capture, policyName string, dcfg dram.Config, warmup int) (Result, error) {
-	llc, err := BuildLLC(c.cores, policyName)
+// replay replays c with full timing on an LLC from pool for c's core count,
+// running the named policy, and a fresh DRAM model. A run that panics does
+// not give its LLC back.
+func replay(ctx context.Context, pool *LLCPool, c *Capture, policyName string, dcfg dram.Config, warmup int) (Result, error) {
+	llc, err := pool.get(c.cores, policyName)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.Run(ctx, llc, dram.New(dcfg), DefaultCoreConfig(), warmup)
+	res, err := c.Run(ctx, llc, dram.New(dcfg), DefaultCoreConfig(), warmup)
+	pool.put(c.cores, policyName, llc)
+	return res, err
 }
 
 // CoreSeed is the seed of core's trace in a mix run seeded seed. Core i of
@@ -136,7 +201,7 @@ func MixCapture(ctx context.Context, mix workload.Mix, accessesPerCore int, seed
 // warming up on the first fifth of the merged trace, and returns the
 // per-core IPCs.
 func MultiCore(ctx context.Context, c *Capture, policyName string) (Result, error) {
-	return replay(ctx, c, policyName, dram.QuadCoreConfig(), c.Trace().Len()/5)
+	return replay(ctx, nil, c, policyName, dram.QuadCoreConfig(), c.Trace().Len()/5)
 }
 
 // SoloOnShared runs one benchmark alone on the multi-core configuration
@@ -144,7 +209,7 @@ func MultiCore(ctx context.Context, c *Capture, policyName string) (Result, erro
 // which is defined as "executing in isolation on the same cache". Like
 // SingleCore it replays the trace's shared capture.
 func SoloOnShared(ctx context.Context, spec workload.Spec, cores int, policyName string, accesses int, seed int64) (Result, error) {
-	return replayShared(ctx, spec, cores, policyName, accesses, seed, dram.QuadCoreConfig())
+	return replayShared(ctx, nil, spec, cores, policyName, accesses, seed, dram.QuadCoreConfig())
 }
 
 // WeightedSpeedup computes the §5.1 weighted-IPC metric for a mix under one

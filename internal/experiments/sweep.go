@@ -154,12 +154,14 @@ func RunSweepExhaustive(cfg Config, opts SweepOptions) (Sweep, error) {
 // runGrid simulates every (workload, policy) cell exactly, one runner job
 // per cell, and returns the cells workload-major in input order. It is the
 // one grid behind every single-core study: the sweeps, the zoo, the learned
-// and lineage studies, and Figures 11–12.
+// and lineage studies, and Figures 11–12. Its cells share one LLC pool,
+// held for the grid alone (see exactCellJob).
 func runGrid(cfg Config, specs []workload.Spec, pols []string) ([]SweepCell, error) {
+	pool := cpu.NewLLCPool()
 	jobs := make([]simrunner.Job[SweepCell], 0, len(specs)*len(pols))
 	for _, spec := range specs {
 		for _, pol := range pols {
-			jobs = append(jobs, exactCellJob(cfg, spec, pol))
+			jobs = append(jobs, exactCellJob(cfg, pool, spec, pol))
 		}
 	}
 	return simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
@@ -181,6 +183,7 @@ func RunSweepPruned(cfg Config, opts SweepOptions) (Sweep, error) {
 		return Sweep{}, fmt.Errorf("sweep: pruning needs an estimator")
 	}
 	s := newSweep(cfg, specs, pols)
+	pool := cpu.NewLLCPool() // the two exact batches' LLCs
 
 	// Feature extraction per workload (trace generation + reuse analysis),
 	// on the runner: it is the pruned sweep's main per-workload cost.
@@ -237,7 +240,7 @@ func RunSweepPruned(cfg Config, opts SweepOptions) (Sweep, error) {
 			p := est.Predict(pol, feats[wi])
 			preds[wi][qi] = p
 			if !p.Confident {
-				anchorJobs = append(anchorJobs, exactCellJob(cfg, spec, pol))
+				anchorJobs = append(anchorJobs, exactCellJob(cfg, pool, spec, pol))
 				anchorRefs = append(anchorRefs, ref{wi, qi})
 				continue
 			}
@@ -246,7 +249,7 @@ func RunSweepPruned(cfg Config, opts SweepOptions) (Sweep, error) {
 			}
 		}
 		if bestQi >= 0 {
-			anchorJobs = append(anchorJobs, exactCellJob(cfg, spec, pols[bestQi]))
+			anchorJobs = append(anchorJobs, exactCellJob(cfg, pool, spec, pols[bestQi]))
 			anchorRefs = append(anchorRefs, ref{wi, bestQi})
 		}
 	}
@@ -271,7 +274,7 @@ func RunSweepPruned(cfg Config, opts SweepOptions) (Sweep, error) {
 			if haveThr && p.MissRate-p.MissBound > thr {
 				continue // provably not the winner (given the bounds)
 			}
-			marginJobs = append(marginJobs, exactCellJob(cfg, spec, pol))
+			marginJobs = append(marginJobs, exactCellJob(cfg, pool, spec, pol))
 			marginRefs = append(marginRefs, ref{wi, qi})
 		}
 	}
@@ -315,12 +318,16 @@ func newSweep(cfg Config, specs []workload.Spec, pols []string) Sweep {
 }
 
 // exactCellJob simulates one cell; every grid builds its exact cells
-// through it, which is what makes shared cells bit-identical.
-func exactCellJob(cfg Config, spec workload.Spec, pol string) simrunner.Job[SweepCell] {
+// through it, which is what makes shared cells bit-identical. The cell
+// replays the trace's shared capture on an LLC from pool, reset in place:
+// a grid builds about one LLC per policy rather than one per cell (2.5 MB
+// on average), and the cell's numbers are those of cpu.SingleCore on a
+// fresh LLC, bit for bit, whichever pooled LLC it got.
+func exactCellJob(cfg Config, pool *cpu.LLCPool, spec workload.Spec, pol string) simrunner.Job[SweepCell] {
 	return simrunner.Job[SweepCell]{
 		Key: simrunner.Key("sweep", spec.Name, strconv.Itoa(cfg.Accesses), pol),
 		Run: func(ctx context.Context) (SweepCell, error) {
-			res, err := cpu.SingleCore(ctx, spec, pol, cfg.Accesses, cfg.Seed)
+			res, err := pool.SingleCore(ctx, spec, pol, cfg.Accesses, cfg.Seed)
 			if err != nil {
 				return SweepCell{}, fmt.Errorf("sweep %s/%s: %w", spec.Name, pol, err)
 			}

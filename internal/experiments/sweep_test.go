@@ -2,11 +2,50 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
 	"glider/internal/estimate"
+	"glider/internal/ledger"
+	"glider/internal/policy"
 )
+
+// pinnedGridDigest is the SHA-256 of the canonical JSON of the cells of
+// the quick sweep over BenchSweepWorkloads × every registered policy at
+// seed 42, computed as perfbench's sweep workload computes its pinned
+// digest. A change that alters any simulated number of any cell moves it.
+const pinnedGridDigest = "21016eb0eb29f9088b7e3dd3e7bb1255225bd9b8caac7665a354f4031b9d90ba"
+
+// TestSweepGridPinned runs the quick benchmark grid on one worker and on
+// two. Its cells share one LLC pool, so which LLC a cell replays on depends
+// on scheduling: the two runs must give identical cells, and their digest
+// must be the pinned one.
+func TestSweepGridPinned(t *testing.T) {
+	opts := SweepOptions{Workloads: BenchSweepWorkloads(), Policies: policy.Names()}
+	var cells [][]SweepCell
+	for _, workers := range []int{1, 2} {
+		cfg := Quick()
+		cfg.Workers = workers
+		s, err := RunSweepExhaustive(cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, s.Cells)
+	}
+	if !reflect.DeepEqual(cells[0], cells[1]) {
+		t.Fatal("the grid's cells differ between one worker and two")
+	}
+	data, err := ledger.CanonicalJSON(cells[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != pinnedGridDigest {
+		t.Fatalf("grid digest %s, want %s", got, pinnedGridDigest)
+	}
+}
 
 // sweepTestModel trains a small surrogate for the sweep tests: three
 // workloads, six policies, one trace length. 60k accesses is the shortest

@@ -301,12 +301,27 @@ func NewPredictor(cfg Config) *Predictor {
 		pchr:    newPCHRs(cfg.Cores, cfg.HistoryLen),
 		idx:     make([]int, 0, cfg.HistoryLen),
 	}
+	p.Reset()
+	return p
+}
+
+// Reset returns the predictor, in place, to the state NewPredictor builds:
+// zero weights, empty PCHRs, the initial training threshold and zero
+// counters.
+func (p *Predictor) Reset() {
+	clear(p.weights)
+	for _, h := range p.pchr {
+		h.pcs = h.pcs[:0]
+	}
 	// Start at the second-lowest threshold: θ = 0 trains only on errors,
 	// which is too sparse until the adaptation has evidence to move.
-	if len(cfg.TrainingThresholds) > 1 {
+	p.thresholdIdx = 0
+	if len(p.cfg.TrainingThresholds) > 1 {
 		p.thresholdIdx = 1
 	}
-	return p
+	p.adaptCounter = 0
+	p.trainOps, p.predictOps = 0, 0
+	p.samples, p.trainPos, p.trainNeg, p.skipped = 0, 0, 0, 0
 }
 
 func newPCHRs(cores, k int) []*PCHR {

@@ -81,6 +81,14 @@ func NewOPTgens(n, ways, window int) []OPTgen {
 	return gens
 }
 
+// Reset returns the instance to the state NewOPTgens builds: no accesses
+// seen and an empty occupancy vector. Attached metrics stay attached.
+func (g *OPTgen) Reset() {
+	clear(g.occupancy)
+	g.clock = 0
+	g.last.Reset()
+}
+
 // Verdict is OPTgen's decision for one access.
 type Verdict int
 

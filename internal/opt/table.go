@@ -70,6 +70,14 @@ func NewTables[V any](n, hint int) []Table[V] {
 	return ts
 }
 
+// Reset empties the table in place. It keeps its slot array, grown or
+// not: where an entry sits never shows, since Expire sorts what it returns
+// and lookups follow probe chains.
+func (t *Table[V]) Reset() {
+	clear(t.slots)
+	t.n, t.low = 0, 0
+}
+
 // Len returns the number of entries.
 func (t *Table[V]) Len() int { return t.n }
 

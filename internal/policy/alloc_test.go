@@ -19,7 +19,8 @@ var openAllocExceptions = map[string]string{}
 // every registered policy outside openAllocExceptions must handle LLC events
 // (demand hits, fills, evictions and writebacks) without allocating. The
 // events are a real trace's LLC stream, replayed on an LLC small enough that
-// every pass keeps missing and evicting.
+// every pass keeps missing and evicting. Resetting a warmed LLC, as a grid's
+// LLC pool does before every cell, must not allocate either.
 func TestPoliciesZeroAllocsPerLLCEvent(t *testing.T) {
 	spec, err := workload.Lookup("mcf")
 	if err != nil {
@@ -54,6 +55,9 @@ func TestPoliciesZeroAllocsPerLLCEvent(t *testing.T) {
 			t.Logf("%s: %.3f allocs per LLC event after warm-up (open exception: %s)", name, perEvent, where)
 		} else if allocs != 0 {
 			t.Errorf("%s: %.4f allocs per LLC event after warm-up, want 0", name, perEvent)
+		}
+		if allocs := testing.AllocsPerRun(runs, llc.Reset); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per Reset of a warmed LLC, want 0", name, allocs)
 		}
 	}
 }

@@ -72,10 +72,17 @@ type LIP struct {
 }
 
 // NewLIP builds a LIP policy.
-func NewLIP(sets, ways int) *LIP { return &LIP{lru: NewLRU(sets, ways)} }
+func NewLIP(sets, ways int) *LIP {
+	p := &LIP{lru: NewLRU(sets, ways)}
+	p.Reset()
+	return p
+}
 
 // Name implements cache.Policy.
 func (p *LIP) Name() string { return "lip" }
+
+// Reset implements cache.Resetter.
+func (p *LIP) Reset() { p.lru.Reset() }
 
 // Victim implements cache.Policy (LRU victim selection).
 func (p *LIP) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
@@ -104,11 +111,20 @@ type DIP struct {
 
 // NewDIP builds a DIP policy.
 func NewDIP(sets, ways int, seed uint64) *DIP {
-	return &DIP{lru: NewLRU(sets, ways), rng: newXorshift(seed), duel: newSetDuel()}
+	p := &DIP{lru: NewLRU(sets, ways), rng: newXorshift(seed)}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *DIP) Name() string { return "dip" }
+
+// Reset implements cache.Resetter.
+func (p *DIP) Reset() {
+	p.lru.Reset()
+	p.rng.reset()
+	p.duel = newSetDuel()
+}
 
 // Victim implements cache.Policy.
 func (p *DIP) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {

@@ -29,15 +29,25 @@ type EAF struct {
 
 // NewEAF builds an EAF policy.
 func NewEAF(sets, ways int, seed uint64) *EAF {
-	return &EAF{
+	p := &EAF{
 		state:  newRRPVState(sets, ways),
 		filter: make([]uint64, eafBits/64),
 		rng:    newXorshift(seed),
 	}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *EAF) Name() string { return "eaf" }
+
+// Reset implements cache.Resetter.
+func (p *EAF) Reset() {
+	p.state.reset()
+	clear(p.filter)
+	p.inserts = 0
+	p.rng.reset()
+}
 
 func eafHash1(b uint64) uint {
 	b ^= b >> 31
@@ -57,9 +67,7 @@ func (p *EAF) filterAdd(b uint64) {
 	p.filter[h2/64] |= 1 << (h2 % 64)
 	p.inserts++
 	if p.inserts >= eafMaxInserts {
-		for i := range p.filter {
-			p.filter[i] = 0
-		}
+		clear(p.filter)
 		p.inserts = 0
 	}
 }

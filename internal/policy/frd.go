@@ -52,13 +52,22 @@ func NewFRD(sets, ways int) *Reuse { return newLearnedReuse("frd", sets, ways, 1
 
 func newFRDRegressor() *frdRegressor {
 	r := &frdRegressor{hist: make([]uint8, frdTableSize*frdHistLen)}
-	for i := range r.hist {
-		r.hist[i] = reuseInitBucket
-	}
 	for t := range r.w {
 		r.w[t] = make([]int16, frdTableSize)
 	}
+	r.reset()
 	return r
+}
+
+// reset implements reuseModel: zero weights and every history at the
+// mid-range bucket.
+func (r *frdRegressor) reset() {
+	for i := range r.hist {
+		r.hist[i] = reuseInitBucket
+	}
+	for _, w := range r.w {
+		clear(w)
+	}
 }
 
 // features computes the table indices and prediction for an access by pc.

@@ -18,11 +18,19 @@ type LFU struct {
 
 // NewLFU builds an LFU policy.
 func NewLFU(sets, ways int) *LFU {
-	return &LFU{count: rows[uint32](sets, ways), lru: NewLRU(sets, ways)}
+	p := &LFU{count: rows[uint32](sets, ways), lru: NewLRU(sets, ways)}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *LFU) Name() string { return "lfu" }
+
+// Reset implements cache.Resetter.
+func (p *LFU) Reset() {
+	fillRows(p.count, 0)
+	p.lru.Reset()
+}
 
 // Victim implements cache.Policy: lowest count, ties broken by LRU.
 func (p *LFU) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
@@ -63,11 +71,15 @@ type LRFU struct {
 	// lambda is the decay exponent per access.
 	lambda float64
 	// decay[age] is math.Pow(0.5, lambda*float64(age)), the factor value
-	// would otherwise compute on every call.
-	decay []float64
-	crf   [][]float64
-	stamp [][]uint64
-	clock uint64
+	// would otherwise compute on every call, for every age below filled.
+	// decayAt fills the table on demand, up to the oldest age asked for:
+	// a short run never pays for the ages it does not reach. The table is
+	// a function of λ alone, so Reset keeps it.
+	decay  []float64
+	filled uint64
+	crf    [][]float64
+	stamp  [][]uint64
+	clock  uint64
 }
 
 // lrfuDecayAges bounds the decay table. The clock counts LLC events, so the
@@ -84,24 +96,41 @@ func NewLRFU(sets, ways int, lambda float64) *LRFU {
 	p.crf = make([][]float64, sets)
 	cb := make([]float64, lrfuDecayAges+sets*ways)
 	p.decay, cb = cb[:lrfuDecayAges], cb[lrfuDecayAges:]
-	for age := range p.decay {
-		p.decay[age] = math.Pow(0.5, lambda*float64(age))
-	}
 	for i := range p.crf {
 		p.crf[i], cb = cb[:ways], cb[ways:]
 	}
+	p.Reset()
 	return p
 }
 
 // Name implements cache.Policy.
 func (p *LRFU) Name() string { return "lrfu" }
 
+// Reset implements cache.Resetter. The decay table survives.
+func (p *LRFU) Reset() {
+	fillRows(p.crf, 0)
+	fillRows(p.stamp, 0)
+	p.clock = 0
+}
+
 // decayAt returns (1/2)^(λ·age), from the table when age is in it.
 func (p *LRFU) decayAt(age uint64) float64 {
-	if age < uint64(len(p.decay)) {
+	if age < p.filled {
 		return p.decay[age]
 	}
-	return math.Pow(0.5, p.lambda*float64(age))
+	return p.fillDecay(age)
+}
+
+// fillDecay is decayAt past the filled part of the table: it fills the
+// table up to age, or calls math.Pow for an age beyond the table.
+func (p *LRFU) fillDecay(age uint64) float64 {
+	if age >= uint64(len(p.decay)) {
+		return math.Pow(0.5, p.lambda*float64(age))
+	}
+	for ; p.filled <= age; p.filled++ {
+		p.decay[p.filled] = math.Pow(0.5, p.lambda*float64(p.filled))
+	}
+	return p.decay[age]
 }
 
 // value returns the decayed CRF of a line at the current clock.

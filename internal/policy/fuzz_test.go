@@ -4,8 +4,10 @@ package policy
 // streams must never panic, never evict an invalid way (cache.Access panics
 // on one), and produce bit-identical results when replayed on a fresh
 // instance — the determinism property the byte-identity differential suites
-// rest on. Seed corpora live in testdata/fuzz and replay under plain
-// `go test`; `make fuzz-smoke` gives the targets a mutation budget.
+// rest on. FuzzResetMatchesFresh holds every registered policy to the same
+// property across a reset. Seed corpora live in testdata/fuzz and replay
+// under plain `go test`; `make fuzz-smoke` gives the targets a mutation
+// budget.
 
 import (
 	"testing"
@@ -118,5 +120,73 @@ func FuzzMSAAccess(f *testing.F) {
 			}
 		}
 		fuzzVictimDirect(t, NewMSAK(sets, ways, k), accs, sets, ways)
+	})
+}
+
+// replayFuzzStream drives c over the stream and returns the per-access
+// results.
+func replayFuzzStream(c *cache.Cache, accs []fuzzAccess) []cache.AccessResult {
+	out := make([]cache.AccessResult, len(accs))
+	for i, a := range accs {
+		out[i] = c.Access(a.pc, a.block, 0, a.kind)
+	}
+	return out
+}
+
+// FuzzResetMatchesFresh: a reset LLC must behave exactly as a new one. The
+// first byte picks a registered policy, the second the geometry (1 to 16
+// sets, 1 to 8 ways), and the third how many records of the stream that
+// follows form stream A; the rest is stream B. One LLC replays A, is reset
+// and replays B. Every access result, the statistics and, for a predictor,
+// its final answer for every PC the streams can hold must equal those of a
+// new LLC replaying B.
+func FuzzResetMatchesFresh(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{6, 0x12, 2, 1, 2, 0, 0, 1, 2, 0, 0, 3, 4, 1, 1})
+	f.Add(func() []byte {
+		b := []byte{10, 0x31, 128}
+		for i := 0; i < 256; i++ {
+			b = append(b, byte(i%7), byte(i*5), byte(i>>4), byte(i%5))
+		}
+		return b
+	}())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		names := Names()
+		name := names[int(data[0])%len(names)]
+		cfg := cache.Config{Name: "fuzz", Sets: 1 << (data[1] % 5), Ways: 1 + int(data[1]>>4)%8}
+		accs := decodeFuzzStream(data[3:])
+		split := min(int(data[2]), len(accs))
+		build := func() *cache.Cache {
+			p, _ := New(name, cfg.Sets, cfg.Ways)
+			c, err := cache.New(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		fresh, reused := build(), build()
+		want := replayFuzzStream(fresh, accs[split:])
+		replayFuzzStream(reused, accs[:split])
+		reused.Reset()
+		got := replayFuzzStream(reused, accs[split:])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s on %d×%d: access %d of stream B after a reset: %+v, fresh %+v", name, cfg.Sets, cfg.Ways, i, got[i], want[i])
+			}
+		}
+		if got, want := reused.Stats(), fresh.Stats(); got != want {
+			t.Fatalf("%s on %d×%d: stats after a reset %+v, fresh %+v", name, cfg.Sets, cfg.Ways, got, want)
+		}
+		if fp, ok := fresh.Policy().(friendlyPredictor); ok {
+			rp := reused.Policy().(friendlyPredictor)
+			for pc := uint64(0); pc < 32; pc++ {
+				if rp.PredictFriendly(pc, 0) != fp.PredictFriendly(pc, 0) {
+					t.Fatalf("%s on %d×%d: PC %d predicted differently after a reset", name, cfg.Sets, cfg.Ways, pc)
+				}
+			}
+		}
 	})
 }

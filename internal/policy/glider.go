@@ -51,6 +51,13 @@ func (a *histArena) alloc() int32 {
 	return a.n - 1
 }
 
+// reset hands every record back, keeping the chunks: the next alloc
+// returns record 0, as in a new arena.
+func (a *histArena) reset() {
+	a.n = 0
+	a.free = a.free[:0]
+}
+
 // release returns a record to the free list.
 func (a *histArena) release(ref int32) { a.free = append(a.free, ref) }
 
@@ -96,16 +103,27 @@ func NewGlider(sets, ways int) *Glider {
 // NewGliderWithConfig builds a Glider policy with an explicit predictor
 // configuration (used by the ablation benchmarks).
 func NewGliderWithConfig(sets, ways int, cfg gl.Config) *Glider {
-	return &Glider{
+	p := &Glider{
 		state:     newRRPVState(sets, ways),
 		predictor: gl.NewPredictor(cfg),
 		sampler:   newOPTSampler[gliderSample](sets, ways),
 		hist:      histArena{k: cfg.HistoryLen},
 	}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *Glider) Name() string { return "glider" }
+
+// Reset implements cache.Resetter: the ISVM weights, PCHRs, sampler and
+// history arena all return to their initial state.
+func (p *Glider) Reset() {
+	p.state.reset()
+	p.predictor.Reset()
+	p.sampler.reset()
+	p.hist.reset()
+}
 
 // Predictor exposes the underlying ISVM predictor (for accuracy
 // measurements and Table 3 cost reporting).

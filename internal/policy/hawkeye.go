@@ -66,16 +66,27 @@ func (p *Hawkeye) Debug() TrainDebug { return p.debug }
 
 // NewHawkeye builds a Hawkeye policy for the given geometry.
 func NewHawkeye(sets, ways int) *Hawkeye {
-	return &Hawkeye{
+	p := &Hawkeye{
 		state:          newRRPVState(sets, ways),
 		counters:       make([]int8, hawkeyeTableSize),
 		sampler:        newOPTSampler[uint64](sets, ways),
 		detrainOnEvict: true,
 	}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *Hawkeye) Name() string { return "hawkeye" }
+
+// Reset implements cache.Resetter. The ablation switch detrainOnEvict and
+// attached metrics are configuration and stay.
+func (p *Hawkeye) Reset() {
+	p.state.reset()
+	clear(p.counters)
+	p.sampler.reset()
+	p.debug = TrainDebug{}
+}
 
 func (p *Hawkeye) counterIndex(pc uint64, core uint8) int {
 	return hashPC(pc^uint64(core)<<57, hawkeyeTableSize)

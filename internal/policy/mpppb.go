@@ -30,6 +30,7 @@ type MPPPB struct{ percRRIP }
 func NewMPPPB(sets, ways int) *MPPPB {
 	p := &MPPPB{}
 	p.percRRIP = newPercRRIP(sets, ways, mpppbFeatures, p)
+	p.Reset()
 	return p
 }
 

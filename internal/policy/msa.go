@@ -52,13 +52,19 @@ func newMSAModel() *msaModel {
 		ema:  make([]uint16, msaTableSize),
 		ring: make([]uint8, msaTableSize*reuseMaxSteps),
 	}
+	m.reset()
+	return m
+}
+
+// reset implements reuseModel: every EMA and ring entry at the mid-range
+// bucket.
+func (m *msaModel) reset() {
 	for i := range m.ema {
 		m.ema[i] = reuseInitBucket << msaEMAScale
 	}
 	for i := range m.ring {
 		m.ring[i] = reuseInitBucket
 	}
-	return m
 }
 
 // learn implements reuseModel: it feeds one observed reuse-distance bucket

@@ -77,6 +77,16 @@ func newPercRRIP(sets, ways, nf int, model percModel) percRRIP {
 	}
 }
 
+// Reset implements cache.Resetter for Perceptron and MPPPB, whose models
+// hold no state of their own.
+func (p *percRRIP) Reset() {
+	p.state.reset()
+	clear(p.weights)
+	clear(p.lines)
+	p.hist = [8][3]uint64{}
+	p.fills = 0
+}
+
 // line returns the feature indices and the flags of (set, way).
 func (p *percRRIP) line(set, way int) (feat []uint16, flags *uint16) {
 	i := (set*p.ways + way) * (p.nf + 1)
@@ -162,6 +172,7 @@ type Perceptron struct{ percRRIP }
 func NewPerceptron(sets, ways int) *Perceptron {
 	p := &Perceptron{}
 	p.percRRIP = newPercRRIP(sets, ways, 4, p)
+	p.Reset()
 	return p
 }
 

@@ -4,7 +4,13 @@
 // contribution, Glider (whose ISVM predictor lives in the glider package).
 //
 // Every policy implements cache.Policy: victim selection plus an update
-// callback on each access.
+// callback on each access. Every policy is also a cache.Resetter, under one
+// rule: its constructor allocates the policy's tables and then calls its
+// Reset, and Reset alone gives them their initial values. A fresh policy
+// and a reset one are therefore initialized by the same code, and a reused
+// LLC decides exactly as a fresh one would. Reset allocates nothing and
+// keeps what is configuration rather than state: the geometry, seeds,
+// ablation switches and attached observability.
 package policy
 
 import (
@@ -16,32 +22,33 @@ import (
 )
 
 // Factory constructs a policy for a cache with the given geometry. Policies
-// that need per-set or per-line state size themselves from it.
-type Factory func(sets, ways int) cache.Policy
+// that need per-set or per-line state size themselves from it. Every
+// registered policy can be reset, so an LLC running it can be reused.
+type Factory func(sets, ways int) cache.Resetter
 
 // registry maps policy names (as used in figures and on the command line)
 // to factories. Importers read it through Names, Known and New, so none can
 // change it.
 var registry = map[string]Factory{
-	"lru":        func(s, w int) cache.Policy { return NewLRU(s, w) },
-	"mru":        func(s, w int) cache.Policy { return NewMRU(s, w) },
-	"random":     func(s, w int) cache.Policy { return NewRandom(s, w, 1) },
-	"srrip":      func(s, w int) cache.Policy { return NewSRRIP(s, w) },
-	"brrip":      func(s, w int) cache.Policy { return NewBRRIP(s, w, 1) },
-	"drrip":      func(s, w int) cache.Policy { return NewDRRIP(s, w, 1) },
-	"ship++":     func(s, w int) cache.Policy { return NewSHiPPP(s, w) },
-	"mpppb":      func(s, w int) cache.Policy { return NewMPPPB(s, w) },
-	"perceptron": func(s, w int) cache.Policy { return NewPerceptron(s, w) },
-	"hawkeye":    func(s, w int) cache.Policy { return NewHawkeye(s, w) },
-	"glider":     func(s, w int) cache.Policy { return NewGlider(s, w) },
-	"lip":        func(s, w int) cache.Policy { return NewLIP(s, w) },
-	"dip":        func(s, w int) cache.Policy { return NewDIP(s, w, 1) },
-	"sdbp":       func(s, w int) cache.Policy { return NewSDBP(s, w) },
-	"lfu":        func(s, w int) cache.Policy { return NewLFU(s, w) },
-	"lrfu":       func(s, w int) cache.Policy { return NewLRFU(s, w, 0.001) },
-	"eaf":        func(s, w int) cache.Policy { return NewEAF(s, w, 1) },
-	"frd":        func(s, w int) cache.Policy { return NewFRD(s, w) },
-	"msa":        func(s, w int) cache.Policy { return NewMSA(s, w) },
+	"lru":        func(s, w int) cache.Resetter { return NewLRU(s, w) },
+	"mru":        func(s, w int) cache.Resetter { return NewMRU(s, w) },
+	"random":     func(s, w int) cache.Resetter { return NewRandom(s, w, 1) },
+	"srrip":      func(s, w int) cache.Resetter { return NewSRRIP(s, w) },
+	"brrip":      func(s, w int) cache.Resetter { return NewBRRIP(s, w, 1) },
+	"drrip":      func(s, w int) cache.Resetter { return NewDRRIP(s, w, 1) },
+	"ship++":     func(s, w int) cache.Resetter { return NewSHiPPP(s, w) },
+	"mpppb":      func(s, w int) cache.Resetter { return NewMPPPB(s, w) },
+	"perceptron": func(s, w int) cache.Resetter { return NewPerceptron(s, w) },
+	"hawkeye":    func(s, w int) cache.Resetter { return NewHawkeye(s, w) },
+	"glider":     func(s, w int) cache.Resetter { return NewGlider(s, w) },
+	"lip":        func(s, w int) cache.Resetter { return NewLIP(s, w) },
+	"dip":        func(s, w int) cache.Resetter { return NewDIP(s, w, 1) },
+	"sdbp":       func(s, w int) cache.Resetter { return NewSDBP(s, w) },
+	"lfu":        func(s, w int) cache.Resetter { return NewLFU(s, w) },
+	"lrfu":       func(s, w int) cache.Resetter { return NewLRFU(s, w, 0.001) },
+	"eaf":        func(s, w int) cache.Resetter { return NewEAF(s, w, 1) },
+	"frd":        func(s, w int) cache.Resetter { return NewFRD(s, w) },
+	"msa":        func(s, w int) cache.Resetter { return NewMSA(s, w) },
 }
 
 // Names returns the registered policy names, sorted. Test suites and
@@ -128,23 +135,40 @@ func rows[T any](sets, ways int) [][]T {
 	return r
 }
 
+// fillRows sets every entry of r to v.
+func fillRows[T any](r [][]T, v T) {
+	for _, row := range r {
+		for i := range row {
+			row[i] = v
+		}
+	}
+}
+
 // xorshift64 is a tiny deterministic PRNG for the probabilistic policies
-// (BRRIP's long-interval insertions, Random replacement).
-type xorshift64 uint64
+// (BRRIP's long-interval insertions, Random replacement). It keeps its
+// seed, so reset restarts the sequence.
+type xorshift64 struct{ state, seed uint64 }
 
 func newXorshift(seed uint64) xorshift64 {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
+	x := xorshift64{seed: seed}
+	x.reset()
+	return x
+}
+
+// reset restarts the sequence from the seed.
+func (x *xorshift64) reset() {
+	x.state = x.seed
+	if x.state == 0 {
+		x.state = 0x9e3779b97f4a7c15
 	}
-	return xorshift64(seed)
 }
 
 func (x *xorshift64) next() uint64 {
-	v := uint64(*x)
+	v := x.state
 	v ^= v << 13
 	v ^= v >> 7
 	v ^= v << 17
-	*x = xorshift64(v)
+	x.state = v
 	return v
 }
 
@@ -161,10 +185,20 @@ type LRU struct {
 }
 
 // NewLRU builds an LRU policy for the given geometry.
-func NewLRU(sets, ways int) *LRU { return &LRU{stamp: rows[uint64](sets, ways)} }
+func NewLRU(sets, ways int) *LRU {
+	l := &LRU{stamp: rows[uint64](sets, ways)}
+	l.Reset()
+	return l
+}
 
 // Name implements cache.Policy.
 func (l *LRU) Name() string { return "lru" }
+
+// Reset implements cache.Resetter.
+func (l *LRU) Reset() {
+	fillRows(l.stamp, 0)
+	l.clock = 0
+}
 
 // Victim evicts the least recently used line.
 func (l *LRU) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
@@ -195,10 +229,17 @@ type MRU struct {
 }
 
 // NewMRU builds an MRU policy.
-func NewMRU(sets, ways int) *MRU { return &MRU{lru: NewLRU(sets, ways)} }
+func NewMRU(sets, ways int) *MRU {
+	m := &MRU{lru: NewLRU(sets, ways)}
+	m.Reset()
+	return m
+}
 
 // Name implements cache.Policy.
 func (m *MRU) Name() string { return "mru" }
+
+// Reset implements cache.Resetter.
+func (m *MRU) Reset() { m.lru.Reset() }
 
 // Victim evicts the most recently used line.
 func (m *MRU) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
@@ -227,11 +268,17 @@ type Random struct {
 
 // NewRandom builds a random-replacement policy with a deterministic seed.
 func NewRandom(sets, ways int, seed uint64) *Random {
-	return &Random{ways: ways, rng: newXorshift(seed)}
+	r := &Random{ways: ways, rng: newXorshift(seed)}
+	r.Reset()
+	return r
 }
 
 // Name implements cache.Policy.
 func (r *Random) Name() string { return "random" }
+
+// Reset implements cache.Resetter: the victim sequence restarts from the
+// seed.
+func (r *Random) Reset() { r.rng.reset() }
 
 // Victim picks a random way.
 func (r *Random) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {

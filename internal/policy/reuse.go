@@ -58,6 +58,8 @@ type reuseModel interface {
 	predictBuckets(pc uint64, dst []uint8)
 	// learn trains the model on one observed reuse-distance bucket of pc.
 	learn(pc uint64, b uint8)
+	// reset returns the model to the state its constructor builds.
+	reset()
 }
 
 // ModelRow is one per-PC introspection row of a learned reuse-distance model
@@ -328,6 +330,7 @@ func newLearnedReuse(name string, sets, ways, k int, m reuseModel) *Reuse {
 	// A set's share of the window is reuseWindowFactor × ways blocks; start
 	// at half that and let busier sets grow.
 	p.last = opt.NewTables[reuseSample](sets, reuseWindowFactor*ways/2)
+	p.Reset()
 	return p
 }
 
@@ -338,7 +341,7 @@ func newLearnedReuse(name string, sets, ways, k int, m reuseModel) *Reuse {
 // byte-identical to the learned policies'.
 func NewReuseWithPredictor(sets, ways, k int, model ReusePredictor) *Reuse {
 	k = clampInt(k, 1, reuseMaxSteps)
-	return &Reuse{
+	p := &Reuse{
 		name:     "reuse",
 		ways:     ways,
 		k:        k,
@@ -347,10 +350,30 @@ func NewReuseWithPredictor(sets, ways, k int, model ReusePredictor) *Reuse {
 		rank:     make([]uint64, sets*ways*k),
 		model:    model,
 	}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *Reuse) Name() string { return p.name }
+
+// Reset implements cache.Resetter: the schedules, the clock, the trainer,
+// the per-PC error rows and the counters start over, and a learned model
+// is reset with them. An injected model belongs to its caller and is left
+// as it is.
+func (p *Reuse) Reset() {
+	p.clock = 0
+	clear(p.rank)
+	if p.learner != nil {
+		p.learner.reset()
+	}
+	for i := range p.last {
+		p.last[i].Reset()
+	}
+	p.expired = p.expired[:0]
+	p.pcErr.t.Reset()
+	p.debug = ReuseDebug{}
+}
 
 // Steps returns the prediction depth k.
 func (p *Reuse) Steps() int { return p.k }

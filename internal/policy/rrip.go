@@ -22,13 +22,12 @@ type rrpvState struct {
 
 func newRRPVState(sets, ways int) rrpvState {
 	s := rrpvState{ways: ways, rrpv: rows[uint8](sets, ways)}
-	for _, row := range s.rrpv {
-		for w := range row {
-			row[w] = maxRRPV
-		}
-	}
+	s.reset()
 	return s
 }
+
+// reset marks every line distant.
+func (s *rrpvState) reset() { fillRows(s.rrpv, maxRRPV) }
 
 // victim returns the way with RRPV == max, aging the set until one exists.
 func (s *rrpvState) victim(set int) int {
@@ -93,11 +92,16 @@ type SRRIP struct {
 
 // NewSRRIP builds an SRRIP policy.
 func NewSRRIP(sets, ways int) *SRRIP {
-	return &SRRIP{state: newRRPVState(sets, ways)}
+	p := &SRRIP{state: newRRPVState(sets, ways)}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *SRRIP) Name() string { return "srrip" }
+
+// Reset implements cache.Resetter.
+func (p *SRRIP) Reset() { p.state.reset() }
 
 // Victim implements cache.Policy.
 func (p *SRRIP) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
@@ -127,11 +131,19 @@ type BRRIP struct {
 
 // NewBRRIP builds a BRRIP policy with a deterministic seed.
 func NewBRRIP(sets, ways int, seed uint64) *BRRIP {
-	return &BRRIP{state: newRRPVState(sets, ways), rng: newXorshift(seed)}
+	p := &BRRIP{state: newRRPVState(sets, ways), rng: newXorshift(seed)}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *BRRIP) Name() string { return "brrip" }
+
+// Reset implements cache.Resetter.
+func (p *BRRIP) Reset() {
+	p.state.reset()
+	p.rng.reset()
+}
 
 // Victim implements cache.Policy.
 func (p *BRRIP) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
@@ -164,11 +176,20 @@ type DRRIP struct {
 
 // NewDRRIP builds a DRRIP policy.
 func NewDRRIP(sets, ways int, seed uint64) *DRRIP {
-	return &DRRIP{state: newRRPVState(sets, ways), rng: newXorshift(seed), duel: newSetDuel()}
+	p := &DRRIP{state: newRRPVState(sets, ways), rng: newXorshift(seed)}
+	p.Reset()
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *DRRIP) Name() string { return "drrip" }
+
+// Reset implements cache.Resetter.
+func (p *DRRIP) Reset() {
+	p.state.reset()
+	p.rng.reset()
+	p.duel = newSetDuel()
+}
 
 // Victim implements cache.Policy.
 func (p *DRRIP) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {

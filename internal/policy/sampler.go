@@ -43,6 +43,17 @@ func newOPTSampler[V any](sets, ways int) optSampler[V] {
 	}
 }
 
+// reset empties every set's OPTgen and table and restarts the sweep
+// cadence, keeping the tables' grown slots and attached metrics.
+func (s *optSampler[V]) reset() {
+	for i := range s.optgen {
+		s.optgen[i].Reset()
+		s.last[i].Reset()
+	}
+	s.accesses = 0
+	s.expired = s.expired[:0]
+}
+
 // attachObs publishes every set's OPTgen verdicts and occupancy into shared
 // metrics.
 func (s *optSampler[V]) attachObs(verdicts *obs.Vec, occupancy *obs.Histogram) {

@@ -56,11 +56,23 @@ func NewSDBP(sets, ways int) *SDBP {
 	for i := range p.tables {
 		p.tables[i] = make([]uint8, sdbpTableSize)
 	}
+	p.Reset()
 	return p
 }
 
 // Name implements cache.Policy.
 func (p *SDBP) Name() string { return "sdbp" }
+
+// Reset implements cache.Resetter.
+func (p *SDBP) Reset() {
+	for _, t := range p.tables {
+		clear(t)
+	}
+	clear(p.sampler)
+	p.clock = 0
+	fillRows(p.dead, false)
+	p.lru.Reset()
+}
 
 // index computes the i-th skewed table index for a PC.
 func (p *SDBP) index(i int, pc uint64) int {

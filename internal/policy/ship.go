@@ -45,14 +45,21 @@ func NewSHiPPP(sets, ways int) *SHiPPP {
 		shct:  make([]uint8, shctSize),
 		lines: rows[shipLine](sets, ways),
 	}
-	for i := range p.shct {
-		p.shct[i] = 1 // weakly not-reused, as in the reference code
-	}
+	p.Reset()
 	return p
 }
 
 // Name implements cache.Policy.
 func (p *SHiPPP) Name() string { return "ship++" }
+
+// Reset implements cache.Resetter.
+func (p *SHiPPP) Reset() {
+	p.state.reset()
+	for i := range p.shct {
+		p.shct[i] = 1 // weakly not-reused, as in the reference code
+	}
+	fillRows(p.lines, shipLine{})
+}
 
 func shipSignature(pc uint64) uint16 {
 	return uint16(hashPC(pc, shctSize))

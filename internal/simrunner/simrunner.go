@@ -9,7 +9,10 @@
 //     state with its siblings. Every simulation entry point in this
 //     repository (cpu.SingleCore, offline.BuildDataset, …) constructs its
 //     own LLC or hierarchy, DRAM model, and rand.Rand, and shares only
-//     immutable traces and L1/L2 captures, so this holds by design.
+//     immutable traces and L1/L2 captures, so this holds by design. The
+//     one exception is a grid's cpu.LLCPool: its cells take LLCs in
+//     whatever order they run, but every LLC is reset to the state a new
+//     one has before a cell replays on it.
 //  2. Seeds are positional, not temporal: SeedFor derives a job's seed from
 //     a stable hash of its key, never from scheduling order or wall-clock
 //     time, so a job's result does not depend on when or where it ran.
