@@ -258,7 +258,7 @@ func BenchmarkRunTable2Parallel(b *testing.B) {
 
 // BenchmarkFig11Sweep measures the full single-core policy sweep (33
 // benchmarks × 5 policies at Quick scale): the workload the trace store and
-// the fast upper-level filter target. BENCH_sim.json records its results.
+// the one-pass L1/L2 capture target. BENCH_sim.json records its results.
 func BenchmarkFig11Sweep(b *testing.B) {
 	cfg := experiments.Quick()
 	b.ReportAllocs()

@@ -350,6 +350,22 @@ func TestAuditResimulatesZoo(t *testing.T) {
 	}
 }
 
+// TestAuditResimZooHonoursTimeout: a zoo re-simulation that outlives
+// -timeout fails naming the deadline instead of running the grid to its
+// end.
+func TestAuditResimZooHonoursTimeout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "zoo.ledger")
+	z, err := experiments.RunZoo(experiments.Config{Accesses: 20000, Seed: 3}, []string{"zipf(objects=65536,skew=0.9)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoo := appendTo(t, path, experiments.LedgerKindZoo, z)
+	code, _, errOut := audit(t, "verify", "-ledger", path, "-artifact", zoo, "-resim", "-timeout", "1ms")
+	if code != 1 || !strings.Contains(errOut, "deadline exceeded") {
+		t.Fatalf("zoo verify -resim -timeout 1ms: exit %d, want 1 and the deadline: %s", code, errOut)
+	}
+}
+
 // TestAuditRefusesDuplicateArtifact writes a log that records one artifact
 // twice, under a batch whose root and chain link are recomputed over both
 // leaves. ledger.New refuses such a log, so audit verify must fail it too.

@@ -188,8 +188,9 @@ func verifyArtifact(rep ledger.VerifyReport, artifact string, resim bool, timeou
 // to exactly the stored bytes. Supported kinds are the ones whose payloads
 // are self-describing: "cell" and "estimate" (one simulation names its
 // workload, policy, accesses and seed) and "zoo" (an exhaustive grid names
-// its workloads, policies, accesses and seed; the grid runs to completion,
-// ignoring ctx).
+// its workloads, policies, accesses and seed). The grid takes no context,
+// so it runs in a goroutine and is abandoned when ctx ends first: the
+// caller exits right after.
 func resimulate(ctx context.Context, a ledger.VerifiedArtifact) error {
 	switch a.Kind {
 	case experiments.LedgerKindCell:
@@ -218,7 +219,18 @@ func resimulate(ctx context.Context, a ledger.VerifiedArtifact) error {
 			return err
 		}
 		cfg := experiments.Config{Accesses: rec.Accesses, Seed: rec.Seed}
-		fresh, err := experiments.RunSweepExhaustive(cfg, experiments.SweepOptions{Workloads: rec.Workloads, Policies: rec.Policies})
+		var fresh experiments.Sweep
+		var err error
+		done := make(chan struct{})
+		go func() {
+			fresh, err = experiments.RunSweepExhaustive(cfg, experiments.SweepOptions{Workloads: rec.Workloads, Policies: rec.Policies})
+			close(done)
+		}()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-done:
+		}
 		if err != nil {
 			return err
 		}

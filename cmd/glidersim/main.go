@@ -54,7 +54,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "synthetic trace seed")
 	cores := flag.Int("cores", 1, "number of cores; above 1 the trace runs alone on the shared 8 MB LLC with the 4-core DRAM model")
 	timing := flag.Bool("timing", false, "run the full timing model and report IPC")
-	warmupFrac := flag.Float64("warmup", 0.2, "fraction of the trace used for warmup")
 	workers := flag.Int("workers", 0, "concurrent policy runs when comparing (0 = one per CPU)")
 	list := flag.Bool("list", false, "list benchmarks and policies, then exit")
 	metricsPath := flag.String("metrics", "", "write JSONL telemetry events to this file (report with obsreport)")
@@ -112,7 +111,9 @@ func main() {
 		}
 	}
 
-	warmup := int(float64(tr.Len()) * *warmupFrac)
+	// The first fifth of the trace warms the caches, as in every other
+	// replay (the paper warms up on 200M of 1B instructions).
+	warmup := tr.Len() / 5
 	c, err := cpu.NewCapture(context.Background(), tr, *cores)
 	if err != nil {
 		fatal(err)

@@ -4,7 +4,9 @@
 //
 // The replacement policy controls victim selection and receives an update
 // callback on every access, mirroring the interface of the Cache Replacement
-// Championship (CRC2) simulator the paper evaluates with.
+// Championship (CRC2) simulator the paper evaluates with. Every level runs
+// on the one Cache type. The LRU policy lives here, not with the other
+// policies, because the private L1 and L2 run it.
 package cache
 
 import (
@@ -47,8 +49,9 @@ type AccessResult struct {
 	WritebackNeeded bool
 }
 
-// Policy decides replacement for one cache. Implementations live in the
-// policy package; the interface is defined here to avoid an import cycle.
+// Policy decides replacement for one cache. Implementations but LRU
+// (lru.go) live in the policy package; the interface is defined here to
+// avoid an import cycle.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -117,15 +120,26 @@ var (
 	SharedLLCConfig4 = Config{Name: "LLC", Sets: 8192, Ways: 16, LatencyCycles: 26}
 )
 
+// check reports a geometry New cannot build.
+func (c Config) check() error {
+	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
+		return fmt.Errorf("cache %s: sets must be a positive power of two, got %d", c.Name, c.Sets)
+	}
+	if c.Ways <= 0 {
+		return fmt.Errorf("cache %s: ways must be positive, got %d", c.Name, c.Ways)
+	}
+	return nil
+}
+
 // Cache is one set-associative cache level.
 //
-// On the policy-driven path a set's ways live at [set*Ways, (set+1)*Ways) of
-// two parallel slabs: tags, which the hit scan reads, and lines, the Lines
-// the policy sees (Line.Tag repeats the tag there). A miss fills the first
-// invalid way and only Flush invalidates, so a set's valid ways are always
-// the prefix [0, valid[set]). The cache reads that count, never a Line's
-// Valid bit, which is kept for the policies. tags and valid share one
-// allocation.
+// A set's ways live at [set*Ways, (set+1)*Ways) of two parallel slabs:
+// tags, which the hit scan reads, and lines, the Lines the policy sees
+// (Line.Tag repeats the tag there). A miss fills the first invalid way and
+// nothing but Reset invalidates, so a set's valid ways are always the
+// prefix [0, valid[set]), which only grows until Reset. The cache reads
+// that count, never a Line's Valid bit, which is kept for the policies.
+// tags and valid share one allocation.
 type Cache struct {
 	cfg    Config
 	policy Policy
@@ -133,9 +147,6 @@ type Cache struct {
 	lines  []Line
 	valid  []uint64
 	stats  Stats
-	// fast, when non-nil, selects the specialized upper-level LRU path (see
-	// fastlru.go); policy, tags, lines and valid are unused on that path.
-	fast *fastLRU
 	// obs, when non-nil, receives per-access observability callbacks. The
 	// nil check is the only cost the instrumentation adds to a run with
 	// observability disabled.
@@ -144,11 +155,8 @@ type Cache struct {
 
 // New builds a cache with the given geometry and replacement policy.
 func New(cfg Config, p Policy) (*Cache, error) {
-	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: sets must be a positive power of two, got %d", cfg.Name, cfg.Sets)
-	}
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("cache %s: ways must be positive, got %d", cfg.Name, cfg.Ways)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	if p == nil {
 		return nil, fmt.Errorf("cache %s: nil policy", cfg.Name)
@@ -173,6 +181,24 @@ func MustNew(cfg Config, p Policy) *Cache {
 	return c
 }
 
+// NewUpperLRU builds a private upper-level cache: New with an LRU policy
+// sized for cfg.
+func NewUpperLRU(cfg Config) (*Cache, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	return New(cfg, NewLRU(cfg.Sets, cfg.Ways))
+}
+
+// MustNewUpperLRU is NewUpperLRU but panics on configuration error.
+func MustNewUpperLRU(cfg Config) *Cache {
+	c, err := NewUpperLRU(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -190,9 +216,6 @@ func (c *Cache) SetIndex(block uint64) int { return int(block & uint64(c.cfg.Set
 
 // Lookup reports whether block is present without updating any state.
 func (c *Cache) Lookup(block uint64) bool {
-	if c.fast != nil {
-		return c.lookupFast(block)
-	}
 	set := c.SetIndex(block)
 	base := set * c.cfg.Ways
 	for _, t := range c.tags[base : base+int(c.valid[set])] {
@@ -206,9 +229,6 @@ func (c *Cache) Lookup(block uint64) bool {
 // Access performs one access. On a miss the line is filled (subject to the
 // policy's bypass decision) and the displaced line, if any, is reported.
 func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResult {
-	if c.fast != nil {
-		return c.accessFast(pc, block, core, kind)
-	}
 	ways := c.cfg.Ways
 	set := c.SetIndex(block)
 	base := set * ways
@@ -288,14 +308,9 @@ func (c *Cache) Access(pc, block uint64, core uint8, kind trace.Kind) AccessResu
 // Reset returns the cache to the state New builds around a fresh policy:
 // every line empty, zero counters, and the policy reset (see Resetter).
 // It panics if the policy is not a Resetter. An attached Observer stays
-// attached. A cache on the fast LRU path (NewUpperLRU) resets its own LRU
-// state.
+// attached.
 func (c *Cache) Reset() {
 	c.stats = Stats{}
-	if c.fast != nil {
-		c.fast.reset()
-		return
-	}
 	r, ok := c.policy.(Resetter)
 	if !ok {
 		panic(fmt.Sprintf("cache %s: policy %s cannot be reset", c.cfg.Name, c.policy.Name()))
@@ -304,26 +319,4 @@ func (c *Cache) Reset() {
 	clear(c.lines)
 	clear(c.valid)
 	r.Reset()
-}
-
-// Flush invalidates every line (without policy notifications).
-func (c *Cache) Flush() {
-	if c.fast != nil {
-		c.flushFast()
-		return
-	}
-	clear(c.lines)
-	clear(c.valid)
-}
-
-// Occupancy returns the fraction of valid lines, for diagnostics.
-func (c *Cache) Occupancy() float64 {
-	if c.fast != nil {
-		return c.occupancyFast()
-	}
-	var valid uint64
-	for _, n := range c.valid {
-		valid += n
-	}
-	return float64(valid) / float64(c.cfg.Lines())
 }

@@ -37,8 +37,7 @@ func ExampleCache() {
 // The three-level hierarchy filters accesses: only L1/L2 misses reach the
 // LLC, which is the stream replacement policies study.
 func ExampleHierarchy() {
-	upper := func(sets, ways int) cache.Policy { return &fifo{next: map[int]int{}} }
-	h, err := cache.NewHierarchy(1, cache.LLCConfig, &fifo{next: map[int]int{}}, upper)
+	h, err := cache.NewHierarchy(1, cache.LLCConfig, &fifo{next: map[int]int{}})
 	if err != nil {
 		fmt.Println(err)
 		return

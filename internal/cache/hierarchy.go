@@ -58,41 +58,16 @@ type Hierarchy struct {
 	llc *Cache
 }
 
-// LRUFactory builds the replacement policy of the private upper levels. It
-// is a function type so a caller can pass the policy package's LRU, the
-// reference the fast path is checked against, without an import cycle;
-// NewHierarchy takes nil for the built-in fast LRU.
-type LRUFactory func(sets, ways int) Policy
-
-// NewHierarchy builds a hierarchy with `cores` private L1/L2 pairs (using
-// upperPolicy to build their replacement state) and the given shared LLC.
-//
-// A nil upperPolicy selects the specialized fast LRU path (fastlru.go) for
-// the upper levels, which is bit-identical to New with the policy package's
-// LRU but avoids the per-access interface dispatch. Pass an explicit factory
-// only when the upper-level replacement state itself is under study.
-func NewHierarchy(cores int, llcCfg Config, llcPolicy Policy, upperPolicy LRUFactory) (*Hierarchy, error) {
+// NewHierarchy builds a hierarchy with `cores` private L1/L2 pairs, each an
+// LRU cache (NewUpperLRU), and an LLC of geometry llcCfg running llcPolicy.
+func NewHierarchy(cores int, llcCfg Config, llcPolicy Policy) (*Hierarchy, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("cache: cores must be positive, got %d", cores)
 	}
-	newUpper := func(cfg Config) (*Cache, error) {
-		if upperPolicy == nil {
-			return NewUpperLRU(cfg)
-		}
-		return New(cfg, upperPolicy(cfg.Sets, cfg.Ways))
-	}
 	h := &Hierarchy{}
 	for i := 0; i < cores; i++ {
-		l1, err := newUpper(L1DConfig)
-		if err != nil {
-			return nil, err
-		}
-		l2, err := newUpper(L2Config)
-		if err != nil {
-			return nil, err
-		}
-		h.l1 = append(h.l1, l1)
-		h.l2 = append(h.l2, l2)
+		h.l1 = append(h.l1, MustNewUpperLRU(L1DConfig))
+		h.l2 = append(h.l2, MustNewUpperLRU(L2Config))
 	}
 	llc, err := New(llcCfg, llcPolicy)
 	if err != nil {

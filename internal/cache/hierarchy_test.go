@@ -6,46 +6,13 @@ import (
 	"glider/internal/trace"
 )
 
-// lruTest is a tiny true-LRU policy used to drive the hierarchy in tests.
-type lruTest struct {
-	stamp [][]uint64
-	clock uint64
-}
-
-func newLRUTest(sets, ways int) *lruTest {
-	l := &lruTest{stamp: make([][]uint64, sets)}
-	for i := range l.stamp {
-		l.stamp[i] = make([]uint64, ways)
-	}
-	return l
-}
-
-func (l *lruTest) Name() string { return "lru-test" }
-func (l *lruTest) Victim(set int, pc, block uint64, core uint8, lines []Line) int {
-	victim, oldest := 0, ^uint64(0)
-	for w := range lines {
-		if l.stamp[set][w] < oldest {
-			oldest = l.stamp[set][w]
-			victim = w
-		}
-	}
-	return victim
-}
-func (l *lruTest) Update(set, way int, pc, block uint64, core uint8, hit bool, kind trace.Kind) {
-	l.clock++
-	if way >= 0 {
-		l.stamp[set][way] = l.clock
-	}
-}
-
 func testHierarchy(t *testing.T, cores int) *Hierarchy {
 	t.Helper()
-	upper := func(sets, ways int) Policy { return newLRUTest(sets, ways) }
 	cfg := LLCConfig
 	if cores > 1 {
 		cfg = SharedLLCConfig4
 	}
-	h, err := NewHierarchy(cores, cfg, newLRUTest(cfg.Sets, cfg.Ways), upper)
+	h, err := NewHierarchy(cores, cfg, NewLRU(cfg.Sets, cfg.Ways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +82,7 @@ func TestHierarchyCores(t *testing.T) {
 }
 
 func TestHierarchyInvalidCores(t *testing.T) {
-	upper := func(sets, ways int) Policy { return newLRUTest(sets, ways) }
-	if _, err := NewHierarchy(0, LLCConfig, newLRUTest(2048, 16), upper); err == nil {
+	if _, err := NewHierarchy(0, LLCConfig, NewLRU(2048, 16)); err == nil {
 		t.Fatal("0 cores accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"glider/internal/cache"
 	"glider/internal/obs"
-	"glider/internal/policy"
 	"glider/internal/trace"
 )
 
@@ -14,7 +13,7 @@ import (
 // observer must be a pure mirror, never a second bookkeeper that drifts.
 func TestObserverMatchesStats(t *testing.T) {
 	cfg := cache.Config{Name: "LLC", Sets: 16, Ways: 4, LatencyCycles: 1}
-	c := cache.MustNew(cfg, policy.NewLRU(cfg.Sets, cfg.Ways))
+	c := cache.MustNew(cfg, cache.NewLRU(cfg.Sets, cfg.Ways))
 	reg := obs.NewRegistry()
 	o := cache.NewObserver(reg, cfg)
 	if o == nil {
@@ -77,7 +76,7 @@ func TestObserverMatchesStats(t *testing.T) {
 // last touched it.
 func TestObserverReuseTracking(t *testing.T) {
 	cfg := cache.Config{Name: "LLC", Sets: 1, Ways: 2, LatencyCycles: 1}
-	c := cache.MustNew(cfg, policy.NewLRU(cfg.Sets, cfg.Ways))
+	c := cache.MustNew(cfg, cache.NewLRU(cfg.Sets, cfg.Ways))
 	reg := obs.NewRegistry()
 	c.AttachObserver(cache.NewObserver(reg, cfg))
 
@@ -116,7 +115,7 @@ func TestObserverReuseTracking(t *testing.T) {
 func TestObserverDisabledIsInert(t *testing.T) {
 	run := func(attach bool) cache.Stats {
 		cfg := cache.Config{Name: "LLC", Sets: 8, Ways: 2, LatencyCycles: 1}
-		c := cache.MustNew(cfg, policy.NewLRU(cfg.Sets, cfg.Ways))
+		c := cache.MustNew(cfg, cache.NewLRU(cfg.Sets, cfg.Ways))
 		if attach {
 			c.AttachObserver(nil)
 		}

@@ -4,7 +4,7 @@ package cache
 // packed tag store, verbatim apart from renaming: one []Line per set, a hit
 // scan that reads every Line, and a scan for the first invalid way on every
 // miss. The reference wall (reference_wall_test.go) drives it beside Cache
-// and requires identical results, statistics, lookups, occupancy and Victim
+// and requires identical results, statistics, lookups and Victim
 // arguments.
 
 import (
@@ -129,26 +129,4 @@ func (c *Reference) Access(pc, block uint64, core uint8, kind trace.Kind) Access
 	}
 	c.policy.Update(set, way, pc, block, core, false, kind)
 	return res
-}
-
-// Flush invalidates every line (without policy notifications).
-func (c *Reference) Flush() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = Line{}
-		}
-	}
-}
-
-// Occupancy returns the fraction of valid lines, for diagnostics.
-func (c *Reference) Occupancy() float64 {
-	valid := 0
-	for s := range c.sets {
-		for _, l := range c.sets[s] {
-			if l.Valid {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(c.cfg.Lines())
 }

@@ -15,12 +15,11 @@ import (
 	"glider/internal/workload"
 )
 
-// llcEvent is one call to a cache's Access, or a Flush.
+// llcEvent is one call to a cache's Access.
 type llcEvent struct {
 	pc, block uint64
 	core      uint8
 	kind      trace.Kind
-	flush     bool
 }
 
 // updateLog wraps a policy and records every Update call as the access that
@@ -84,9 +83,9 @@ func newWallPolicy(t testing.TB, name string, cfg cache.Config) cache.Policy {
 
 // replayBoth drives a Cache and a Reference, each with its own instance of
 // the named policy, through events in lockstep. It fails at the first
-// difference in an AccessResult, the Stats, the lines a Victim call sees, a
-// Lookup or the Occupancy, and at the end compares the two caches' observer
-// snapshots. It returns how many Victim calls the replay made.
+// difference in an AccessResult, the Stats, the lines a Victim call sees or
+// a Lookup, and at the end compares the two caches' observer snapshots. It
+// returns how many Victim calls the replay made.
 func replayBoth(t testing.TB, name string, cfg cache.Config, events []llcEvent) int {
 	t.Helper()
 	gotPol := &victimLog{Policy: newWallPolicy(t, name, cfg)}
@@ -101,10 +100,7 @@ func replayBoth(t testing.TB, name string, cfg cache.Config, events []llcEvent) 
 	want.AttachObserver(cache.NewObserver(wantReg, cfg))
 
 	for i, e := range events {
-		if e.flush {
-			got.Flush()
-			want.Flush()
-		} else if g, w := got.Access(e.pc, e.block, e.core, e.kind), want.Access(e.pc, e.block, e.core, e.kind); g != w {
+		if g, w := got.Access(e.pc, e.block, e.core, e.kind), want.Access(e.pc, e.block, e.core, e.kind); g != w {
 			t.Fatalf("%s: event %d (%+v): result %+v, reference %+v", name, i, e, g, w)
 		}
 		if g, w := got.Stats(), want.Stats(); g != w {
@@ -117,11 +113,6 @@ func replayBoth(t testing.TB, name string, cfg cache.Config, events []llcEvent) 
 		for _, b := range []uint64{e.block, events[i/2].block, e.block + 1} {
 			if got.Lookup(b) != want.Lookup(b) {
 				t.Fatalf("%s: event %d: Lookup(%d) = %v, reference %v", name, i, b, got.Lookup(b), want.Lookup(b))
-			}
-		}
-		if e.flush || i%1024 == 0 || i == len(events)-1 {
-			if g, w := got.Occupancy(), want.Occupancy(); g != w {
-				t.Fatalf("%s: event %d: occupancy %v, reference %v", name, i, g, w)
 			}
 		}
 	}
@@ -153,22 +144,17 @@ func captureEvents(t testing.TB, name string, accesses, cores int) []llcEvent {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &updateLog{Policy: policy.NewLRU(cache.LLCConfig.Sets, cache.LLCConfig.Ways)}
+	rec := &updateLog{Policy: cache.NewLRU(cache.LLCConfig.Sets, cache.LLCConfig.Ways)}
 	if _, err := c.RunFunctional(ctx, cache.MustNew(cache.LLCConfig, rec), 0, false); err != nil {
 		t.Fatal(err)
 	}
 	return rec.events
 }
 
-// randomEvents is a stream over 3× the capacity of cfg, with a Flush about
-// every 500 events.
+// randomEvents is a stream over 3× the capacity of cfg.
 func randomEvents(r *rand.Rand, cfg cache.Config, n int) []llcEvent {
 	events := make([]llcEvent, n)
 	for i := range events {
-		if r.Intn(500) == 0 {
-			events[i].flush = true
-			continue
-		}
 		events[i] = llcEvent{
 			pc:    uint64(0x400000 + r.Intn(32)*4),
 			block: uint64(r.Intn(3 * cfg.Lines())),
@@ -183,7 +169,7 @@ func randomEvents(r *rand.Rand, cfg cache.Config, n int) []llcEvent {
 // every registered policy and a bypassing stub run on Cache and on the
 // reference cache (reference_test.go) over real LLC streams (mcf alone and
 // a four-core interleave, on the Table 1 LLC and a 64-set LLC that keeps
-// evicting) and over random streams with Flushes on small geometries.
+// evicting) and over random streams on small geometries.
 func TestCacheMatchesReference(t *testing.T) {
 	t.Parallel()
 	type run struct {
@@ -213,8 +199,7 @@ func TestCacheMatchesReference(t *testing.T) {
 // cache through an arbitrary stream. Byte 0 picks the policy (every
 // registered one and the bypassing stub), byte 1 the geometry (4 to 32
 // sets, 2 to 16 ways); then each 4-byte record is one access (PC selector,
-// two block bytes, and a byte holding the kind and core) or, when that last
-// byte is 0xf0 or above, a Flush.
+// two block bytes, and a byte holding the kind and core).
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 0, 3, 4, 0, 1, 1, 2, 0, 2, 5, 6, 0, 0xf0, 1, 2, 0, 1})
 	f.Add([]byte{9, 0x0f, 7, 1, 0, 5, 7, 2, 0, 6, 7, 3, 0, 4, 7, 4, 0, 5})
@@ -241,7 +226,6 @@ func FuzzCacheMatchesReference(f *testing.F) {
 				block: uint64(data[i+1]) | uint64(data[i+2]&1)<<8,
 				core:  op >> 2 & 3,
 				kind:  trace.Kind(op % 3),
-				flush: op >= 0xf0,
 			})
 		}
 		if len(events) == 0 {

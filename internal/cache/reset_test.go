@@ -6,20 +6,14 @@ import (
 	"testing"
 
 	"glider/internal/cache"
-	"glider/internal/policy"
 	"glider/internal/trace"
 )
 
-// TestResetMatchesNew replays a random stream A on a cache, resets it and
-// replays a stream B, on the policy-driven path and on the fast LRU path.
-// Every access result, the statistics and the occupancy must equal those of
-// a new cache replaying B.
+// TestResetMatchesNew replays a random stream A on an LRU cache, resets it
+// and replays a stream B. Every access result, the statistics and the
+// resident blocks must equal those of a new cache replaying B.
 func TestResetMatchesNew(t *testing.T) {
 	cfg := cache.Config{Name: "reset", Sets: 16, Ways: 4}
-	builds := map[string]func() *cache.Cache{
-		"policy": func() *cache.Cache { return cache.MustNew(cfg, policy.NewLRU(cfg.Sets, cfg.Ways)) },
-		"fast":   func() *cache.Cache { return cache.MustNewUpperLRU(cfg) },
-	}
 	stream := func(seed int64) []trace.Access {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]trace.Access, 5000)
@@ -36,19 +30,19 @@ func TestResetMatchesNew(t *testing.T) {
 		return out
 	}
 	a, b := stream(1), stream(2)
-	for name, build := range builds {
-		fresh, reused := build(), build()
-		want := replay(fresh, b)
-		replay(reused, a)
-		reused.Reset()
-		if got := replay(reused, b); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: access results after a reset differ from a new cache's", name)
-		}
-		if got, want := reused.Stats(), fresh.Stats(); got != want {
-			t.Errorf("%s: stats after a reset %+v, new cache %+v", name, got, want)
-		}
-		if got, want := reused.Occupancy(), fresh.Occupancy(); got != want {
-			t.Errorf("%s: occupancy after a reset %v, new cache %v", name, got, want)
+	fresh, reused := cache.MustNewUpperLRU(cfg), cache.MustNewUpperLRU(cfg)
+	want := replay(fresh, b)
+	replay(reused, a)
+	reused.Reset()
+	if got := replay(reused, b); !reflect.DeepEqual(got, want) {
+		t.Error("access results after a reset differ from a new cache's")
+	}
+	if got, want := reused.Stats(), fresh.Stats(); got != want {
+		t.Errorf("stats after a reset %+v, new cache %+v", got, want)
+	}
+	for block := uint64(0); block < 256; block++ {
+		if got, want := reused.Lookup(block), fresh.Lookup(block); got != want {
+			t.Errorf("block %d: resident %v after a reset, %v in a new cache", block, got, want)
 		}
 	}
 }

@@ -110,14 +110,6 @@ type FunctionalResult struct {
 	Predictions []bool
 }
 
-// FriendlyPredictor is implemented by policies whose predictor can be
-// queried for a cache-friendly/averse classification (Hawkeye, Glider, and
-// the reuse-distance family FRD/MSA) — used by the Figure 10 accuracy
-// experiment and gliderd's /v1/predict.
-type FriendlyPredictor interface {
-	PredictFriendly(pc uint64, core uint8) bool
-}
-
 // RunFunctional executes the trace without timing, optionally collecting
 // the LLC access stream and per-access predictions, as capture-then-replay
 // over h (see Run). Cancelling ctx aborts the run within a few thousand

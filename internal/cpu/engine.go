@@ -25,6 +25,7 @@ import (
 
 	"glider/internal/cache"
 	"glider/internal/dram"
+	"glider/internal/policy"
 	"glider/internal/trace"
 )
 
@@ -62,10 +63,9 @@ type Capture struct {
 	wbs    []llcWriteback
 }
 
-// NewCapture runs t through fresh private L1/L2 caches (the fast LRU path),
-// one pair per core, folding accesses of cores beyond cores onto core 0 as
-// Run does. Cancelling ctx aborts the capture within a few thousand
-// accesses.
+// NewCapture runs t through fresh private LRU L1/L2 caches, one pair per
+// core, folding accesses of cores beyond cores onto core 0 as Run does.
+// Cancelling ctx aborts the capture within a few thousand accesses.
 func NewCapture(ctx context.Context, t *trace.Trace, cores int) (*Capture, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("cpu: cores must be positive, got %d", cores)
@@ -325,16 +325,16 @@ func (c *Capture) Run(ctx context.Context, llc *cache.Cache, d *dram.DRAM, cfg C
 
 // RunFunctional replays the capture on llc without timing, optionally
 // collecting the post-warmup LLC demand stream and, when llc's policy is a
-// FriendlyPredictor, its prediction for each streamed access, queried before
-// that access's writebacks reach the LLC. Cancelling ctx aborts the run
-// within a few thousand accesses.
+// policy.FriendlyPredictor, its prediction for each streamed access,
+// queried before that access's writebacks reach the LLC. Cancelling ctx
+// aborts the run within a few thousand accesses.
 func (c *Capture) RunFunctional(ctx context.Context, llc *cache.Cache, warmup int, collect bool) (FunctionalResult, error) {
 	t := c.t
 	if err := checkWarmup(t, warmup); err != nil {
 		return FunctionalResult{}, err
 	}
 	var out FunctionalResult
-	predictor, hasPredictor := llc.Policy().(FriendlyPredictor)
+	predictor, hasPredictor := llc.Policy().(policy.FriendlyPredictor)
 	if collect {
 		// No capacity hint: observed LLC-access rates on the registered
 		// workloads span 60–100% of the trace, so any fixed guess either

@@ -130,7 +130,7 @@ func TestEngineMatchesReferenceSingleCore(t *testing.T) {
 
 				small := func() *cache.Hierarchy {
 					p, _ := policy.New(pol, smallLLC.Sets, smallLLC.Ways)
-					h, err := cache.NewHierarchy(1, smallLLC, p, nil)
+					h, err := cache.NewHierarchy(1, smallLLC, p)
 					if err != nil {
 						t.Fatal(err)
 					}

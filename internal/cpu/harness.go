@@ -20,11 +20,7 @@ func BuildHierarchy(cores int, policyName string) (*cache.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	// nil upper factory selects the specialized fast LRU path for L1/L2 —
-	// bit-identical to policy.NewLRU (see cache/fastlru.go and the
-	// equivalence suite in equivalence_test.go) without per-access policy
-	// dispatch.
-	return cache.NewHierarchy(cores, llcCfg, p, nil)
+	return cache.NewHierarchy(cores, llcCfg, p)
 }
 
 // BuildLLC builds the LLC alone, exactly as BuildHierarchy would: the

@@ -11,6 +11,7 @@ import (
 
 	"glider/internal/cache"
 	"glider/internal/dram"
+	"glider/internal/policy"
 	"glider/internal/trace"
 )
 
@@ -135,7 +136,7 @@ func refRunFunctional(ctx context.Context, t *trace.Trace, h *cache.Hierarchy, w
 		return FunctionalResult{}, fmt.Errorf("cpu: warmup %d out of range for trace of %d accesses", warmup, t.Len())
 	}
 	var out FunctionalResult
-	predictor, hasPredictor := h.LLC().Policy().(FriendlyPredictor)
+	predictor, hasPredictor := h.LLC().Policy().(policy.FriendlyPredictor)
 	if collect {
 		// No capacity hint: observed LLC-access rates on the registered
 		// workloads span 60–100% of the trace, so any fixed guess either

@@ -122,7 +122,7 @@ func RunPredictCell(ctx context.Context, workloadName, policyName string, access
 	if err != nil {
 		return PredictResult{}, err
 	}
-	pred, ok := llc.Policy().(cpu.FriendlyPredictor)
+	pred, ok := llc.Policy().(policy.FriendlyPredictor)
 	if !ok {
 		return PredictResult{}, fmt.Errorf("experiments: policy %q does not expose a friendly/averse predictor", policyName)
 	}

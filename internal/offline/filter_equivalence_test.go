@@ -7,21 +7,19 @@ import (
 
 	"glider/internal/cache"
 	"glider/internal/cpu"
-	"glider/internal/policy"
 	"glider/internal/trace"
 	"glider/internal/workload"
 )
 
 // referenceFilterToLLC is the pre-optimization filter: a full three-level
-// hierarchy (generic LRU upper levels plus an LRU LLC) whose LLCAccessed
+// hierarchy (LRU upper levels plus an LRU LLC) whose LLCAccessed
 // flag selects the stream. Datasets take their stream from the L1/L2
 // capture instead (cpu.Capture.LLCStream), which never simulates the LLC —
 // valid because nothing flows from the LLC back into L1/L2 — and this test
 // pins the two streams against each other for every registered workload.
 func referenceFilterToLLC(t *testing.T, tr *trace.Trace) *trace.Trace {
 	t.Helper()
-	upper := func(sets, ways int) cache.Policy { return policy.NewLRU(sets, ways) }
-	h, err := cache.NewHierarchy(1, cache.LLCConfig, policy.NewLRU(cache.LLCConfig.Sets, cache.LLCConfig.Ways), upper)
+	h, err := cache.NewHierarchy(1, cache.LLCConfig, cache.NewLRU(cache.LLCConfig.Sets, cache.LLCConfig.Ways))
 	if err != nil {
 		t.Fatal(err)
 	}

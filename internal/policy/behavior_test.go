@@ -58,17 +58,13 @@ func TestGliderAverseHitDemotes(t *testing.T) {
 	}
 }
 
-func TestHawkeyeDetrainToggle(t *testing.T) {
+// TestHawkeyeDetrainOnForcedEviction: evicting a friendly line detrains
+// the PC that last touched it.
+func TestHawkeyeDetrainOnForcedEviction(t *testing.T) {
 	t.Parallel()
 	p := NewHawkeye(1, 2)
 	p.state.rrpv[0][0], p.state.rrpv[0][1] = 3, 5 // both friendly: a forced eviction
 	lines := []cache.Line{{Valid: true, Tag: 1, PC: 5}, {Valid: true, Tag: 2, PC: 5}}
-	p.detrainOnEvict = false
-	p.Victim(0, 9, 3, 0, lines)
-	if p.Debug().TrainNeg != 0 {
-		t.Fatal("detraining fired while disabled")
-	}
-	p.detrainOnEvict = true
 	p.Victim(0, 9, 3, 0, lines)
 	if p.Debug().TrainNeg != 1 {
 		t.Fatal("a forced friendly eviction did not detrain")

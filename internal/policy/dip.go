@@ -52,28 +52,16 @@ func (d *setDuel) missUsesB(set int) bool {
 	}
 }
 
-// insertLRU stamps way below every other line of its set, so a fill that
-// is never reused is the set's next victim.
-func (l *LRU) insertLRU(set, way int) {
-	oldest := l.clock
-	for w, s := range l.stamp[set] {
-		if w != way && s < oldest {
-			oldest = s
-		}
-	}
-	l.stamp[set][way] = max(oldest, 1) - 1
-}
-
 // LIP is the LRU-Insertion Policy: lines insert at the *LRU* position, so a
 // never-reused line is the immediate next victim. It is BIP's ε→0 limit and
 // is exposed separately as a useful baseline.
 type LIP struct {
-	lru *LRU
+	lru *cache.LRU
 }
 
 // NewLIP builds a LIP policy.
 func NewLIP(sets, ways int) *LIP {
-	p := &LIP{lru: NewLRU(sets, ways)}
+	p := &LIP{lru: cache.NewLRU(sets, ways)}
 	p.Reset()
 	return p
 }
@@ -94,24 +82,23 @@ func (p *LIP) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 	if way < 0 {
 		return
 	}
-	p.lru.clock++
 	if hit {
-		p.lru.stamp[set][way] = p.lru.clock
+		p.lru.Update(set, way, pc, block, core, hit, kind)
 		return
 	}
-	p.lru.insertLRU(set, way)
+	p.lru.InsertLRU(set, way)
 }
 
 // DIP set-duels LRU (policy A) against BIP (policy B).
 type DIP struct {
-	lru  *LRU
+	lru  *cache.LRU
 	rng  xorshift64
 	duel setDuel
 }
 
 // NewDIP builds a DIP policy.
 func NewDIP(sets, ways int, seed uint64) *DIP {
-	p := &DIP{lru: NewLRU(sets, ways), rng: newXorshift(seed)}
+	p := &DIP{lru: cache.NewLRU(sets, ways), rng: newXorshift(seed)}
 	p.Reset()
 	return p
 }
@@ -137,10 +124,9 @@ func (p *DIP) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 	if way < 0 {
 		return
 	}
-	p.lru.clock++
 	if hit || !p.duel.missUsesB(set) || p.rng.intn(32) == 0 {
-		p.lru.stamp[set][way] = p.lru.clock
+		p.lru.Update(set, way, pc, block, core, hit, kind)
 		return
 	}
-	p.lru.insertLRU(set, way)
+	p.lru.InsertLRU(set, way)
 }

@@ -13,12 +13,12 @@ import (
 // LFU evicts the least-frequently-used line, with counters reset on fill.
 type LFU struct {
 	count [][]uint32
-	lru   *LRU // tie-break by recency
+	lru   *cache.LRU // tie-break by recency
 }
 
 // NewLFU builds an LFU policy.
 func NewLFU(sets, ways int) *LFU {
-	p := &LFU{count: rows[uint32](sets, ways), lru: NewLRU(sets, ways)}
+	p := &LFU{count: rows[uint32](sets, ways), lru: cache.NewLRU(sets, ways)}
 	p.Reset()
 	return p
 }
@@ -39,7 +39,7 @@ func (p *LFU) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) 
 	oldest := ^uint64(0)
 	for w := range lines {
 		c := p.count[set][w]
-		s := p.lru.stamp[set][w]
+		s := p.lru.Stamp(set, w)
 		if c < best || (c == best && s < oldest) {
 			best = c
 			oldest = s

@@ -180,8 +180,8 @@ func FuzzResetMatchesFresh(f *testing.F) {
 		if got, want := reused.Stats(), fresh.Stats(); got != want {
 			t.Fatalf("%s on %d×%d: stats after a reset %+v, fresh %+v", name, cfg.Sets, cfg.Ways, got, want)
 		}
-		if fp, ok := fresh.Policy().(friendlyPredictor); ok {
-			rp := reused.Policy().(friendlyPredictor)
+		if fp, ok := fresh.Policy().(FriendlyPredictor); ok {
+			rp := reused.Policy().(FriendlyPredictor)
 			for pc := uint64(0); pc < 32; pc++ {
 				if rp.PredictFriendly(pc, 0) != fp.PredictFriendly(pc, 0) {
 					t.Fatalf("%s on %d×%d: PC %d predicted differently after a reset", name, cfg.Sets, cfg.Ways, pc)

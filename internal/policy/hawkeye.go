@@ -28,10 +28,6 @@ type Hawkeye struct {
 	sampler  optSampler[uint64] // payload: the previous toucher's PC
 	debug    TrainDebug
 
-	// detrainOnEvict detrains the PC of a friendly line forced out by a
-	// miss (on by default; the ablation turns it off).
-	detrainOnEvict bool
-
 	// Observability (nil when disabled; see AttachObs).
 	obsCounterHist *obs.Histogram
 	obsOptVerdicts *obs.Vec
@@ -67,10 +63,9 @@ func (p *Hawkeye) Debug() TrainDebug { return p.debug }
 // NewHawkeye builds a Hawkeye policy for the given geometry.
 func NewHawkeye(sets, ways int) *Hawkeye {
 	p := &Hawkeye{
-		state:          newRRPVState(sets, ways),
-		counters:       make([]int8, hawkeyeTableSize),
-		sampler:        newOPTSampler[uint64](sets, ways),
-		detrainOnEvict: true,
+		state:    newRRPVState(sets, ways),
+		counters: make([]int8, hawkeyeTableSize),
+		sampler:  newOPTSampler[uint64](sets, ways),
 	}
 	p.Reset()
 	return p
@@ -79,8 +74,8 @@ func NewHawkeye(sets, ways int) *Hawkeye {
 // Name implements cache.Policy.
 func (p *Hawkeye) Name() string { return "hawkeye" }
 
-// Reset implements cache.Resetter. The ablation switch detrainOnEvict and
-// attached metrics are configuration and stay.
+// Reset implements cache.Resetter. Attached metrics are configuration and
+// stay.
 func (p *Hawkeye) Reset() {
 	p.state.reset()
 	clear(p.counters)
@@ -127,7 +122,7 @@ func (p *Hawkeye) Victim(set int, pc, block uint64, core uint8, lines []cache.Li
 	// was wrong about it. Every set is sampled (see optSampler), so
 	// detraining here stays at the sampler's rate, as in the paper's
 	// hardware.
-	if p.state.rrpv[set][victim] < maxRRPV && p.detrainOnEvict && lines[victim].Valid {
+	if p.state.rrpv[set][victim] < maxRRPV && lines[victim].Valid {
 		p.train(lines[victim].PC, lines[victim].Core, false)
 	}
 	return victim

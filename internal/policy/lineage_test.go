@@ -15,7 +15,7 @@ func TestLIPKeepsResidentSetOnThrash(t *testing.T) {
 	// Cyclic scan of 6 blocks through 4 ways: LIP inserts at LRU so a
 	// resident subset survives and hits every round; LRU gets zero.
 	blocks := repeat([]uint64{0, 1, 2, 3, 4, 5}, 100)
-	lru := driveCache(t, NewLRU(1, 4), 1, 4, blocks)
+	lru := driveCache(t, cache.NewLRU(1, 4), 1, 4, blocks)
 	lip := driveCache(t, NewLIP(1, 4), 1, 4, blocks)
 	if lip <= lru {
 		t.Fatalf("LIP (%d) should beat LRU (%d) on thrash", lip, lru)
@@ -43,7 +43,7 @@ func TestDIPFollowsWinningLeader(t *testing.T) {
 			thrash = append(thrash, set+64*(uint64(round)%6))
 		}
 	}
-	lru := driveCache(t, NewLRU(64, 4), 64, 4, thrash)
+	lru := driveCache(t, cache.NewLRU(64, 4), 64, 4, thrash)
 	dip := driveCache(t, NewDIP(64, 4, 1), 64, 4, thrash)
 	if dip <= lru {
 		t.Fatalf("DIP (%d) should beat LRU (%d) on thrash", dip, lru)
@@ -91,7 +91,7 @@ func TestEAFDetectsThrashReuse(t *testing.T) {
 	// inserted near; a 6-block cyclic scan in 4 ways therefore converges
 	// to hits under EAF but not LRU.
 	blocks := repeat([]uint64{0, 1, 2, 3, 4, 5}, 300)
-	lru := driveCache(t, NewLRU(1, 4), 1, 4, blocks)
+	lru := driveCache(t, cache.NewLRU(1, 4), 1, 4, blocks)
 	eaf := driveCache(t, NewEAF(1, 4, 1), 1, 4, blocks)
 	if eaf <= lru {
 		t.Fatalf("EAF (%d) should beat LRU (%d) on thrash-with-reuse", eaf, lru)

@@ -191,7 +191,7 @@ func TestLearnedPoliciesLandBetweenLRUAndMIN(t *testing.T) {
 	const sets, ways = 16, 4
 	for name, tr := range oraclePatterns() {
 		min := opt.SimulateMIN(tr, sets, ways)
-		_, lru := runPolicyTrace(t, NewLRU(sets, ways), tr, sets, ways, nil)
+		_, lru := runPolicyTrace(t, cache.NewLRU(sets, ways), tr, sets, ways, nil)
 		for _, pname := range []string{"frd", "msa"} {
 			p, ok := New(pname, sets, ways)
 			if !ok {
@@ -220,7 +220,7 @@ func TestLearnedPoliciesBeatLRUOnCyclic(t *testing.T) {
 	pats := oraclePatterns()
 	for _, name := range []string{"cyclic", "scan+reuse"} {
 		tr := pats[name]
-		_, lru := runPolicyTrace(t, NewLRU(sets, ways), tr, sets, ways, nil)
+		_, lru := runPolicyTrace(t, cache.NewLRU(sets, ways), tr, sets, ways, nil)
 		for _, pname := range []string{"frd", "msa"} {
 			p, _ := New(pname, sets, ways)
 			_, st := runPolicyTrace(t, p, tr, sets, ways, nil)

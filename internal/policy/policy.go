@@ -1,7 +1,8 @@
 // Package policy implements the cache replacement policies evaluated in the
-// paper: the LRU baseline, the RRIP family, and the 2nd Cache Replacement
-// Championship finishers SHiP++, MPPPB, and Hawkeye, plus the paper's
-// contribution, Glider (whose ISVM predictor lives in the glider package).
+// paper: the RRIP family, the 2nd Cache Replacement Championship finishers
+// SHiP++, MPPPB, and Hawkeye, plus the paper's contribution, Glider (whose
+// ISVM predictor lives in the glider package). The LRU baseline they are
+// normalized against is cache.LRU, which the registry serves as "lru".
 //
 // Every policy implements cache.Policy: victim selection plus an update
 // callback on each access. Every policy is also a cache.Resetter, under one
@@ -30,7 +31,7 @@ type Factory func(sets, ways int) cache.Resetter
 // to factories. Importers read it through Names, Known and New, so none can
 // change it.
 var registry = map[string]Factory{
-	"lru":        func(s, w int) cache.Resetter { return NewLRU(s, w) },
+	"lru":        func(s, w int) cache.Resetter { return cache.NewLRU(s, w) },
 	"mru":        func(s, w int) cache.Resetter { return NewMRU(s, w) },
 	"random":     func(s, w int) cache.Resetter { return NewRandom(s, w, 1) },
 	"srrip":      func(s, w int) cache.Resetter { return NewSRRIP(s, w) },
@@ -63,10 +64,11 @@ func Names() []string {
 	return names
 }
 
-// friendlyPredictor mirrors cpu.FriendlyPredictor (declared here to avoid
-// an import cycle): policies that can classify an access as cache-friendly
-// or cache-averse by PC.
-type friendlyPredictor interface {
+// FriendlyPredictor is implemented by policies whose predictor can be
+// queried for a cache-friendly/averse classification of a PC (Hawkeye,
+// Glider, and the reuse-distance family FRD/MSA): the Figure 10 accuracy
+// experiment and gliderd's /v1/predict use it.
+type FriendlyPredictor interface {
 	PredictFriendly(pc uint64, core uint8) bool
 }
 
@@ -82,7 +84,7 @@ func PredictorCapable(name string) bool { return predictorCapable()[name] }
 var predictorCapable = sync.OnceValue(func() map[string]bool {
 	capable := make(map[string]bool, len(registry))
 	for name, f := range registry {
-		_, capable[name] = f(16, 16).(friendlyPredictor)
+		_, capable[name] = f(16, 16).(FriendlyPredictor)
 	}
 	return capable
 })
@@ -175,62 +177,17 @@ func (x *xorshift64) next() uint64 {
 // intn returns a pseudo-random value in [0, n).
 func (x *xorshift64) intn(n int) int { return int(x.next() % uint64(n)) }
 
-// --- LRU -------------------------------------------------------------------
-
-// LRU is the least-recently-used baseline policy all of the paper's
-// improvements are normalized against.
-type LRU struct {
-	stamp [][]uint64
-	clock uint64
-}
-
-// NewLRU builds an LRU policy for the given geometry.
-func NewLRU(sets, ways int) *LRU {
-	l := &LRU{stamp: rows[uint64](sets, ways)}
-	l.Reset()
-	return l
-}
-
-// Name implements cache.Policy.
-func (l *LRU) Name() string { return "lru" }
-
-// Reset implements cache.Resetter.
-func (l *LRU) Reset() {
-	fillRows(l.stamp, 0)
-	l.clock = 0
-}
-
-// Victim evicts the least recently used line.
-func (l *LRU) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	victim, oldest := 0, ^uint64(0)
-	for w := range lines {
-		if l.stamp[set][w] < oldest {
-			oldest = l.stamp[set][w]
-			victim = w
-		}
-	}
-	return victim
-}
-
-// Update stamps the touched way with the current time.
-func (l *LRU) Update(set, way int, pc, block uint64, core uint8, hit bool, kind trace.Kind) {
-	l.clock++
-	if way >= 0 {
-		l.stamp[set][way] = l.clock
-	}
-}
-
 // --- MRU -------------------------------------------------------------------
 
 // MRU evicts the most recently used line; it is the classic anti-thrashing
 // heuristic and a useful stress baseline in tests.
 type MRU struct {
-	lru *LRU
+	lru *cache.LRU
 }
 
 // NewMRU builds an MRU policy.
 func NewMRU(sets, ways int) *MRU {
-	m := &MRU{lru: NewLRU(sets, ways)}
+	m := &MRU{lru: cache.NewLRU(sets, ways)}
 	m.Reset()
 	return m
 }
@@ -245,8 +202,8 @@ func (m *MRU) Reset() { m.lru.Reset() }
 func (m *MRU) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
 	victim, newest := 0, uint64(0)
 	for w := range lines {
-		if m.lru.stamp[set][w] >= newest {
-			newest = m.lru.stamp[set][w]
+		if s := m.lru.Stamp(set, w); s >= newest {
+			newest = s
 			victim = w
 		}
 	}

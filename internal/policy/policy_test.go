@@ -83,7 +83,7 @@ func TestPredictorNames(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	p := NewLRU(1, 2)
+	p := cache.NewLRU(1, 2)
 	c, _ := cache.New(cache.Config{Name: "t", Sets: 1, Ways: 2}, p)
 	c.Access(1, 10, 0, trace.Load)
 	c.Access(1, 20, 0, trace.Load)
@@ -110,7 +110,7 @@ func TestMRUBeatsLRUOnThrash(t *testing.T) {
 	// gets zero hits, MRU retains a subset.
 	pattern := []uint64{0, 1, 2, 3, 4}
 	blocks := repeat(pattern, 50)
-	lru := driveCache(t, NewLRU(1, 4), 1, 4, blocks)
+	lru := driveCache(t, cache.NewLRU(1, 4), 1, 4, blocks)
 	mru := driveCache(t, NewMRU(1, 4), 1, 4, blocks)
 	if lru != 0 {
 		t.Fatalf("LRU hits on thrash = %d, want 0", lru)
@@ -141,7 +141,7 @@ func TestBRRIPSurvivesThrash(t *testing.T) {
 	// Working set of 6 in a 4-way cache: BRRIP's bimodal insertion keeps a
 	// subset resident; plain SRRIP-at-long would also miss a lot, LRU gets 0.
 	blocks := repeat([]uint64{0, 1, 2, 3, 4, 5}, 200)
-	lru := driveCache(t, NewLRU(1, 4), 1, 4, blocks)
+	lru := driveCache(t, cache.NewLRU(1, 4), 1, 4, blocks)
 	brrip := driveCache(t, NewBRRIP(1, 4, 3), 1, 4, blocks)
 	if brrip <= lru {
 		t.Fatalf("BRRIP (%d) should beat LRU (%d) on thrash", brrip, lru)
@@ -164,7 +164,7 @@ func TestDRRIPAdaptsToThrash(t *testing.T) {
 			thrash = append(thrash, set+64*(uint64(round)%6))
 		}
 	}
-	lru := driveCache(t, NewLRU(64, 4), 64, 4, thrash)
+	lru := driveCache(t, cache.NewLRU(64, 4), 64, 4, thrash)
 	dr := driveCache(t, NewDRRIP(64, 4, 1), 64, 4, thrash)
 	if dr <= lru {
 		t.Fatalf("DRRIP (%d) should beat LRU (%d) on thrash", dr, lru)

@@ -31,7 +31,7 @@ func (v *victimLog) Victim(set int, pc, block uint64, core uint8, lines []cache.
 }
 
 func (v *victimLog) PredictFriendly(pc uint64, core uint8) bool {
-	return v.Policy.(cpu.FriendlyPredictor).PredictFriendly(pc, core)
+	return v.Policy.(policy.FriendlyPredictor).PredictFriendly(pc, core)
 }
 
 // eventLog is an obs.Sink keeping every event.

@@ -37,7 +37,7 @@ func (l *resetLog) Reset() {
 type predictLog struct{ *resetLog }
 
 func (l predictLog) PredictFriendly(pc uint64, core uint8) bool {
-	return l.Resetter.(cpu.FriendlyPredictor).PredictFriendly(pc, core)
+	return l.Resetter.(policy.FriendlyPredictor).PredictFriendly(pc, core)
 }
 
 // goldenGeometry is the element type of goldenGeometries.
@@ -109,7 +109,7 @@ func replayReset(t *testing.T, cfg cache.Config, name string, a *resetStream, b 
 	p, _ := policy.New(name, cfg.Sets, cfg.Ways)
 	log := &resetLog{Resetter: p.(cache.Resetter)}
 	var wrapped cache.Policy = log
-	if _, ok := p.(cpu.FriendlyPredictor); ok {
+	if _, ok := p.(policy.FriendlyPredictor); ok {
 		wrapped = predictLog{log}
 	}
 	llc, err := cache.New(cfg, wrapped)
@@ -140,7 +140,7 @@ func replayReset(t *testing.T, cfg cache.Config, name string, a *resetStream, b 
 	if m, ok := p.(policy.ModelIntrospector); ok {
 		run.rows = m.TopModelRows(-1)
 	}
-	if fp, ok := p.(cpu.FriendlyPredictor); ok {
+	if fp, ok := p.(policy.FriendlyPredictor); ok {
 		type pcCore struct {
 			pc   uint64
 			core uint8

@@ -42,7 +42,7 @@ type SDBP struct {
 	clock   uint64
 	// Per-line dead bit refreshed on every access.
 	dead [][]bool
-	lru  *LRU
+	lru  *cache.LRU
 }
 
 // NewSDBP builds the policy.
@@ -51,7 +51,7 @@ func NewSDBP(sets, ways int) *SDBP {
 	p := &SDBP{
 		sampler: make([]sdbpEntry, sampled*sdbpSamplerAssoc),
 		dead:    rows[bool](sets, ways),
-		lru:     NewLRU(sets, ways),
+		lru:     cache.NewLRU(sets, ways),
 	}
 	for i := range p.tables {
 		p.tables[i] = make([]uint8, sdbpTableSize)
